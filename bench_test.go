@@ -239,21 +239,20 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkEngineTraced is BenchmarkEngine with the observability
-// sinks attached: a live run tracer (16Ki-event ring) and a progress
-// board, exactly as mlpsimd runs them. The delta against
+// sinks attached exactly as mlpsimd attaches them: a request trace with
+// the default engine-detail cap (batch and fold spans nested under the
+// run's simulate span) and a progress board. The delta against
 // BenchmarkEngine is the cost of *enabled* tracing; a disabled (nil)
-// tracer costs only a nil check and is proven allocation-free by
+// trace costs only a nil check and is proven allocation-free by
 // TestStepZeroAllocTracerDisabled in internal/epoch.
 func BenchmarkEngineTraced(b *testing.B) {
 	const n = 500_000
 	w := workload.Database(1)
-	ctx := obs.NewContext(context.Background(), &obs.Obs{
-		Tracer: obs.NewTracer(1 << 14),
-		Board:  obs.NewBoard(),
-	})
+	ctx := obs.NewContext(context.Background(), obs.NewBoard())
 	b.SetBytes(n)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunContext(ctx, RunSpec{Workload: w, Config: DefaultConfig(), Insts: n, Warm: 0}); err != nil {
+		rt := obs.NewReqTrace("bench", 512, 384)
+		if _, err := RunContext(obs.WithSpan(ctx, rt, rt.Root()), RunSpec{Workload: w, Config: DefaultConfig(), Insts: n, Warm: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

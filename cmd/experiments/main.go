@@ -133,7 +133,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// Every sweep run inherits Config.Ctx, so one board observes the
 		// whole harness: the ticker shows the active run set live.
 		board := obs.NewBoard()
-		ctx = obs.NewContext(ctx, &obs.Obs{Board: board})
+		ctx = obs.NewContext(ctx, board)
 		stopTicker := obs.StartTicker(stderr, board, 250*time.Millisecond)
 		defer stopTicker()
 	}

@@ -16,7 +16,8 @@
 // simulate / ...) derived from the daemon's mlpsimd_stage_seconds
 // histogram deltas around each phase. -scrape additionally validates
 // the daemon's /metrics output against the Prometheus text exposition
-// grammar and checks the /debug/obs/trace export; -slow-out saves the
+// grammar and checks the shape of the /debug/obs/trace export (one
+// named process per retained request trace); -slow-out saves the
 // daemon's /debug/obs/slow listing (the slowest requests with their
 // per-stage timings) as a post-run artifact.
 //
@@ -351,8 +352,9 @@ func fetchSlow(ctx context.Context, client *http.Client, base, path string) erro
 
 // scrapeCheck validates the daemon's observability surface after the
 // load phases: /metrics must parse cleanly under the Prometheus text
-// exposition grammar and /debug/obs/trace must serve valid Chrome
-// trace JSON, non-empty when this invocation generated traffic.
+// exposition grammar and /debug/obs/trace must serve well-formed
+// retained request traces, at least one when this invocation generated
+// traffic.
 func scrapeCheck(ctx context.Context, client *http.Client, base string, wantTraffic bool, stdout io.Writer) error {
 	get := func(path string) (*http.Response, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
@@ -376,19 +378,70 @@ func scrapeCheck(ctx context.Context, client *http.Client, base string, wantTraf
 	if err != nil {
 		return fmt.Errorf("GET /debug/obs/trace: %w", err)
 	}
-	var tr struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&tr)
+	traces, events, err := validateTraceView(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return fmt.Errorf("/debug/obs/trace is not valid trace JSON: %w", err)
+		return fmt.Errorf("/debug/obs/trace: %w", err)
 	}
-	if wantTraffic && len(tr.TraceEvents) == 0 {
+	if wantTraffic && traces == 0 {
 		return fmt.Errorf("/debug/obs/trace is empty after generating traffic")
 	}
-	fmt.Fprintf(stdout, "scrape: %d metric families OK, %d trace events\n", len(fams), len(tr.TraceEvents))
+	fmt.Fprintf(stdout, "scrape: %d metric families OK, %d traces with %d trace events\n", len(fams), traces, events)
 	return nil
+}
+
+// validateTraceView checks the shape of the /debug/obs/trace export:
+// valid Chrome trace JSON holding one process per retained request
+// trace, each named by a process_name event and rooted in exactly one
+// request span, with every span's parent a span of the same process.
+// It returns the trace and span-event counts.
+func validateTraceView(r io.Reader) (traces, events int, err error) {
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Dur  float64 `json:"dur"`
+			Pid  int     `json:"pid"`
+			Args struct {
+				Span   *int64 `json:"span"`
+				Parent *int64 `json:"parent"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return 0, 0, fmt.Errorf("not valid trace JSON: %w", err)
+	}
+	named := map[int]bool{}
+	roots := map[int]int{}
+	spans := map[int]map[int64]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			named[ev.Pid] = ev.Name == "process_name"
+			continue
+		}
+		if (ev.Ph != "X" && ev.Ph != "i") || ev.Dur < 0 || ev.Args.Span == nil || ev.Args.Parent == nil {
+			return 0, 0, fmt.Errorf("malformed span event %+v", ev)
+		}
+		if spans[ev.Pid] == nil {
+			spans[ev.Pid] = map[int64]bool{}
+		}
+		spans[ev.Pid][*ev.Args.Span] = true
+		if ev.Name == "request" {
+			roots[ev.Pid]++
+		}
+		events++
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" && *ev.Args.Parent >= 0 && !spans[ev.Pid][*ev.Args.Parent] {
+			return 0, 0, fmt.Errorf("pid %d: %s span's parent %d is not a span of that trace", ev.Pid, ev.Name, *ev.Args.Parent)
+		}
+	}
+	for pid := range spans {
+		if !named[pid] || roots[pid] != 1 {
+			return 0, 0, fmt.Errorf("pid %d: named %v with %d request roots, want a process_name and exactly one root", pid, named[pid], roots[pid])
+		}
+	}
+	return len(spans), events, nil
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {

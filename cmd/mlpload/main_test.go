@@ -168,6 +168,32 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 }
 
+// TestValidateTraceView: the scrape check accepts the server's trace
+// view shape and rejects unnamed processes, rootless traces and
+// dangling parents.
+func TestValidateTraceView(t *testing.T) {
+	const good = `{"traceEvents":[
+		{"name":"process_name","ph":"M","pid":1,"args":{"name":"t1 POST /v1/run"}},
+		{"name":"request","ph":"X","dur":5,"pid":1,"args":{"span":0,"parent":-1,"arg":0}},
+		{"name":"simulate","ph":"X","dur":3,"pid":1,"args":{"span":1,"parent":0,"arg":0}},
+		{"name":"measure_start","ph":"i","pid":1,"args":{"span":2,"parent":1,"arg":0}}]}`
+	if traces, events, err := validateTraceView(strings.NewReader(good)); err != nil || traces != 1 || events != 3 {
+		t.Errorf("good view: (%d traces, %d events, %v), want (1, 3, nil)", traces, events, err)
+	}
+	for name, doc := range map[string]string{
+		"not json":  `{"traceEvents":`,
+		"unnamed":   `{"traceEvents":[{"name":"request","ph":"X","pid":1,"args":{"span":0,"parent":-1}}]}`,
+		"no root":   `{"traceEvents":[{"name":"process_name","ph":"M","pid":1},{"name":"simulate","ph":"X","pid":1,"args":{"span":1,"parent":-1}}]}`,
+		"dangling":  `{"traceEvents":[{"name":"process_name","ph":"M","pid":1},{"name":"request","ph":"X","pid":1,"args":{"span":0,"parent":-1}},{"name":"fold","ph":"X","pid":1,"args":{"span":1,"parent":7}}]}`,
+		"no args":   `{"traceEvents":[{"name":"process_name","ph":"M","pid":1},{"name":"request","ph":"X","pid":1}]}`,
+		"bad phase": `{"traceEvents":[{"name":"process_name","ph":"M","pid":1},{"name":"request","ph":"B","pid":1,"args":{"span":0,"parent":-1}}]}`,
+	} {
+		if _, _, err := validateTraceView(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestScrapeMode: -scrape validates the daemon's /metrics exposition
 // and trace export after the load phases.
 func TestScrapeMode(t *testing.T) {

@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// The engine publishes live counters into the board via the
 		// context; the ticker rewrites one stderr line from them.
 		board := obs.NewBoard()
-		ctx = obs.NewContext(ctx, &obs.Obs{Board: board})
+		ctx = obs.NewContext(ctx, board)
 		stopTicker := obs.StartTicker(stderr, board, 250*time.Millisecond)
 		defer stopTicker()
 	}

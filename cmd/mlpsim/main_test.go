@@ -127,7 +127,7 @@ func TestRunProgressTicker(t *testing.T) {
 
 func TestRunProgressTraceFile(t *testing.T) {
 	// The -trace path goes through RunTraceContext, which attaches the
-	// board via sim.Observe: -progress must not perturb the run.
+	// board carried by the context: -progress must not perturb the run.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.trace")
 	f, err := os.Create(path)

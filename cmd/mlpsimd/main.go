@@ -11,7 +11,7 @@
 //	POST /v1/sweep        many points, deduplicated and pool-bounded
 //	GET  /healthz         liveness + pool/cache summary
 //	GET  /metrics         Prometheus text exposition
-//	GET  /debug/obs/trace run tracer as Chrome trace_event JSON
+//	GET  /debug/obs/trace retained slow-request span trees as Chrome trace_event JSON
 //	GET  /debug/obs/runs  live engine progress snapshots
 //	GET  /debug/obs/vars  the metrics registry as JSON
 //	GET  /debug/obs/slow  slowest requests with per-stage timings
@@ -80,8 +80,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		logFmt   = fs.String("log", "text", "log format: text or json")
 		verbose  = fs.Bool("v", false, "debug logging (includes healthz/metrics probes)")
 		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling; leave off in production)")
-		trcCap   = fs.Int("trace-events", 0, "run-tracer ring capacity (0 = default 16384, negative disables tracing)")
-		trcOut   = fs.String("trace-out", "", "write the tracer's Chrome trace_event JSON to this file on graceful shutdown")
+		trcCap   = fs.Int("trace-events", 0, "engine-detail spans (batches, fold) one request trace may hold (0 = default 384, the maximum; negative records none)")
+		trcOut   = fs.String("trace-out", "", "write the retained request traces as Chrome trace_event JSON to this file on graceful shutdown")
 		parallel = fs.Int("parallel", 1, "segments per simulation when a request carries no parallel field (0 = one per CPU core, 1 = serial)")
 		slowN    = fs.Int("slow", 0, "slowest-request ring size behind /debug/obs/slow (0 = default 32, negative disables request span tracing)")
 	)
@@ -182,15 +182,16 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-// dumpTrace writes the service tracer's retained events as Chrome
-// trace_event JSON (load it in chrome://tracing or Perfetto). A
-// disabled tracer writes a valid empty trace.
+// dumpTrace writes the retained slow-request span trees as Chrome
+// trace_event JSON (load it in chrome://tracing or Perfetto), one
+// process per request. Disabled span tracing writes a valid empty
+// trace.
 func dumpTrace(svc *server.Server, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := svc.Tracer().WriteChrome(f)
+	werr := svc.WriteTrace(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}

@@ -195,9 +195,9 @@ func TestDaemonFlagValidation(t *testing.T) {
 	}
 }
 
-// TestDaemonTraceOut: -trace-out dumps the run tracer as Chrome
-// trace_event JSON at graceful shutdown, and the same data is live on
-// /debug/obs/trace while serving.
+// TestDaemonTraceOut: -trace-out dumps the retained request traces as
+// Chrome trace_event JSON at graceful shutdown, and the same view is
+// live on /debug/obs/trace while serving.
 func TestDaemonTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace.json")
 	base, shutdown := startDaemon(t, "-trace-out", path)
@@ -212,25 +212,30 @@ func TestDaemonTraceOut(t *testing.T) {
 		t.Fatalf("run: status %d", resp.StatusCode)
 	}
 
-	// The live endpoint already carries the run's engine spans.
-	resp, err = http.Get(base + "/debug/obs/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var live struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&live); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	// The live endpoint carries the run's request stages and engine
+	// detail once the finished trace enters the slow ring, which happens
+	// just after the response is written: poll.
 	names := map[string]bool{}
-	for _, ev := range live.TraceEvents {
-		names[ev.Name] = true
+	for deadline := time.Now().Add(5 * time.Second); !names["render"] && time.Now().Before(deadline); {
+		resp, err = http.Get(base + "/debug/obs/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&live); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		for _, ev := range live.TraceEvents {
+			names[ev.Name] = true
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	for _, want := range []string{"parse", "simulate", "batch", "fold"} {
+	for _, want := range []string{"parse", "simulate", "batch", "fold", "render"} {
 		if !names[want] {
 			t.Errorf("/debug/obs/trace missing %q span (have %v)", want, names)
 		}

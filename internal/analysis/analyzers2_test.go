@@ -60,19 +60,6 @@ func TestGuardedByFindings(t *testing.T) {
 	})
 }
 
-// TestGuardedByLexicalBaseline pins what the pre-CFG walker misses:
-// the flowq bugs (branch release leaking past the join, loop back-edge
-// release) are invisible lexically, while the straight-line queue
-// findings are shared by both modes.
-func TestGuardedByLexicalBaseline(t *testing.T) {
-	m := loadTestModule(t, "guardedbad")
-	diags := Run(m, []Analyzer{GuardedBy{Lexical: true}})
-	checkDiags(t, m, diags, []string{
-		"queue/queue.go:33: [guardedby] field Q.items accessed without holding q.mu (lock it, or annotate the function //storemlp:locked)",
-		"queue/queue.go:40: [guardedby] field Q.hits accessed without holding q.mu (lock it, or annotate the function //storemlp:locked)",
-	})
-}
-
 func TestHotPathFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hotpath shells out to go build")
@@ -91,17 +78,6 @@ func TestCtxPollFindings(t *testing.T) {
 	checkDiags(t, m, diags, []string{
 		"run/run.go:30: [ctxpoll] loop consumes trace batches without polling ctx (check ctx.Err() every batch so cancellation lands within the 8192-inst bound)",
 		"run/run.go:44: [ctxpoll] loop consumes trace batches without polling ctx (check ctx.Err() every batch so cancellation lands within the 8192-inst bound)",
-	})
-}
-
-// TestCtxPollLexicalBaseline pins the blind spot of the pre-CFG check:
-// RarePoll's debug-branch poll satisfies "a poll somewhere in the
-// body", so only the poll-free Bad loop is caught.
-func TestCtxPollLexicalBaseline(t *testing.T) {
-	m := loadTestModule(t, "ctxpollbad")
-	diags := Run(m, []Analyzer{CtxPoll{TracePkg: "example.com/ctxpollbad/trace", Lexical: true}})
-	checkDiags(t, m, diags, []string{
-		"run/run.go:30: [ctxpoll] loop consumes trace batches without polling ctx (check ctx.Err() every batch so cancellation lands within the 8192-inst bound)",
 	})
 }
 

@@ -16,21 +16,6 @@ func TestLockOrderFindings(t *testing.T) {
 	})
 }
 
-// TestLockOrderLexicalBaseline pins the blind spot of the pre-CFG
-// walker: the branch-scoped x.mu acquisition in branchy.PinThenBump is
-// forgotten at the join, so the X -> Y edge — and with it the
-// branchy cycle — never materializes. The straight-line locks findings
-// are shared by both modes.
-func TestLockOrderLexicalBaseline(t *testing.T) {
-	m := loadTestModule(t, "lockorderbad")
-	diags := Run(m, []Analyzer{LockOrder{Lexical: true}})
-	checkDiags(t, m, diags, []string{
-		"locks/locks.go:24: [lockorder] lock-acquisition cycle locks.A.mu -> locks.B.mu -> locks.A.mu (potential deadlock; fix the order or declare it with //storemlp:lockafter)",
-		"locks/locks.go:50: [lockorder] lock-acquisition cycle locks.Node.mu -> locks.Node.mu (potential deadlock; fix the order or declare it with //storemlp:lockafter)",
-		"locks/locks.go:80: [lockorder] locks.P.mu acquired while locks.C.mu is held, but locks.C.mu declares //storemlp:lockafter(locks.P.mu)",
-	})
-}
-
 func TestAtomicFieldFindings(t *testing.T) {
 	m := loadTestModule(t, "atomicbad")
 	diags := Run(m, []Analyzer{AtomicField{}})

@@ -33,11 +33,6 @@ type CtxPoll struct {
 	// TracePkg is the import path of the trace package whose consuming
 	// calls (Fill, Next, ReadBatch) mark a loop as batch-iterating.
 	TracePkg string
-	// Lexical reverts to the pre-CFG check, which accepts a poll
-	// anywhere in the loop body even if the consuming iteration path
-	// never executes it. Kept as the regression baseline the fixture
-	// tests pin the port against.
-	Lexical bool
 }
 
 // Name implements Analyzer.
@@ -69,23 +64,6 @@ func (a CtxPoll) Run(m *Module) []Diagnostic {
 						Message: fmt.Sprintf("loop consumes trace batches without polling %s (check %s.Err() every batch so cancellation lands within the 8192-inst bound)",
 							ctxObj.Name(), ctxObj.Name()),
 					})
-				}
-				if a.Lexical {
-					ast.Inspect(fn.Body, func(n ast.Node) bool {
-						body, pos := loopBody(n)
-						if body == nil {
-							return true
-						}
-						if !a.consumesTrace(pkg, body) {
-							return true
-						}
-						if pollsCtx(pkg, body, ctxObj) {
-							return true
-						}
-						report(pos)
-						return true
-					})
-					continue
 				}
 				for _, body := range funcBodies(fn) {
 					g := m.CFG(body)
@@ -319,32 +297,4 @@ func (a CtxPoll) isTraceCall(pkg *Package, call *ast.CallExpr) bool {
 		return true
 	}
 	return false
-}
-
-// pollsCtx reports whether the loop body contains ctx.Err() or
-// ctx.Done() on the given context object, anywhere outside function
-// literals.
-func pollsCtx(pkg *Package, body *ast.BlockStmt, ctxObj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if sel.Sel.Name != "Err" && sel.Sel.Name != "Done" {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if ok && pkg.Info.Uses[id] == ctxObj {
-			found = true
-		}
-		return true
-	})
-	return found
 }

@@ -29,12 +29,7 @@ var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 // iteration's reads. It is still not interprocedural — it catches the
 // bug class the -race detector only finds when the schedule cooperates,
 // at compile time, every run.
-type GuardedBy struct {
-	// Lexical reverts to the pre-CFG per-statement-list walker (branch
-	// releases leak past joins, loop back edges are invisible). Kept as
-	// the regression baseline the fixture tests pin the port against.
-	Lexical bool
-}
+type GuardedBy struct{}
 
 // Name implements Analyzer.
 func (GuardedBy) Name() string { return "guardedby" }
@@ -65,11 +60,7 @@ func (a GuardedBy) Run(m *Module) []Diagnostic {
 					continue
 				}
 				w := &guardWalker{m: m, pkg: pkg, guards: guards}
-				if a.Lexical {
-					w.stmts(fn.Body.List, map[string]bool{})
-				} else {
-					w.flowRun(fn)
-				}
+				w.flowRun(fn)
 				out = append(out, w.out...)
 			}
 		}
@@ -139,12 +130,8 @@ func guardAnnotation(field *ast.Field) string {
 	return ""
 }
 
-// guardWalker tracks the held mutexes through one function body. In
-// flow mode (the default) held state comes from the CFG's lock lattice;
-// in lexical mode, locks taken at one nesting level are visible to
-// deeper levels (each compound statement walks its children with a copy
-// of the held set), and a lock taken inside a block does not leak past
-// it.
+// guardWalker checks the guarded accesses of one function body against
+// the held mutexes the CFG's lock lattice proves at each access.
 type guardWalker struct {
 	m      *Module
 	pkg    *Package
@@ -152,16 +139,23 @@ type guardWalker struct {
 	out    []Diagnostic
 }
 
-// lockClassifier adapts lockCall to the flow package's interface: lock
-// identity is the rendered mutex expression ("q.mu"), matching the
-// per-instance spelling the guard annotations use.
+// lockClassifier classifies call as a mutex acquire/release for the
+// flow package: lock identity is the rendered mutex expression
+// ("q.mu"), matching the per-instance spelling the guard annotations
+// use.
 func lockClassifier(call *ast.CallExpr) (string, flow.LockOp) {
-	id, op := lockCall(call)
-	switch op {
-	case lockAcquire:
-		return id, flow.OpAcquire
-	case lockRelease:
-		return id, flow.OpRelease
+	if len(call.Args) != 0 {
+		return "", flow.OpNone
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", flow.OpNone
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		return renderExpr(sel.X), flow.OpAcquire
+	case "Unlock", "RUnlock":
+		return renderExpr(sel.X), flow.OpRelease
 	}
 	return "", flow.OpNone
 }
@@ -191,126 +185,6 @@ func (w *guardWalker) flowRun(fn *ast.FuncDecl) {
 			})
 		}
 	}
-}
-
-func (w *guardWalker) stmts(list []ast.Stmt, held map[string]bool) {
-	for _, s := range list {
-		w.stmt(s, held)
-	}
-}
-
-func (w *guardWalker) stmt(s ast.Stmt, held map[string]bool) {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if mu, op := lockCall(st.X); op == lockAcquire {
-			held[mu] = true
-			return
-		} else if op == lockRelease {
-			delete(held, mu)
-			return
-		}
-		w.expr(st.X, held)
-	case *ast.DeferStmt:
-		if _, op := lockCall(st.Call); op == lockRelease {
-			return // deferred unlock: the mutex stays held to function end
-		}
-		w.expr(st.Call, held)
-	case *ast.BlockStmt:
-		w.stmts(st.List, copyHeld(held))
-	case *ast.IfStmt:
-		h := copyHeld(held)
-		if st.Init != nil {
-			w.stmt(st.Init, h)
-		}
-		w.expr(st.Cond, h)
-		w.stmt(st.Body, h)
-		if st.Else != nil {
-			w.stmt(st.Else, h)
-		}
-	case *ast.ForStmt:
-		h := copyHeld(held)
-		if st.Init != nil {
-			w.stmt(st.Init, h)
-		}
-		if st.Cond != nil {
-			w.expr(st.Cond, h)
-		}
-		if st.Post != nil {
-			w.stmt(st.Post, h)
-		}
-		w.stmt(st.Body, h)
-	case *ast.RangeStmt:
-		h := copyHeld(held)
-		w.expr(st.X, h)
-		if st.Key != nil {
-			w.expr(st.Key, h)
-		}
-		if st.Value != nil {
-			w.expr(st.Value, h)
-		}
-		w.stmt(st.Body, h)
-	case *ast.SwitchStmt:
-		h := copyHeld(held)
-		if st.Init != nil {
-			w.stmt(st.Init, h)
-		}
-		if st.Tag != nil {
-			w.expr(st.Tag, h)
-		}
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.expr(e, h)
-			}
-			w.stmts(cc.Body, copyHeld(h))
-		}
-	case *ast.TypeSwitchStmt:
-		h := copyHeld(held)
-		if st.Init != nil {
-			w.stmt(st.Init, h)
-		}
-		w.stmt(st.Assign, h)
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CaseClause)
-			w.stmts(cc.Body, copyHeld(h))
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			h := copyHeld(held)
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, h)
-			}
-			w.stmts(cc.Body, h)
-		}
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt, held)
-	default:
-		// Simple statements (assign, return, go, send, incdec, decl...):
-		// no nested statements beyond function literals, which expr
-		// handles with a fresh held set.
-		w.exprStmtNode(s, held)
-	}
-}
-
-// expr checks one expression tree for guarded-field accesses.
-func (w *guardWalker) expr(e ast.Expr, held map[string]bool) {
-	w.exprStmtNode(e, held)
-}
-
-func (w *guardWalker) exprStmtNode(n ast.Node, held map[string]bool) {
-	ast.Inspect(n, func(c ast.Node) bool {
-		switch x := c.(type) {
-		case *ast.FuncLit:
-			// A literal may run on another goroutine or after the lock
-			// is released: it must take its own locks.
-			w.stmt(x.Body, map[string]bool{})
-			return false
-		case *ast.SelectorExpr:
-			w.checkAccess(x, func(mu string) bool { return held[mu] })
-		}
-		return true
-	})
 }
 
 // checkAccess reports x.f when f is a guarded field and the guarding
@@ -344,32 +218,6 @@ func (w *guardWalker) checkAccess(sel *ast.SelectorExpr, held func(string) bool)
 	})
 }
 
-const (
-	lockNone = iota
-	lockAcquire
-	lockRelease
-)
-
-// lockCall classifies e as a mutex acquire/release call and returns the
-// rendered mutex expression ("c.mu").
-func lockCall(e ast.Expr) (string, int) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
-		return "", lockNone
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", lockNone
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		return renderExpr(sel.X), lockAcquire
-	case "Unlock", "RUnlock":
-		return renderExpr(sel.X), lockRelease
-	}
-	return "", lockNone
-}
-
 // renderExpr gives the textual spelling of a mutex/receiver expression
 // chain; anything beyond ident/selector chains renders opaque.
 func renderExpr(e ast.Expr) string {
@@ -384,12 +232,4 @@ func renderExpr(e ast.Expr) string {
 		return renderExpr(x.X)
 	}
 	return "?"
-}
-
-func copyHeld(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k := range held {
-		out[k] = true
-	}
-	return out
 }

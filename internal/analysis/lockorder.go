@@ -17,8 +17,7 @@ import (
 // mutex is "held" at a point if some path to it acquired the mutex
 // without releasing it (a deferred unlock holds to function end), so a
 // branch-dependent acquisition still orders every lock taken after the
-// join — not just locks taken inside the same branch, the lexical
-// walker's blind spot. Acquiring lock B while lock A is held adds the
+// join, not just locks taken inside the same branch. Acquiring lock B while lock A is held adds the
 // edge A → B.
 //
 // Locks are identified at type granularity — "pkg.Type.field" for a
@@ -35,12 +34,7 @@ import (
 // are the intended order: they are removed from the graph before cycle
 // detection, and an observed acquisition in the opposite direction is
 // reported immediately as an ordering violation.
-type LockOrder struct {
-	// Lexical reverts to the pre-CFG statement-list walker, which loses
-	// acquisitions made inside a branch at the join. Kept as the
-	// regression baseline the fixture tests pin the port against.
-	Lexical bool
-}
+type LockOrder struct{}
 
 // Name implements Analyzer.
 func (LockOrder) Name() string { return "lockorder" }
@@ -68,11 +62,7 @@ func (a LockOrder) Run(m *Module) []Diagnostic {
 					continue
 				}
 				w := &orderWalker{pkg: pkg, edges: &edges}
-				if a.Lexical {
-					w.stmts(fn.Body.List, nil)
-				} else {
-					w.flowRun(m, fn)
-				}
+				w.flowRun(m, fn)
 			}
 		}
 	}
@@ -211,12 +201,7 @@ func objType(obj types.Object) types.Type {
 	return obj.Type()
 }
 
-// orderWalker tracks the lexically held lock identities, in
-// acquisition order, through one function body. The traversal mirrors
-// guardWalker: locks persist across later statements of the same list
-// and into nested blocks, and do not leak past the block that took
-// them; function literals start with an empty held list (they may run
-// on another goroutine).
+// orderWalker collects the acquisition edges of one function body.
 type orderWalker struct {
 	pkg   *Package
 	edges *[]lockEdge
@@ -227,19 +212,9 @@ type orderWalker struct {
 // may-held lock solution, and every acquisition draws an edge from each
 // lock held on some path to that point.
 func (w *orderWalker) flowRun(m *Module, fn *ast.FuncDecl) {
-	classify := func(call *ast.CallExpr) (string, flow.LockOp) {
-		id, op := w.lockIdentity(call)
-		switch op {
-		case lockAcquire:
-			return id, flow.OpAcquire
-		case lockRelease:
-			return id, flow.OpRelease
-		}
-		return "", flow.OpNone
-	}
 	for _, body := range funcBodies(fn) {
 		g := m.CFG(body)
-		lk := flow.SolveLocks(g, classify, false)
+		lk := flow.SolveLocks(g, w.lockIdentity, false)
 		for _, blk := range g.Blocks {
 			lk.Walk(blk, func(n ast.Node, held flow.LockSet) {
 				// Replay the node's own lock operations in order: a node
@@ -265,7 +240,7 @@ func (w *orderWalker) flowRun(m *Module, fn *ast.FuncDecl) {
 						return true
 					}
 					switch op {
-					case lockAcquire:
+					case flow.OpAcquire:
 						froms := make([]string, 0, len(local))
 						for f := range local {
 							froms = append(froms, f)
@@ -275,8 +250,10 @@ func (w *orderWalker) flowRun(m *Module, fn *ast.FuncDecl) {
 							*w.edges = append(*w.edges, lockEdge{from: f, to: id, pos: call.Pos()})
 						}
 						local[id] = true
-					case lockRelease:
+					case flow.OpRelease:
 						delete(local, id)
+					case flow.OpNone:
+						// unreachable: id == "" above
 					}
 					return true
 				})
@@ -285,119 +262,17 @@ func (w *orderWalker) flowRun(m *Module, fn *ast.FuncDecl) {
 	}
 }
 
-func (w *orderWalker) stmts(list []ast.Stmt, held []string) {
-	h := append([]string(nil), held...)
-	for _, s := range list {
-		h = w.stmt(s, h)
-	}
-}
-
-// stmt processes one statement and returns the updated held list.
-func (w *orderWalker) stmt(s ast.Stmt, held []string) []string {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, op := w.lockIdentity(call); id != "" {
-				switch op {
-				case lockAcquire:
-					for _, from := range held {
-						*w.edges = append(*w.edges, lockEdge{from: from, to: id, pos: call.Pos()})
-					}
-					return append(held, id)
-				case lockRelease:
-					return removeLock(held, id)
-				}
-			}
-		}
-		w.nested(st.X, held)
-	case *ast.DeferStmt:
-		if _, op := lockCall(st.Call); op == lockRelease {
-			return held // deferred unlock: held to function end
-		}
-		w.nested(st.Call, held)
-	case *ast.BlockStmt:
-		w.stmts(st.List, held)
-	case *ast.IfStmt:
-		h := append([]string(nil), held...)
-		if st.Init != nil {
-			h = w.stmt(st.Init, h)
-		}
-		w.nested(st.Cond, h)
-		w.stmts(st.Body.List, h)
-		if st.Else != nil {
-			w.stmt(st.Else, h)
-		}
-	case *ast.ForStmt:
-		h := append([]string(nil), held...)
-		if st.Init != nil {
-			h = w.stmt(st.Init, h)
-		}
-		w.stmts(st.Body.List, h)
-	case *ast.RangeStmt:
-		w.nested(st.X, held)
-		w.stmts(st.Body.List, held)
-	case *ast.SwitchStmt:
-		for _, c := range st.Body.List {
-			w.stmts(c.(*ast.CaseClause).Body, held)
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			w.stmts(c.(*ast.CaseClause).Body, held)
-		}
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			cc := c.(*ast.CommClause)
-			h := append([]string(nil), held...)
-			if cc.Comm != nil {
-				h = w.stmt(cc.Comm, h)
-			}
-			w.stmts(cc.Body, h)
-		}
-	case *ast.LabeledStmt:
-		return w.stmt(st.Stmt, held)
-	default:
-		w.nested(s, held)
-	}
-	return held
-}
-
-// nested walks an expression or simple statement for function literals,
-// which are analyzed with an empty held list.
-func (w *orderWalker) nested(n ast.Node, held []string) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(c ast.Node) bool {
-		if lit, ok := c.(*ast.FuncLit); ok {
-			w.stmts(lit.Body.List, nil)
-			return false
-		}
-		return true
-	})
-}
-
 // lockIdentity classifies call as a lock operation and resolves the
 // mutex to a stable type-level identity, or "" for locks the analyzer
 // cannot name (local mutex variables, opaque expressions).
-func (w *orderWalker) lockIdentity(call *ast.CallExpr) (string, int) {
-	if len(call.Args) != 0 {
-		return "", lockNone
+func (w *orderWalker) lockIdentity(call *ast.CallExpr) (string, flow.LockOp) {
+	_, op := lockClassifier(call)
+	if op == flow.OpNone {
+		return "", flow.OpNone
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", lockNone
-	}
-	var op int
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		op = lockAcquire
-	case "Unlock", "RUnlock":
-		op = lockRelease
-	default:
-		return "", lockNone
-	}
+	sel := call.Fun.(*ast.SelectorExpr)
 	if !isMutexExpr(w.pkg, sel.X) {
-		return "", lockNone
+		return "", flow.OpNone
 	}
 	switch mu := sel.X.(type) {
 	case *ast.SelectorExpr:
@@ -420,7 +295,7 @@ func (w *orderWalker) lockIdentity(call *ast.CallExpr) (string, int) {
 			}
 		}
 	}
-	return "", lockNone
+	return "", flow.OpNone
 }
 
 // objIsPkgLevel reports whether v is declared at package scope.
@@ -441,16 +316,6 @@ func isMutexExpr(pkg *Package, e ast.Expr) bool {
 	}
 	key := typeKey(named)
 	return key == "sync.Mutex" || key == "sync.RWMutex"
-}
-
-// removeLock drops the last occurrence of id from held.
-func removeLock(held []string, id string) []string {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == id {
-			return append(append([]string(nil), held[:i]...), held[i+1:]...)
-		}
-	}
-	return held
 }
 
 // lockCycles finds the cycles of the acquisition graph: one per

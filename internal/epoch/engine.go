@@ -145,14 +145,15 @@ type Engine struct {
 	smacBase  smac.Stats
 	snoopBase int64
 
-	// Observability sinks attached for the duration of one run: the run
-	// tracer records batch/fold spans under trcRun, and the progress
-	// publisher receives live counters once per batch. Both are nil when
-	// disabled — the hot paths pay one pointer check. Reconfigure
-	// detaches them; SetObs (via sim.Observe) re-attaches per run.
-	trc    *obs.Tracer
-	trcRun uint32
-	prog   *obs.Progress
+	// Observability sinks attached for the duration of one run: the
+	// request trace records batch/fold spans and window_grow/
+	// measure_start instants under rtParent (the run's simulate span),
+	// and the progress publisher receives live counters once per batch.
+	// Both are nil when disabled — the hot paths pay one pointer check.
+	// Reconfigure detaches them; SetObs re-attaches per run.
+	rt       *obs.ReqTrace
+	rtParent obs.SpanID
+	prog     *obs.Progress
 
 	stats Stats
 }
@@ -315,7 +316,7 @@ func (e *Engine) Reconfigure(cfg uarch.Config, opts ...Option) error {
 	e.smacFinal = smac.Stats{}
 	e.snoopFinal = 0
 	e.finalsSet = false
-	e.trc, e.trcRun, e.prog = nil, 0, nil
+	e.rt, e.rtParent, e.prog = nil, obs.NoSpan, nil
 	e.stats = Stats{}
 
 	if cfg.ModelBranchPredictor {
@@ -411,16 +412,12 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source) (*Stats, erro
 	if e.batch == nil {
 		e.batch = make([]isa.Inst, batchLen)
 	}
-	var runStart int64
-	if e.trc != nil {
-		runStart = obs.Now()
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var batchStart int64
-		if e.trc != nil {
+		if e.rt != nil {
 			batchStart = obs.Now()
 		}
 		n := trace.Fill(src, e.batch)
@@ -430,30 +427,30 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source) (*Stats, erro
 		for i := 0; i < n; i++ {
 			e.step(e.batch[i])
 		}
-		if e.trc != nil {
-			e.trc.Complete(obs.EvBatch, e.trcRun, batchStart, int64(n))
+		if e.rt != nil {
+			e.rt.Complete(obs.StageBatch, e.rtParent, batchStart, int64(n))
 		}
 		e.publishProgress()
 	}
 	var foldStart int64
-	if e.trc != nil {
+	if e.rt != nil {
 		foldStart = obs.Now()
 	}
 	e.finalize()
 	e.publishProgress()
-	if e.trc != nil {
-		e.trc.Complete(obs.EvFold, e.trcRun, foldStart, e.stats.Epochs)
-		e.trc.Complete(obs.EvSimulate, e.trcRun, runStart, e.stats.Insts)
+	if e.rt != nil {
+		e.rt.Complete(obs.StageFold, e.rtParent, foldStart, e.stats.Epochs)
 	}
 	return &e.stats, nil
 }
 
-// SetObs attaches observability sinks for the next run: tracer events
-// are recorded under run, and live counters flow to prog once per
-// instruction batch. Any argument may be nil/zero to disable that
-// sink; Reconfigure detaches everything.
-func (e *Engine) SetObs(trc *obs.Tracer, run uint32, prog *obs.Progress) {
-	e.trc, e.trcRun, e.prog = trc, run, prog
+// SetObs attaches observability sinks for the next run: engine-detail
+// spans (batches, fold, window_grow, measure_start) are recorded on rt
+// under parent — the simulate span the caller opened around the run —
+// and live counters flow to prog once per instruction batch. Either
+// sink may be nil to disable it; Reconfigure detaches everything.
+func (e *Engine) SetObs(rt *obs.ReqTrace, parent obs.SpanID, prog *obs.Progress) {
+	e.rt, e.rtParent, e.prog = rt, parent, prog
 }
 
 // publishProgress pushes the live counters to the attached progress
@@ -541,8 +538,8 @@ func (e *Engine) growWin() {
 	}
 	e.win = next
 	e.winMask = mask
-	if e.trc != nil {
-		e.trc.Point(obs.EvWindowGrow, e.trcRun, int64(len(e.win)))
+	if e.rt != nil {
+		e.rt.Instant(obs.StageWindowGrow, e.rtParent, int64(len(e.win)))
 	}
 }
 
@@ -1043,8 +1040,8 @@ func (e *Engine) snapshotBaselines() {
 	if e.traf != nil {
 		e.snoopBase = e.traf.Delivered
 	}
-	if e.trc != nil {
-		e.trc.Point(obs.EvMeasureStart, e.trcRun, e.idx)
+	if e.rt != nil {
+		e.rt.Instant(obs.StageMeasureStart, e.rtParent, e.idx)
 	}
 }
 

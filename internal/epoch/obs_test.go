@@ -50,12 +50,14 @@ func TestStepZeroAllocTracerDisabled(t *testing.T) {
 	}
 }
 
-// TestRunObsEquivalence checks that attaching a tracer and a progress
-// sink perturbs nothing: statistics are bit-identical to an untraced
-// run, the tracer records the expected phase events, and the progress
-// snapshot ends at the run's true totals.
+// TestRunObsEquivalence checks that attaching a request trace and a
+// progress sink perturbs nothing: statistics are bit-identical to an
+// untraced run, the engine-detail spans (batches, one fold, one
+// measure_start instant) all nest under the parent span the caller
+// passed, and the progress snapshot ends at the run's true totals.
 func TestRunObsEquivalence(t *testing.T) {
 	cfg := exCfg()
+	cfg.WarmInsts = 5_000
 	insts := mixTrace(23, 30_000)
 
 	base, err := New(cfg)
@@ -67,30 +69,50 @@ func TestRunObsEquivalence(t *testing.T) {
 		t.Fatalf("untraced Run: %v", err)
 	}
 
-	tr := obs.NewTracer(1 << 10)
+	rt := obs.NewReqTrace("obs", 64, 32)
+	sim := rt.StartSpan(obs.StageSimulate, rt.Root())
 	board := obs.NewBoard()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	p := board.Start("obs test", int64(len(insts)))
-	e.SetObs(tr, tr.NewRun(), p)
+	e.SetObs(rt, sim, p)
 	got, err := e.Run(trace.NewSlice(insts))
 	if err != nil {
 		t.Fatalf("traced Run: %v", err)
 	}
 	board.Finish(p)
+	rt.EndSpan(sim, got.Insts)
 
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("traced run diverged from untraced run:\nwant %+v\ngot  %+v", want, got)
 	}
 
-	kinds := map[obs.EventKind]int{}
-	for _, ev := range tr.Snapshot() {
-		kinds[ev.Kind]++
+	stages := map[obs.Stage]int{}
+	for _, sp := range rt.Snapshot() {
+		if !sp.Stage.Detail() {
+			continue
+		}
+		stages[sp.Stage]++
+		if sp.Parent != sim {
+			t.Errorf("%s span parent %d, want the simulate span %d", sp.Stage, sp.Parent, sim)
+		}
+		if sp.End == 0 || sp.End < sp.Start {
+			t.Errorf("%s span not closed: %+v", sp.Stage, sp)
+		}
+		// The instant fires while stepping the first measured
+		// instruction, so its arg counts that instruction too.
+		if sp.Stage == obs.StageMeasureStart && sp.Arg != cfg.WarmInsts+1 {
+			t.Errorf("measure_start arg = %d, want warmup+1 = %d", sp.Arg, cfg.WarmInsts+1)
+		}
 	}
-	if kinds[obs.EvBatch] == 0 || kinds[obs.EvSimulate] != 1 || kinds[obs.EvFold] != 1 {
-		t.Errorf("phase events = %v, want batches plus one simulate and one fold", kinds)
+	wantBatches := (len(insts) + batchLen - 1) / batchLen
+	if stages[obs.StageBatch] != wantBatches || stages[obs.StageFold] != 1 || stages[obs.StageMeasureStart] != 1 {
+		t.Errorf("detail spans = %v, want %d batches, one fold and one measure_start", stages, wantBatches)
+	}
+	if rt.Dropped() != 0 {
+		t.Errorf("Dropped = %d inside the detail cap", rt.Dropped())
 	}
 
 	s := p.Snapshot()
@@ -111,28 +133,28 @@ func TestRunObsEquivalence(t *testing.T) {
 func TestReconfigureDetachesObs(t *testing.T) {
 	cfg := exCfg()
 	insts := mixTrace(29, 10_000)
-	tr := obs.NewTracer(64)
+	rt := obs.NewReqTrace("detach", 64, 32)
 
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	e.SetObs(tr, tr.NewRun(), nil)
+	e.SetObs(rt, rt.Root(), nil)
 	if _, err := e.Run(trace.NewSlice(insts)); err != nil {
 		t.Fatalf("traced Run: %v", err)
 	}
-	if tr.Total() == 0 {
-		t.Fatal("traced run recorded no events")
+	before := len(rt.Snapshot())
+	if before == 1 {
+		t.Fatal("traced run recorded no spans")
 	}
 
 	if err := e.Reconfigure(cfg); err != nil {
 		t.Fatalf("Reconfigure: %v", err)
 	}
-	before := tr.Total()
 	if _, err := e.Run(trace.NewSlice(insts)); err != nil {
 		t.Fatalf("post-Reconfigure Run: %v", err)
 	}
-	if tr.Total() != before {
-		t.Errorf("reconfigured engine still traced: %d new events", tr.Total()-before)
+	if after := len(rt.Snapshot()); after != before {
+		t.Errorf("reconfigured engine still traced: %d new spans", after-before)
 	}
 }

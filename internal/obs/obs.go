@@ -1,6 +1,6 @@
 // Package obs is the repository's unified observability layer: a
 // metrics registry rendered in the Prometheus text exposition format
-// and as expvar-style JSON, a fixed-ring run tracer exportable as
+// and as expvar-style JSON, request-scoped span trees exportable as
 // Chrome trace_event JSON, and live per-run progress snapshots.
 //
 // The paper's whole evidentiary chain is instrumentation — EPI, MLP
@@ -8,14 +8,15 @@
 // and the runtime hosting the simulator deserves the same visibility:
 // long engine runs publish instructions-retired / epochs-closed /
 // running-MLP while they execute, the serving pipeline exposes
-// saturation and hit-ratio series, and per-run phase timings land in a
-// trace a browser can open.
+// saturation and hit-ratio series, and every request's stages — down
+// to the engine's instruction batches and its end-of-run fold — land
+// in one span tree a browser can open.
 //
 // Everything here is stdlib-only (the module pins zero external
-// dependencies) and nil-safe: a nil *Tracer, *Board or *Progress
+// dependencies) and nil-safe: a nil *ReqTrace, *Board or *Progress
 // accepts every call as a no-op, so instrumented code needs exactly
 // one pointer check on its hot path and no configuration plumbing.
-// The engine-facing fast paths (Tracer.Complete/Point,
+// The engine-facing fast paths (ReqTrace.Complete/Instant,
 // Progress.Publish) are annotated //storemlp:noalloc and gated by the
 // hotpath analyzer, so "tracing off costs nothing" is a CI invariant,
 // not a benchmark observation.
@@ -26,33 +27,26 @@ import (
 	"time"
 )
 
-// Obs bundles the observability sinks a run may publish into. Either
-// field may be nil; the zero value disables everything.
-type Obs struct {
-	Tracer *Tracer
-	Board  *Board
+// boardKey is the private context key for a *Board.
+type boardKey struct{}
+
+// NewContext returns a context carrying the live-run board b. Runs
+// started under the returned context (through sim.RunContext, the
+// pool, or the serving layer) publish their progress snapshots to b.
+func NewContext(ctx context.Context, b *Board) context.Context {
+	return context.WithValue(ctx, boardKey{}, b)
 }
 
-// ctxKey is the private context key for an *Obs.
-type ctxKey struct{}
-
-// NewContext returns a context carrying o. Runs started under the
-// returned context (through sim.RunContext, the pool, or the serving
-// layer) attach their tracer spans and progress snapshots to o.
-func NewContext(ctx context.Context, o *Obs) context.Context {
-	return context.WithValue(ctx, ctxKey{}, o)
-}
-
-// FromContext returns the *Obs carried by ctx, or nil when the context
-// carries none (observability disabled).
-func FromContext(ctx context.Context) *Obs {
+// BoardFrom returns the *Board carried by ctx, or nil when the context
+// carries none (progress publishing disabled).
+func BoardFrom(ctx context.Context) *Board {
 	if ctx == nil {
 		return nil
 	}
-	o, _ := ctx.Value(ctxKey{}).(*Obs)
-	return o
+	b, _ := ctx.Value(boardKey{}).(*Board)
+	return b
 }
 
 // Now returns the current time in nanoseconds since the Unix epoch —
-// the shared timebase for tracer events and progress snapshots.
+// the shared timebase for spans and progress snapshots.
 func Now() int64 { return time.Now().UnixNano() }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -177,6 +178,46 @@ func (r *SlowRing) ReqHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := t.WriteChrome(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+}
+
+// WriteChrome renders every retained trace as one Chrome trace_event
+// JSON document (the /debug/obs/trace view and mlpsimd -trace-out):
+// one process (pid) per trace, slowest first, each named by a
+// process_name metadata event carrying its trace ID and label, on one
+// timeline rebased to the earliest retained request. A nil or empty
+// ring writes a valid empty trace.
+func (r *SlowRing) WriteChrome(w io.Writer) error {
+	traces := r.Snapshot()
+	snaps := make([][]ReqSpan, len(traces))
+	base := int64(0)
+	for i, t := range traces {
+		snaps[i] = t.Snapshot()
+		if start := snaps[i][0].Start; i == 0 || start < base {
+			base = start
+		}
+	}
+	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
+	for i, t := range traces {
+		pid := i + 1
+		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": t.ID() + " " + t.Label()},
+		})
+		doc.TraceEvents = append(doc.TraceEvents, chromeSpans(snaps[i], base, pid)...)
+	}
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// TraceHandler serves WriteChrome (the /debug/obs/trace view). A nil
+// ring serves an empty trace rather than an error, so the endpoint
+// shape does not depend on configuration.
+func (r *SlowRing) TraceHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := r.WriteChrome(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -8,25 +8,27 @@ import (
 	"sync"
 )
 
-// Request-scoped tracing: where the ring Tracer answers "what are the
-// engines doing lately", the span tree answers "where did THIS
+// Request-scoped tracing: the span tree answers "where did THIS
 // request's milliseconds go". Each HTTP request owns one ReqTrace — a
 // fixed-capacity arena of stage-labelled spans forming a tree rooted
 // at the request itself — propagated down the serving pipeline via
 // context, so the digest lookup, the cache probe, the singleflight
-// wait, the worker-slot wait, every parallel segment and the final
-// merge all land as intervals attributable to one trace ID. The
-// completed tree feeds per-stage latency histograms, the slowest-N
-// ring (slowring.go) and a per-request Chrome trace export.
+// wait, the worker-slot wait, every parallel segment, the engine's own
+// instruction batches and the final merge all land as intervals
+// attributable to one trace ID. The completed tree feeds per-stage
+// latency histograms, the slowest-N ring (slowring.go) and the Chrome
+// trace_event exports.
 //
-// Like the Tracer, everything is nil-safe: a nil *ReqTrace accepts
-// every call as a no-op and WithSpan returns its context unchanged, so
-// the disabled path (probe requests, span tracing off) allocates
-// nothing — TestRequestSpanZeroAllocDisabled pins that.
+// Everything is nil-safe: a nil *ReqTrace accepts every call as a
+// no-op and WithSpan returns its context unchanged, so the disabled
+// path (probe requests, span tracing off) allocates nothing —
+// TestRequestSpanZeroAllocDisabled pins that.
 
 // Stage labels a request span with the pipeline stage it timed. The
 // set mirrors the serving pipeline: parse → digest → cache-probe →
-// (coalesce-wait | pool-wait → segment×K → merge) → render.
+// (coalesce-wait | pool-wait → segment×K → simulate → merge) → render,
+// followed by the engine-detail stages the epoch engine records inside
+// each simulate span.
 type Stage uint8
 
 const (
@@ -44,7 +46,8 @@ const (
 	// StagePoolWait covers waiting for a worker slot.
 	StagePoolWait
 	// StageSimulate covers one engine execution (serial run, or one
-	// segment's engine inside a StageSegment parent).
+	// segment's engine inside a StageSegment parent). The engine-detail
+	// spans of that execution nest under it.
 	StageSimulate
 	// StageSegment covers one segment of a parallel intra-run fan-out:
 	// source construction, fast-forward and the engine run (arg is the
@@ -55,6 +58,18 @@ const (
 	StageMerge
 	// StageRender covers response encoding.
 	StageRender
+	// StageBatch covers one instruction block through the engine's step
+	// loop (arg is the block length). First of the engine-detail stages.
+	StageBatch
+	// StageFold covers end-of-run window folding and stats finalization
+	// (arg is the epoch count).
+	StageFold
+	// StageWindowGrow marks an epoch-record ring doubling — the
+	// pathological fallback path (instant; arg is the new ring length).
+	StageWindowGrow
+	// StageMeasureStart marks the warmup→measurement transition
+	// (instant; arg is the instruction index).
+	StageMeasureStart
 	stageCount
 )
 
@@ -65,11 +80,23 @@ func (s Stage) String() string {
 		return "unknown"
 	}
 	return [...]string{"request", "parse", "digest", "cache_probe", "coalesce_wait",
-		"pool_wait", "simulate", "segment", "merge", "render"}[s]
+		"pool_wait", "simulate", "segment", "merge", "render",
+		"batch", "fold", "window_grow", "measure_start"}[s]
 }
 
+// Detail reports whether s is an engine-detail stage: recorded by the
+// epoch engine through Complete/Instant, bounded by the trace's detail
+// cap, and nested inside a simulate span rather than being a stage of
+// the request pipeline itself.
+func (s Stage) Detail() bool { return s >= StageBatch && s < stageCount }
+
+// instant reports whether s marks a point in time rather than an
+// interval.
+func (s Stage) instant() bool { return s == StageWindowGrow || s == StageMeasureStart }
+
 // Stages returns every defined stage, StageRequest first. The serving
-// layer iterates this to register one latency histogram per stage.
+// layer iterates this to register one latency histogram per pipeline
+// stage.
 func Stages() []Stage {
 	out := make([]Stage, stageCount)
 	for i := range out {
@@ -100,26 +127,32 @@ type ReqSpan struct {
 // whose slot 0 is the root (StageRequest) span. Spans past the
 // capacity are dropped and counted, never reallocated, so one request
 // costs one bounded allocation however many stages it fans out to.
-// All methods are safe for concurrent use (sweep points and parallel
-// segments record spans from many goroutines) and nil-safe.
+// Engine-detail spans are further bounded by the trace's detail cap,
+// so a long run's instruction batches cannot crowd the request stages
+// out of the arena. All methods are safe for concurrent use (sweep
+// points and parallel segments record spans from many goroutines) and
+// nil-safe.
 type ReqTrace struct {
-	id string // immutable after construction
+	id        string // immutable after construction
+	detailCap int    // immutable; engine-detail spans accepted, <= 0 = none
 
 	mu      sync.Mutex
 	spans   []ReqSpan // guarded by mu; cap fixed at construction
-	dropped int       // guarded by mu; spans rejected by a full arena
+	details int       // guarded by mu; engine-detail spans accepted so far
+	dropped int       // guarded by mu; spans rejected by a full arena or detail cap
 	label   string    // guarded by mu; "METHOD /path", set by Finish
 	status  int       // guarded by mu; HTTP status, set by Finish
 }
 
-// NewReqTrace starts a request trace with the given ID and span
-// capacity; the root span opens immediately. spanCap <= 0 returns nil
-// — the disabled trace.
-func NewReqTrace(id string, spanCap int) *ReqTrace {
+// NewReqTrace starts a request trace with the given ID, span capacity
+// and engine-detail cap; the root span opens immediately. spanCap <= 0
+// returns nil — the disabled trace. detailCap <= 0 keeps the request
+// stages but records no engine detail (Detailed reports false).
+func NewReqTrace(id string, spanCap, detailCap int) *ReqTrace {
 	if spanCap <= 0 {
 		return nil
 	}
-	t := &ReqTrace{id: id, spans: make([]ReqSpan, 0, spanCap)}
+	t := &ReqTrace{id: id, detailCap: detailCap, spans: make([]ReqSpan, 0, spanCap)}
 	t.mu.Lock()
 	t.spans = append(t.spans, ReqSpan{Stage: StageRequest, Parent: NoSpan, Start: Now()})
 	t.mu.Unlock()
@@ -177,6 +210,52 @@ func (t *ReqTrace) EndSpan(id SpanID, arg int64) {
 	t.mu.Unlock()
 }
 
+// Detailed reports whether the trace records engine-detail spans:
+// false for a nil trace or a detail cap <= 0. Callers check it once per
+// run before attaching the trace to an engine, so a trace without
+// detail costs the engine nothing.
+func (t *ReqTrace) Detailed() bool { return t != nil && t.detailCap > 0 }
+
+// Complete records an engine-detail span of stage under parent that
+// began at start (a Now() value) and ends now. This is the
+// engine-facing fast path: one branch when the trace is nil, one
+// uncontended lock and a slot write otherwise. Past the detail cap or
+// the arena capacity the span is dropped and counted.
+//
+//storemlp:noalloc
+func (t *ReqTrace) Complete(stage Stage, parent SpanID, start, arg int64) {
+	if t == nil {
+		return
+	}
+	t.detail(ReqSpan{Stage: stage, Parent: parent, Arg: arg, Start: start, End: Now()})
+}
+
+// Instant records an engine-detail instant of stage under parent: a
+// zero-length span the Chrome export renders as a point event.
+//
+//storemlp:noalloc
+func (t *ReqTrace) Instant(stage Stage, parent SpanID, arg int64) {
+	if t == nil {
+		return
+	}
+	now := Now()
+	t.detail(ReqSpan{Stage: stage, Parent: parent, Arg: arg, Start: now, End: now})
+}
+
+// detail appends one closed engine-detail span within the detail cap.
+//
+//storemlp:noalloc
+func (t *ReqTrace) detail(sp ReqSpan) {
+	t.mu.Lock()
+	if t.details >= t.detailCap || len(t.spans) == cap(t.spans) {
+		t.dropped++
+	} else {
+		t.details++
+		t.spans = append(t.spans, sp)
+	}
+	t.mu.Unlock()
+}
+
 // Finish closes the root span and records the request's identity for
 // the slow-request listing. Spans recorded after Finish (a coalescing
 // leader that abandoned its request while followers kept the execution
@@ -228,7 +307,8 @@ func (t *ReqTrace) Status() int {
 	return t.status
 }
 
-// Dropped returns how many spans a full arena rejected.
+// Dropped returns how many spans a full arena or the detail cap
+// rejected.
 func (t *ReqTrace) Dropped() int {
 	if t == nil {
 		return 0
@@ -290,59 +370,86 @@ func SpanFrom(ctx context.Context) (*ReqTrace, SpanID) {
 
 // ---- Chrome trace export ----
 
+// chromeEvent is one entry of the Chrome trace_event format
+// (chrome://tracing, Perfetto, speedscope all read it). ph "X" is a
+// complete span with a duration, ph "i" an instant, ph "M" metadata
+// naming a process.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"` // microseconds
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// chromeDoc is the top-level Chrome trace_event JSON document.
+type chromeDoc struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
 // WriteChrome renders the span tree as Chrome trace_event JSON (the
-// /debug/obs/req view): one complete ("X") event per span, timestamps
-// rebased to the root's start, concurrent spans split onto separate
-// tracks (tid) by greedy interval packing so parallel segments render
-// side by side. Args carry the span ID, parent and stage arg, so the
-// tree structure survives the export.
+// /debug/obs/req view): one event per span in creation order —
+// complete ("X") for intervals, instant ("i") for the point stages —
+// with timestamps rebased to the root's start. Args carry the span ID,
+// parent and stage arg, so the tree structure survives the export.
 func (t *ReqTrace) WriteChrome(w io.Writer) error {
 	spans := t.Snapshot()
-	out := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{TraceEvents: make([]chromeEvent, 0, len(spans)), DisplayTimeUnit: "ms"}
+	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	if len(spans) > 0 {
-		base := spans[0].Start
-		// Greedy track packing: visit spans by start time, place each on
-		// the first track whose previous occupant already ended.
-		order := make([]int, len(spans))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return spans[order[a]].Start < spans[order[b]].Start })
-		var trackEnd []int64
-		events := make([]chromeEvent, len(spans))
-		for _, i := range order {
-			sp := spans[i]
-			end := sp.End
-			if end == 0 {
-				end = sp.Start // open span: render as zero-width
-			}
-			tid := -1
-			for tr, te := range trackEnd {
-				if te <= sp.Start {
-					tid = tr
-					break
-				}
-			}
-			if tid == -1 {
-				tid = len(trackEnd)
-				trackEnd = append(trackEnd, 0)
-			}
-			trackEnd[tid] = end
-			events[i] = chromeEvent{
-				Name: sp.Stage.String(),
-				Ph:   "X",
-				Ts:   float64(sp.Start-base) / 1e3,
-				Dur:  float64(end-sp.Start) / 1e3,
-				Pid:  1,
-				Tid:  uint32(tid),
-				Args: map[string]int64{"span": int64(i), "parent": int64(sp.Parent), "arg": sp.Arg},
-			}
-		}
-		out.TraceEvents = events
+		doc.TraceEvents = chromeSpans(spans, spans[0].Start, 1)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// chromeSpans encodes one trace's spans as the events of process pid,
+// timestamps relative to base. Concurrent spans are split onto
+// separate tracks (tid) by greedy interval packing so parallel segments
+// render side by side.
+func chromeSpans(spans []ReqSpan, base int64, pid int) []chromeEvent {
+	// Greedy track packing: visit spans by start time, place each on
+	// the first track whose previous occupant already ended.
+	order := make([]int, len(spans))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return spans[order[a]].Start < spans[order[b]].Start })
+	var trackEnd []int64
+	events := make([]chromeEvent, len(spans))
+	for _, i := range order {
+		sp := spans[i]
+		end := sp.End
+		if end == 0 {
+			end = sp.Start // open span: render as zero-width
+		}
+		tid := -1
+		for tr, te := range trackEnd {
+			if te <= sp.Start {
+				tid = tr
+				break
+			}
+		}
+		if tid == -1 {
+			tid = len(trackEnd)
+			trackEnd = append(trackEnd, 0)
+		}
+		trackEnd[tid] = end
+		ev := chromeEvent{
+			Name: sp.Stage.String(),
+			Ph:   "X",
+			Ts:   float64(sp.Start-base) / 1e3,
+			Dur:  float64(end-sp.Start) / 1e3,
+			Pid:  pid,
+			Tid:  tid,
+			Args: map[string]any{"span": i, "parent": sp.Parent, "arg": sp.Arg},
+		}
+		if sp.Stage.instant() {
+			ev.Ph, ev.Dur, ev.S = "i", 0, "t"
+		}
+		events[i] = ev
+	}
+	return events
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestReqTraceTreeShape(t *testing.T) {
-	rt := NewReqTrace("t1", 16)
+	rt := NewReqTrace("t1", 16, 0)
 	if rt.ID() != "t1" {
 		t.Fatalf("ID = %q, want t1", rt.ID())
 	}
@@ -63,7 +63,7 @@ func TestReqTraceTreeShape(t *testing.T) {
 }
 
 func TestReqTraceCapacityDrops(t *testing.T) {
-	rt := NewReqTrace("cap", 3) // root + 2
+	rt := NewReqTrace("cap", 3, 0) // root + 2
 	a := rt.StartSpan(StageParse, rt.Root())
 	b := rt.StartSpan(StageDigest, rt.Root())
 	c := rt.StartSpan(StageRender, rt.Root())
@@ -84,7 +84,7 @@ func TestReqTraceCapacityDrops(t *testing.T) {
 
 func TestReqTraceNilSafety(t *testing.T) {
 	var rt *ReqTrace
-	if NewReqTrace("off", 0) != nil {
+	if NewReqTrace("off", 0, 0) != nil {
 		t.Error("NewReqTrace(0) should return the nil disabled trace")
 	}
 	id := rt.StartSpan(StageParse, rt.Root())
@@ -92,6 +92,11 @@ func TestReqTraceNilSafety(t *testing.T) {
 		t.Errorf("nil StartSpan = %d, want NoSpan", id)
 	}
 	rt.EndSpan(id, 0)
+	rt.Complete(StageBatch, NoSpan, Now(), 4096)
+	rt.Instant(StageMeasureStart, NoSpan, 0)
+	if rt.Detailed() {
+		t.Error("nil trace reports Detailed")
+	}
 	rt.Finish("x", 200)
 	if rt.ID() != "" || rt.Dur() != 0 || rt.Dropped() != 0 || rt.Snapshot() != nil {
 		t.Error("nil trace accessors not zero-valued")
@@ -111,8 +116,56 @@ func TestReqTraceNilSafety(t *testing.T) {
 	}
 }
 
+// TestReqTraceDetailCap: engine-detail spans stop at the detail cap
+// and count as drops, while request stages keep the rest of the arena;
+// a zero cap records no detail at all.
+func TestReqTraceDetailCap(t *testing.T) {
+	rt := NewReqTrace("detail", 16, 3)
+	if !rt.Detailed() {
+		t.Fatal("detail cap 3 should report Detailed")
+	}
+	sim := rt.StartSpan(StageSimulate, rt.Root())
+	for i := 0; i < 5; i++ {
+		rt.Complete(StageBatch, sim, Now(), int64(i))
+	}
+	rt.Instant(StageMeasureStart, sim, 7)
+	rt.EndSpan(sim, 0)
+	render := rt.StartSpan(StageRender, rt.Root())
+	if render == NoSpan {
+		t.Fatal("request stage rejected after the detail cap filled")
+	}
+	rt.EndSpan(render, 0)
+	if rt.Dropped() != 3 {
+		t.Errorf("Dropped = %d, want 3 (two batches and the instant past cap 3)", rt.Dropped())
+	}
+	details := 0
+	for _, sp := range rt.Snapshot() {
+		if sp.Stage.Detail() {
+			details++
+			if sp.Parent != sim {
+				t.Errorf("detail span %s parent %d, want simulate %d", sp.Stage, sp.Parent, sim)
+			}
+			if sp.End < sp.Start || sp.End == 0 {
+				t.Errorf("detail span %s not closed: %+v", sp.Stage, sp)
+			}
+		}
+	}
+	if details != 3 {
+		t.Errorf("retained %d detail spans, want 3", details)
+	}
+
+	off := NewReqTrace("nodetail", 16, -1)
+	if off.Detailed() {
+		t.Error("negative detail cap should not report Detailed")
+	}
+	off.Complete(StageBatch, off.Root(), Now(), 1)
+	if n := len(off.Snapshot()); n != 1 || off.Dropped() != 1 {
+		t.Errorf("zero-cap trace kept %d spans, dropped %d; want 1 and 1", n, off.Dropped())
+	}
+}
+
 func TestWithSpanRoundTrip(t *testing.T) {
-	rt := NewReqTrace("ctx", 8)
+	rt := NewReqTrace("ctx", 8, 0)
 	seg := rt.StartSpan(StageSegment, rt.Root())
 	ctx := WithSpan(context.Background(), rt, seg)
 	got, parent := SpanFrom(ctx)
@@ -148,7 +201,7 @@ func TestRequestSpanZeroAllocDisabled(t *testing.T) {
 // valid encoding/json output whose events survive a decode/encode
 // round trip with the span tree intact.
 func TestWriteChromeRoundTrip(t *testing.T) {
-	rt := NewReqTrace("chrome", 16)
+	rt := NewReqTrace("chrome", 16, 0)
 	root := rt.Root()
 	parse := rt.StartSpan(StageParse, root)
 	rt.EndSpan(parse, 0)
@@ -202,8 +255,110 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteChromeInstants: instant stages render as Chrome "i" events
+// with no duration; intervals stay "X".
+func TestWriteChromeInstants(t *testing.T) {
+	rt := NewReqTrace("instants", 8, 8)
+	sim := rt.StartSpan(StageSimulate, rt.Root())
+	rt.Instant(StageMeasureStart, sim, 100)
+	rt.Complete(StageBatch, sim, Now(), 4096)
+	rt.Instant(StageWindowGrow, sim, 512)
+	rt.EndSpan(sim, 0)
+	rt.Finish("GET /x", 200)
+
+	var buf bytes.Buffer
+	if err := rt.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	var decoded struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	want := map[string]string{"request": "X", "simulate": "X", "batch": "X", "measure_start": "i", "window_grow": "i"}
+	if len(decoded.TraceEvents) != len(want) {
+		t.Fatalf("export has %d events, want %d", len(decoded.TraceEvents), len(want))
+	}
+	for _, ev := range decoded.TraceEvents {
+		name, _ := ev["name"].(string)
+		if ph := ev["ph"]; ph != want[name] {
+			t.Errorf("%s ph = %v, want %s", name, ph, want[name])
+		}
+		if _, hasDur := ev["dur"]; ev["ph"] == "i" && hasDur {
+			t.Errorf("instant %s carries a duration", name)
+		}
+	}
+}
+
+// TestWriteChrome: the ring's combined export lists every retained
+// trace as its own process, named by a process_name event, and a nil
+// ring exports a valid empty trace.
+func TestWriteChrome(t *testing.T) {
+	r := NewSlowRing(4)
+	ids := []string{"a1", "b2", "c3"}
+	for i, id := range ids {
+		rt := NewReqTrace(id, 8, 4)
+		sim := rt.StartSpan(StageSimulate, rt.Root())
+		rt.Complete(StageFold, sim, Now(), 1)
+		rt.EndSpan(sim, 0)
+		rt.mu.Lock()
+		rt.spans[0].End = rt.spans[0].Start + int64(i+1)*1e6
+		rt.mu.Unlock()
+		rt.Finish("POST /v1/run", 200)
+		r.Add(rt)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	var decoded struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	named := map[int]string{}
+	spans := map[int]int{}
+	for _, ev := range decoded.TraceEvents {
+		if ev.Ph == "M" {
+			named[ev.Pid], _ = ev.Args["name"].(string)
+			continue
+		}
+		if ev.Ts < 0 {
+			t.Errorf("event %s at ts %v precedes the rebased origin", ev.Name, ev.Ts)
+		}
+		spans[ev.Pid]++
+	}
+	if len(named) != len(ids) || len(spans) != len(ids) {
+		t.Fatalf("export names %d processes with spans in %d, want %d each", len(named), len(spans), len(ids))
+	}
+	// Slowest first: c3 (3ms) is pid 1.
+	for pid, id := range map[int]string{1: "c3", 2: "b2", 3: "a1"} {
+		if named[pid] != id+" POST /v1/run" {
+			t.Errorf("pid %d named %q, want %q", pid, named[pid], id+" POST /v1/run")
+		}
+		if spans[pid] != 3 {
+			t.Errorf("pid %d has %d span events, want 3 (request, simulate, fold)", pid, spans[pid])
+		}
+	}
+
+	var nilRing *SlowRing
+	rec := httptest.NewRecorder()
+	nilRing.TraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/obs/trace", nil))
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"traceEvents":[]`) {
+		t.Errorf("nil ring trace: code %d body %q", rec.Code, rec.Body.String())
+	}
+}
+
 func finishedTrace(id string, durNS int64) *ReqTrace {
-	rt := NewReqTrace(id, 4)
+	rt := NewReqTrace(id, 4, 0)
 	rt.mu.Lock()
 	rt.spans[0].End = rt.spans[0].Start + durNS
 	rt.mu.Unlock()
@@ -251,7 +406,7 @@ func TestSlowRingNilAndOpenTraces(t *testing.T) {
 	}
 
 	live := NewSlowRing(2)
-	open := NewReqTrace("open", 4) // never finished: Dur 0
+	open := NewReqTrace("open", 4, 0) // never finished: Dur 0
 	live.Add(open)
 	if live.Len() != 0 {
 		t.Error("open trace admitted to the ring")
@@ -319,5 +474,57 @@ func TestStageStrings(t *testing.T) {
 	}
 	if Stage(200).String() != "unknown" {
 		t.Error("out-of-range stage should stringify as unknown")
+	}
+}
+
+// TestEventKindString pins the trace-export names of the run events the
+// engine and the parallel runner record: they are Stage values now, and
+// a saved trace must keep reading the same names. Only the engine's own
+// events are detail stages.
+func TestEventKindString(t *testing.T) {
+	cases := []struct {
+		s      Stage
+		name   string
+		detail bool
+	}{
+		{StageParse, "parse", false},
+		{StageSimulate, "simulate", false},
+		{StageBatch, "batch", true},
+		{StageFold, "fold", true},
+		{StageRender, "render", false},
+		{StageWindowGrow, "window_grow", true},
+		{StageMeasureStart, "measure_start", true},
+		{StageSegment, "segment", false},
+		{StageMerge, "merge", false},
+	}
+	for _, c := range cases {
+		if got := c.s.String(); got != c.name {
+			t.Errorf("Stage(%d).String() = %q, want %q", c.s, got, c.name)
+		}
+		if got := c.s.Detail(); got != c.detail {
+			t.Errorf("%s.Detail() = %v, want %v", c.name, got, c.detail)
+		}
+	}
+}
+
+// TestTracerNilSafe: the nil *ReqTrace is the disabled tracer the engine
+// holds. Its recording calls are no-ops and its Chrome export is an
+// empty but well-formed trace.
+func TestTracerNilSafe(t *testing.T) {
+	var rt *ReqTrace
+	if rt.Root() != NoSpan {
+		t.Error("nil Root != NoSpan")
+	}
+	rt.Complete(StageBatch, rt.Root(), Now(), 1) // must not panic
+	rt.Instant(StageWindowGrow, rt.Root(), 1)
+	if rt.Label() != "" || rt.Status() != 0 || rt.Snapshot() != nil {
+		t.Error("nil tracer should report empty state")
+	}
+	var b strings.Builder
+	if err := rt.WriteChrome(&b); err != nil {
+		t.Fatalf("nil WriteChrome: %v", err)
+	}
+	if !strings.Contains(b.String(), `"traceEvents":[]`) {
+		t.Errorf("nil trace not empty: %s", b.String())
 	}
 }

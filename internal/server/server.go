@@ -19,9 +19,10 @@
 // Observability is built on internal/obs: /metrics serves the shared
 // registry in Prometheus text format (request counts and latencies,
 // cache hit ratio, pool saturation, engine throughput), /debug/obs/vars
-// serves the same registry as JSON, /debug/obs/trace exports the run
-// tracer's phase spans as Chrome trace_event JSON, /debug/obs/runs
-// lists live engine progress, /healthz serves a liveness summary, and
+// serves the same registry as JSON, /debug/obs/trace exports the
+// retained slow-request span trees (engine batches and fold included)
+// as Chrome trace_event JSON, /debug/obs/runs lists live engine
+// progress, /healthz serves a liveness summary, and
 // every request is logged with a request ID, duration, cache state and
 // outcome. DESIGN.md §9 and §12 have the full inventory.
 package server
@@ -31,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -69,9 +71,12 @@ type Config struct {
 	Runner Runner
 	// Logger receives structured request logs; nil = slog.Default().
 	Logger *slog.Logger
-	// TraceEvents sizes the run tracer's event ring (default 16384;
-	// <0 disables tracing — /debug/obs/trace then serves an empty
-	// trace and the engine hot path pays only a nil check).
+	// TraceEvents caps the engine-detail spans (instruction batches,
+	// fold, window_grow, measure_start) one request trace may hold
+	// (default 384, clamped to the arena's reqSpanCap-128 so request
+	// stages always keep 128 slots; excess spans count as dropped).
+	// <0 records no engine detail — the engine hot path then pays only
+	// a nil check. Request stages follow SlowRequests.
 	TraceEvents int
 	// DefaultParallel is the segment count applied to requests that do
 	// not carry their own "parallel" field (<=1 = serial). Because the
@@ -86,10 +91,16 @@ type Config struct {
 }
 
 // reqSpanCap bounds the span arena of one request trace. A /v1/run
-// request records ~10 spans; a sweep records a handful per point, so
+// request records ~10 request-stage spans plus its engine detail
+// (bounded by TraceEvents); a sweep records a handful per point, so
 // very large sweeps drop excess spans (counted in the trace's dropped
 // field) rather than growing the arena.
 const reqSpanCap = 512
+
+// maxDetailSpans is the largest TraceEvents value: the arena slots left
+// once 128 are reserved for request stages. The default detail cap
+// equals it, which holds the 366 batches of a 1.5M-instruction run.
+const maxDetailSpans = reqSpanCap - 128
 
 // Server is the mlpsimd service core. Create with New, mount Handler
 // into an http.Server, and Close when the HTTP server has shut down.
@@ -112,11 +123,9 @@ type Server struct {
 	// /metrics mounting and for tests.
 	Metrics *Metrics
 
-	tracer *obs.Tracer
-	board  *obs.Board
-	sinks  *obs.Obs
-	slow   *obs.SlowRing // nil when span tracing is disabled
-	pool   *sim.Pool     // behind the default runner; nil with a custom Runner
+	board *obs.Board
+	slow  *obs.SlowRing // nil when span tracing is disabled
+	pool  *sim.Pool     // behind the default runner; nil with a custom Runner
 
 	mReqs         map[string]map[string]*Counter // endpoint -> class -> counter
 	mLatency      map[string]*Histogram
@@ -139,7 +148,6 @@ type Server struct {
 	mInstsRate    *obs.FloatGauge
 	mEpochsRate   *obs.FloatGauge
 	mRunsActive   *Gauge
-	mTraceEvents  *Counter
 	mUptime       *Gauge
 
 	// Scrape-to-scrape throughput derivation (see scrapeRates).
@@ -198,8 +206,8 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.TraceEvents == 0 {
-		cfg.TraceEvents = 16384
+	if cfg.TraceEvents == 0 || cfg.TraceEvents > maxDetailSpans {
+		cfg.TraceEvents = maxDetailSpans
 	}
 	if cfg.SlowRequests == 0 {
 		cfg.SlowRequests = 32
@@ -215,12 +223,10 @@ func New(cfg Config) *Server {
 		slots:   make(chan struct{}, cfg.Workers),
 		start:   time.Now(),
 		Metrics: NewMetrics(),
-		tracer:  obs.NewTracer(cfg.TraceEvents), // nil when TraceEvents < 0
 		board:   obs.NewBoard(),
 		slow:    obs.NewSlowRing(cfg.SlowRequests), // nil when SlowRequests < 0
 		pool:    pool,
 	}
-	s.sinks = &obs.Obs{Tracer: s.tracer, Board: s.board}
 	if cfg.CacheEntries > 0 {
 		s.cache = newLRUCache(cfg.CacheEntries)
 	}
@@ -249,8 +255,8 @@ func (s *Server) registerMetrics() {
 	stages := obs.Stages()
 	s.mStage = make([]*Histogram, len(stages))
 	for _, st := range stages {
-		if st == obs.StageRequest {
-			continue // the root span IS mlpsimd_request_seconds
+		if st == obs.StageRequest || st.Detail() {
+			continue // the root span IS mlpsimd_request_seconds; engine detail nests inside simulate
 		}
 		s.mStage[st] = m.Histogram("mlpsimd_stage_seconds",
 			"Request latency decomposed by pipeline stage (one observation per request span).",
@@ -282,7 +288,6 @@ func (s *Server) registerMetrics() {
 	s.mEpochsRate = m.FloatGauge("mlpsimd_engine_epochs_per_second",
 		"Epoch throughput over the last scrape interval.")
 	s.mRunsActive = m.Gauge("mlpsimd_runs_active", "Engine runs currently publishing progress.")
-	s.mTraceEvents = m.Counter("mlpsimd_trace_events_total", "Events recorded by the run tracer.")
 	s.mUptime = m.Gauge("mlpsimd_uptime_seconds", "Seconds since process start.")
 	m.Info("mlpsimd_build_info", "Build identity of the serving binary.",
 		"go_version", runtime.Version(), "module", "storemlp")
@@ -315,10 +320,6 @@ func (s *Server) registerMetrics() {
 			s.mPoolIdle.Set(int64(s.pool.Idle()))
 		}
 		s.mRunsActive.Set(int64(s.board.Totals().ActiveRuns))
-		// Trace events live in the tracer's ring cursor; mirror them in.
-		if d := int64(s.tracer.Total()) - s.mTraceEvents.Value(); d > 0 {
-			s.mTraceEvents.Add(d)
-		}
 		s.scrapeRates()
 	})
 }
@@ -340,9 +341,10 @@ func (s *Server) scrapeRates() {
 	s.rateAt, s.rateInsts, s.rateEpochs = now, insts, epochs
 }
 
-// Tracer exposes the run tracer (nil when tracing is disabled) for
-// CLIs and tests that want a trace export.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+// WriteTrace writes the /debug/obs/trace view — every retained slow
+// request's span tree as Chrome trace_event JSON — for CLIs that dump
+// it at shutdown. Disabled span tracing writes a valid empty trace.
+func (s *Server) WriteTrace(w io.Writer) error { return s.slow.WriteChrome(w) }
 
 // Board exposes the live-run board for progress tickers and tests.
 func (s *Server) Board() *obs.Board { return s.board }
@@ -609,9 +611,10 @@ func (s *Server) execute(ctx context.Context, spec sim.Spec) (*RunResult, error)
 		s.mInflight.Add(-1)
 		s.mSegInflight.Add(int64(-segs))
 	}()
-	// Thread the tracer and the live-run board into the engine: the
-	// default pool runner picks them up via obs.FromContext.
-	stats, err := s.runner(obs.NewContext(ctx, s.sinks), spec)
+	// Thread the live-run board into the engine: the default pool
+	// runner picks it up via obs.BoardFrom (and the request span via
+	// obs.SpanFrom).
+	stats, err := s.runner(obs.NewContext(ctx, s.board), spec)
 	if err != nil {
 		s.mFailures.Inc()
 		return nil, err
@@ -724,7 +727,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.Metrics.Handler())
-	mux.Handle("GET /debug/obs/trace", s.tracer.Handler())
+	mux.Handle("GET /debug/obs/trace", s.slow.TraceHandler())
 	mux.Handle("GET /debug/obs/runs", s.board.Handler())
 	mux.Handle("GET /debug/obs/vars", s.Metrics.JSONHandler())
 	mux.Handle("GET /debug/obs/slow", s.slow.Handler())
@@ -858,7 +861,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			rs = &reqStats{}
 			ctx := withReqStats(withRequestID(r.Context(), id), rs)
 			if s.slow != nil {
-				rt = obs.NewReqTrace(id, reqSpanCap)
+				rt = obs.NewReqTrace(id, reqSpanCap, s.cfg.TraceEvents)
 				ctx = obs.WithSpan(ctx, rt, rt.Root())
 				sw.Header().Set("X-Trace-Id", id)
 			}
@@ -975,14 +978,41 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxSweepPoints bounds one sweep request; larger grids should be
+// split by the client.
+const maxSweepPoints = 4096
+
+// maxPointBytes budgets the encoded size of one request point: a point
+// setting every ConfigPatch knob is about 400 bytes of compact JSON.
+const maxPointBytes = 1 << 10
+
+// maxBodyBytes bounds a request body, so a hostile or runaway client
+// is cut off before the decoder buffers more than a full sweep's worth.
+const maxBodyBytes = maxSweepPoints * maxPointBytes
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes: a longer body fails with 413, a malformed one with 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+	case err != nil:
+		return badRequest("decoding request: %v", err)
+	}
+	return nil
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rt, parent := obs.SpanFrom(r.Context())
 	var req RunRequest
 	sp := rt.StartSpan(obs.StageParse, parent)
-	err := json.NewDecoder(r.Body).Decode(&req)
+	err := decodeBody(w, r, &req)
 	rt.EndSpan(sp, 0)
 	if err != nil {
-		s.fail(w, r, badRequest("decoding request: %v", err))
+		s.fail(w, r, err)
 		return
 	}
 	resp, err := s.servePoint(r.Context(), req)
@@ -990,25 +1020,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	renderStart := obs.Now()
 	sp = rt.StartSpan(obs.StageRender, parent)
 	writeJSON(w, http.StatusOK, resp)
 	rt.EndSpan(sp, 1)
-	s.tracer.Complete(obs.EvRender, 0, renderStart, 1)
 }
-
-// maxSweepPoints bounds one sweep request; larger grids should be
-// split by the client.
-const maxSweepPoints = 4096
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	rt, parent := obs.SpanFrom(r.Context())
 	var req SweepRequest
 	sp := rt.StartSpan(obs.StageParse, parent)
-	err := json.NewDecoder(r.Body).Decode(&req)
+	err := decodeBody(w, r, &req)
 	rt.EndSpan(sp, 0)
 	if err != nil {
-		s.fail(w, r, badRequest("decoding request: %v", err))
+		s.fail(w, r, err)
 		return
 	}
 	if len(req.Points) == 0 {
@@ -1046,11 +1070,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	renderStart := obs.Now()
 	sp = rt.StartSpan(obs.StageRender, parent)
 	writeJSON(w, http.StatusOK, resp)
 	rt.EndSpan(sp, int64(len(resp.Points)))
-	s.tracer.Complete(obs.EvRender, 0, renderStart, int64(len(resp.Points)))
 }
 
 type healthBody struct {

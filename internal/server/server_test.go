@@ -260,7 +260,49 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: a body past maxBodyBytes is cut off with 413 on both
+// endpoints, while the largest sweep the service accepts — the full
+// maxSweepPoints, every point setting every knob — still decodes.
+func TestBodyLimit(t *testing.T) {
+	var execs atomic.Int64
+	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
+
+	huge := RunRequest{Workload: strings.Repeat("x", maxBodyBytes)}
+	for url, body := range map[string]interface{}{
+		"/v1/run":   huge,
+		"/v1/sweep": SweepRequest{Points: []RunRequest{huge}},
+	} {
+		resp, out := postJSON(t, ts.URL+url, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversize body: status %d (%.80s), want 413", url, resp.StatusCode, out)
+		}
+	}
+
+	pts := make([]RunRequest, maxSweepPoints)
+	for i := range pts {
+		pts[i] = RunRequest{
+			Workload: "database", Seed: int64(i + 1), Insts: 1000, Warm: 1000, Parallel: 1,
+			TimeoutMS: 60_000, DisableTraffic: true, SharedCore: true,
+			Config: &ConfigPatch{
+				Model: strptr("pc"), StorePrefetch: intptr(1), StoreBuffer: intptr(16),
+				StoreQueue: intptr(32), ROB: intptr(64), CoalesceBytes: intptr(8),
+				SLE: boolptr(false), TM: boolptr(false), PrefetchPastSerializing: boolptr(false),
+				HWS: intptr(-1), SMACEntries: intptr(0), Nodes: intptr(2),
+				MissPenalty: intptr(500), PerfectStores: boolptr(false),
+			},
+		}
+	}
+	resp, out := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: pts})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d-point sweep: status %d (%.200s), want 200", maxSweepPoints, resp.StatusCode, out)
+	}
+	if n := execs.Load(); n != maxSweepPoints {
+		t.Errorf("executed %d points, want %d", n, maxSweepPoints)
+	}
+}
+
 func strptr(s string) *string { return &s }
+func boolptr(b bool) *bool    { return &b }
 func intptr(i int) *int       { return &i }
 
 func TestRequestTimeout(t *testing.T) {
@@ -408,16 +450,23 @@ func TestRealEngineSmallRun(t *testing.T) {
 	}
 
 	// The default pool runner picks the obs sinks out of the request
-	// context: the tracer holds the engine's phase spans and the board
-	// folded the finished run into its totals.
-	var simulated bool
-	for _, ev := range s.Tracer().Snapshot() {
-		if ev.Kind == obs.EvSimulate {
-			simulated = true
+	// context: the request trace holds the engine's detail spans under
+	// the one simulate span, and the board folded the finished run into
+	// its totals.
+	id := resp.Header.Get("X-Trace-Id")
+	waitFor(t, "trace in the slow ring", func() bool { return s.slow.Get(id) != nil })
+	stages := map[obs.Stage]int{}
+	sim := obs.NoSpan
+	for i, sp := range s.slow.Get(id).Snapshot() {
+		stages[sp.Stage]++
+		if sp.Stage == obs.StageSimulate {
+			sim = obs.SpanID(i)
+		} else if sp.Stage.Detail() && sp.Parent != sim {
+			t.Errorf("%s span parent %d, want the simulate span %d", sp.Stage, sp.Parent, sim)
 		}
 	}
-	if !simulated {
-		t.Error("real run left no simulate span in the tracer")
+	if stages[obs.StageSimulate] != 1 || stages[obs.StageFold] != 1 || stages[obs.StageBatch] == 0 {
+		t.Errorf("real run stages %v, want one simulate, one fold and its batches", stages)
 	}
 	if tot := s.Board().Totals(); tot.FinishedRuns < 1 || tot.Insts < 150_000 {
 		t.Errorf("board totals %+v, want >= 1 finished run of 150000 insts", tot)
@@ -505,7 +554,7 @@ func TestMetricsExpositionGrammar(t *testing.T) {
 		"mlpsimd_cache_hit_ratio", "mlpsimd_pool_saturation",
 		"mlpsimd_engine_epochs_total", "mlpsimd_engine_insts_per_second",
 		"mlpsimd_engine_epochs_per_second", "mlpsimd_runs_active",
-		"mlpsimd_trace_events_total", "mlpsimd_build_info", "mlpsimd_config_info",
+		"mlpsimd_build_info", "mlpsimd_config_info",
 	} {
 		if !names[want] {
 			t.Errorf("scrape missing family %s", want)
@@ -600,21 +649,6 @@ func TestDebugObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
 	}
 
-	getJSON := func(path string, v interface{}) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			t.Fatalf("GET %s: decode: %v", path, err)
-		}
-	}
-
 	// The render span is recorded after the response is written; poll.
 	var tr struct {
 		TraceEvents []struct {
@@ -624,7 +658,7 @@ func TestDebugObservabilityEndpoints(t *testing.T) {
 	}
 	waitFor(t, "a render span in the trace", func() bool {
 		tr.TraceEvents = nil
-		getJSON("/debug/obs/trace", &tr)
+		getJSONTo(t, ts.URL+"/debug/obs/trace", &tr)
 		for _, ev := range tr.TraceEvents {
 			if ev.Name == "render" && ev.Ph == "X" {
 				return true
@@ -637,42 +671,67 @@ func TestDebugObservabilityEndpoints(t *testing.T) {
 		Active []obs.Snapshot `json:"active"`
 		Totals obs.Totals     `json:"totals"`
 	}
-	getJSON("/debug/obs/runs", &runs)
+	getJSONTo(t, ts.URL+"/debug/obs/runs", &runs)
 	if runs.Active == nil {
 		t.Error("/debug/obs/runs active should render as [], not null")
 	}
 
 	var vars map[string]interface{}
-	getJSON("/debug/obs/vars", &vars)
+	getJSONTo(t, ts.URL+"/debug/obs/vars", &vars)
 	if got, ok := vars["mlpsimd_sims_executed_total"].(float64); !ok || got != 1 {
 		t.Errorf("vars executed_total = %v, want 1", vars["mlpsimd_sims_executed_total"])
 	}
 }
 
-// TestTracerDisabled: TraceEvents < 0 turns tracing off; the endpoint
-// shape survives as an empty trace.
+// TestTracerDisabled: TraceEvents < 0 turns engine-detail spans off
+// while the request stages keep recording, and /debug/obs/trace still
+// serves the retained trace.
 func TestTracerDisabled(t *testing.T) {
-	var execs atomic.Int64
-	s, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0), TraceEvents: -1})
-	if s.Tracer() != nil {
-		t.Fatal("TraceEvents < 0 should disable the tracer")
-	}
-	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 1000}); resp.StatusCode != http.StatusOK {
+	s, ts := newTestServer(t, Config{TraceEvents: -1})
+	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 20_000, Warm: 10_000})
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
 	}
-	resp, err := http.Get(ts.URL + "/debug/obs/trace")
+	id := resp.Header.Get("X-Trace-Id")
+	waitFor(t, "trace in the slow ring", func() bool { return s.slow.Get(id) != nil })
+	rt := s.slow.Get(id)
+	for _, sp := range rt.Snapshot() {
+		if sp.Stage.Detail() {
+			t.Errorf("TraceEvents < 0 still recorded a %s span", sp.Stage)
+		}
+	}
+	if rt.Dropped() != 0 {
+		t.Errorf("Dropped = %d: a disabled detail cap must not count the engine as dropping", rt.Dropped())
+	}
+
+	var tr struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	getJSONTo(t, ts.URL+"/debug/obs/trace", &tr)
+	names := map[string]bool{}
+	for _, ev := range tr.TraceEvents {
+		names[ev.Name] = true
+	}
+	if !names["simulate"] || names["batch"] || names["fold"] {
+		t.Errorf("/debug/obs/trace names %v, want simulate without batch/fold", names)
+	}
+}
+
+// getJSONTo fetches url and decodes its JSON body into v.
+func getJSONTo(t *testing.T, url string, v interface{}) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatalf("GET trace: %v", err)
+		t.Fatalf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	var tr struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(tr.TraceEvents) != 0 {
-		t.Errorf("disabled tracer exported %d events", len(tr.TraceEvents))
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: decode: %v", url, err)
 	}
 }
 

@@ -215,6 +215,51 @@ func TestSpanWaterfallColdParallelRun(t *testing.T) {
 	}
 }
 
+// TestSpanDetailCap: a real cold run whose instruction batches
+// outnumber the TraceEvents detail cap keeps every request stage — each
+// observed once in mlpsimd_stage_seconds — holds exactly the cap's
+// worth of engine detail, and counts the excess in Dropped.
+func TestSpanDetailCap(t *testing.T) {
+	const detailCap = 8
+	s, ts := newTestServer(t, Config{TraceEvents: detailCap})
+	// 80k instructions = 20 batches of 4096, plus fold and measure_start.
+	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "tpcw", Insts: 60_000, Warm: 20_000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	waitFor(t, "trace in the slow ring", func() bool { return s.slow.Get(id) != nil })
+	rt := s.slow.Get(id)
+	spans := rt.Snapshot()
+	checkWellNested(t, spans, id)
+
+	byStage := map[obs.Stage]int{}
+	details := 0
+	for _, sp := range spans {
+		byStage[sp.Stage]++
+		if sp.Stage.Detail() {
+			details++
+		}
+	}
+	for _, st := range []obs.Stage{
+		obs.StageParse, obs.StageDigest, obs.StageCacheProbe, obs.StagePoolWait,
+		obs.StageSimulate, obs.StageRender,
+	} {
+		if byStage[st] != 1 {
+			t.Errorf("stage %s count = %d, want 1 (stages: %v)", st, byStage[st], byStage)
+		}
+		if c := s.mStage[st].Count(); c != 1 {
+			t.Errorf("mlpsimd_stage_seconds{stage=%s} count = %d, want 1", st, c)
+		}
+	}
+	if details != detailCap {
+		t.Errorf("trace holds %d engine-detail spans, want the cap %d", details, detailCap)
+	}
+	if want := 20 + 2 - detailCap; rt.Dropped() < want {
+		t.Errorf("Dropped = %d, want >= %d (20 batches + fold + measure_start past cap %d)", rt.Dropped(), want, detailCap)
+	}
+}
+
 // TestSpanProbesZeroChurn pins the probe-noise contract: health checks,
 // metric scrapes and debug fetches must not build span trees, must not
 // enter the slow ring, and must not add a single series to the metrics
@@ -396,6 +441,56 @@ func TestSpanTracingDisabled(t *testing.T) {
 	reqResp.Body.Close()
 	if reqResp.StatusCode != http.StatusNotFound {
 		t.Errorf("/debug/obs/req on disabled ring: status %d, want 404", reqResp.StatusCode)
+	}
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	getJSONTo(t, ts.URL+"/debug/obs/trace", &tr)
+	if tr.TraceEvents == nil || len(tr.TraceEvents) != 0 {
+		t.Errorf("/debug/obs/trace on disabled ring = %v, want an empty traceEvents list", tr.TraceEvents)
+	}
+}
+
+// TestTraceViewListsRetained: /debug/obs/trace is one Chrome document
+// holding every trace the slow ring retains, one named process each.
+func TestTraceViewListsRetained(t *testing.T) {
+	var execs atomic.Int64
+	s, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 1000, Seed: int64(i + 1)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	waitFor(t, "all runs retained", func() bool { return s.slow.Len() == runs })
+
+	var tr struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	getJSONTo(t, ts.URL+"/debug/obs/trace", &tr)
+	named := map[string]bool{}
+	pids := map[int]bool{}
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph == "M" {
+			name, _ := ev.Args["name"].(string)
+			named[strings.Fields(name)[0]] = true
+		} else {
+			pids[ev.Pid] = true
+		}
+	}
+	if len(pids) != runs {
+		t.Errorf("trace view spans %d processes, want %d", len(pids), runs)
+	}
+	for _, rt := range s.slow.Snapshot() {
+		if !named[rt.ID()] {
+			t.Errorf("retained trace %s missing from /debug/obs/trace (named: %v)", rt.ID(), named)
+		}
 	}
 }
 

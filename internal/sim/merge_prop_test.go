@@ -63,7 +63,7 @@ func TestMergeAssociativityProperty(t *testing.T) {
 		segs := randomSplit(rng, warm, insts, overlap, k)
 		parts := make([]*epoch.Stats, len(segs))
 		for i, sg := range segs {
-			st, err := pool.runSegment(context.Background(), spec, sg, nil, 0, i, len(segs))
+			st, err := pool.runSegment(context.Background(), spec, sg, i, len(segs))
 			if err != nil {
 				t.Fatalf("trial %d segment %d: %v", trial, i, err)
 			}

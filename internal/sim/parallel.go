@@ -173,18 +173,10 @@ func discard(ctx context.Context, src trace.Source, n int64) error {
 // engines and merges their Stats. Every segment checks its engine out
 // of the pool, so a saturated serving layer recycles allocations
 // across both requests and segments.
-func (p *Pool) runParallel(ctx context.Context, s Spec, overlap, parseStart int64) (*epoch.Stats, error) {
+func (p *Pool) runParallel(ctx context.Context, s Spec, overlap int64) (*epoch.Stats, error) {
 	segs := splitRun(s.Warm, s.Insts, Segments(s), overlap)
-	o := obs.FromContext(ctx)
-	var run uint32
-	if o != nil && o.Tracer != nil {
-		run = o.Tracer.NewRun()
-		if parseStart != 0 {
-			o.Tracer.Complete(obs.EvParse, run, parseStart, s.Warm+s.Insts)
-		}
-	}
-	return fanOutMerge(ctx, o, run, len(segs), func(i int) (*epoch.Stats, error) {
-		return p.runSegment(ctx, s, segs[i], o, run, i, len(segs))
+	return fanOutMerge(ctx, len(segs), func(i int) (*epoch.Stats, error) {
+		return p.runSegment(ctx, s, segs[i], i, len(segs))
 	})
 }
 
@@ -192,14 +184,9 @@ func (p *Pool) runParallel(ctx context.Context, s Spec, overlap, parseStart int6
 // the stream up to the segment's end (plus the drain suffix), drop the
 // prefix, reconstruct state through the overlap (WarmInsts), measure
 // the slice, and drain.
-func (p *Pool) runSegment(ctx context.Context, s Spec, sg segment, o *obs.Obs, run uint32, i, k int) (*epoch.Stats, error) {
-	var segStart int64
-	if o != nil && o.Tracer != nil {
-		segStart = obs.Now()
-	}
-	rt, parent := obs.SpanFrom(ctx)
-	seg := rt.StartSpan(obs.StageSegment, parent)
-	defer func() { rt.EndSpan(seg, int64(i)) }()
+func (p *Pool) runSegment(ctx context.Context, s Spec, sg segment, i, k int) (*epoch.Stats, error) {
+	ctx, end := segmentSpan(ctx, i)
+	defer end()
 	cfg := s.Uarch
 	cfg.WarmInsts = sg.meas - sg.start
 	opts, err := segmentOptions(ctx, s, sg.start)
@@ -228,20 +215,22 @@ func (p *Pool) runSegment(ctx context.Context, s Spec, sg segment, o *obs.Obs, r
 	if err := discard(ctx, src, sg.start); err != nil {
 		return nil, err
 	}
-	label := fmt.Sprintf("%s [seg %d/%d]", runLabel(s), i+1, k)
-	release := observeFrom(o, e, label, feedEnd-sg.start, 0)
-	sim := rt.StartSpan(obs.StageSimulate, seg)
-	st, err := e.RunContext(ctx, src)
-	rt.EndSpan(sim, sg.end-sg.meas)
-	release()
+	label := func() string { return fmt.Sprintf("%s [seg %d/%d]", runLabel(s), i+1, k) }
+	st, err := simulate(ctx, e, src, label, feedEnd-sg.start, sg.end-sg.meas)
 	if err != nil {
 		return nil, err
 	}
 	out := *st
-	if o != nil && o.Tracer != nil {
-		o.Tracer.Complete(obs.EvSegment, run, segStart, out.Insts)
-	}
 	return &out, nil
+}
+
+// segmentSpan opens segment i's span under the request span ctx
+// carries and returns a context that parents the segment's own spans
+// under it, plus the function that closes it.
+func segmentSpan(ctx context.Context, i int) (context.Context, func()) {
+	rt, parent := obs.SpanFrom(ctx)
+	seg := rt.StartSpan(obs.StageSegment, parent)
+	return obs.WithSpan(ctx, rt, seg), func() { rt.EndSpan(seg, int64(i)) }
 }
 
 // RunTraceParallel splits a complete in-memory columnar trace across
@@ -252,7 +241,6 @@ func (p *Pool) runSegment(ctx context.Context, s Spec, sg segment, o *obs.Obs, r
 // simulation. warm instructions at the head of the trace are excluded
 // from statistics, exactly as in the serial trace path.
 func (p *Pool) RunTraceParallel(ctx context.Context, data []byte, cfg uarch.Config, warm int64, segments int) (*epoch.Stats, error) {
-	parseStart := obs.Now()
 	probe, err := colv1.NewBytesReader(data)
 	if err != nil {
 		return nil, err
@@ -264,27 +252,16 @@ func (p *Pool) RunTraceParallel(ctx context.Context, data []byte, cfg uarch.Conf
 	}
 	k := clampSegments(insts, segments)
 	segs := splitRun(warm, insts, k, WarmupOverlap(cfg))
-	o := obs.FromContext(ctx)
-	var run uint32
-	if o != nil && o.Tracer != nil {
-		run = o.Tracer.NewRun()
-		o.Tracer.Complete(obs.EvParse, run, parseStart, total)
-	}
-	return fanOutMerge(ctx, o, run, len(segs), func(i int) (*epoch.Stats, error) {
-		return p.runTraceSegment(ctx, data, cfg, segs[i], o, run, i, len(segs))
+	return fanOutMerge(ctx, len(segs), func(i int) (*epoch.Stats, error) {
+		return p.runTraceSegment(ctx, data, cfg, segs[i], i, len(segs))
 	})
 }
 
 // runTraceSegment decodes and simulates one instruction range of the
 // shared trace image on a pooled engine.
-func (p *Pool) runTraceSegment(ctx context.Context, data []byte, cfg uarch.Config, sg segment, o *obs.Obs, run uint32, i, k int) (*epoch.Stats, error) {
-	var segStart int64
-	if o != nil && o.Tracer != nil {
-		segStart = obs.Now()
-	}
-	rt, parent := obs.SpanFrom(ctx)
-	seg := rt.StartSpan(obs.StageSegment, parent)
-	defer func() { rt.EndSpan(seg, int64(i)) }()
+func (p *Pool) runTraceSegment(ctx context.Context, data []byte, cfg uarch.Config, sg segment, i, k int) (*epoch.Stats, error) {
+	ctx, end := segmentSpan(ctx, i)
+	defer end()
 	r, err := colv1.NewBytesReader(data)
 	if err != nil {
 		return nil, err
@@ -313,10 +290,8 @@ func (p *Pool) runTraceSegment(ctx context.Context, data []byte, cfg uarch.Confi
 		return nil, err
 	}
 	src := trace.Limit(r, feedEnd-sg.start)
-	label := fmt.Sprintf("trace %s [seg %d/%d]", cfg.Name(), i+1, k)
-	release := observeFrom(o, e, label, feedEnd-sg.start, 0)
-	st, err := e.RunContext(ctx, src)
-	release()
+	label := func() string { return fmt.Sprintf("trace %s [seg %d/%d]", cfg.Name(), i+1, k) }
+	st, err := simulate(ctx, e, src, label, feedEnd-sg.start, sg.end-sg.meas)
 	if err != nil {
 		return nil, err
 	}
@@ -324,9 +299,6 @@ func (p *Pool) runTraceSegment(ctx context.Context, data []byte, cfg uarch.Confi
 		return nil, r.Err()
 	}
 	out := *st
-	if o != nil && o.Tracer != nil {
-		o.Tracer.Complete(obs.EvSegment, run, segStart, out.Insts)
-	}
 	return &out, nil
 }
 
@@ -337,7 +309,7 @@ func (p *Pool) runTraceSegment(ctx context.Context, data []byte, cfg uarch.Confi
 // wins; a cancelled context surfaces as every worker's error. When ctx
 // carries a request span (obs.WithSpan), the merge records a
 // StageMerge span on it; the workers record their own segment spans.
-func fanOutMerge(ctx context.Context, o *obs.Obs, run uint32, n int, f func(i int) (*epoch.Stats, error)) (*epoch.Stats, error) {
+func fanOutMerge(ctx context.Context, n int, f func(i int) (*epoch.Stats, error)) (*epoch.Stats, error) {
 	results := make([]*epoch.Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -354,7 +326,6 @@ func fanOutMerge(ctx context.Context, o *obs.Obs, run uint32, n int, f func(i in
 			return nil, err
 		}
 	}
-	mergeStart := obs.Now()
 	rt, parent := obs.SpanFrom(ctx)
 	msp := rt.StartSpan(obs.StageMerge, parent)
 	merged := results[0]
@@ -362,8 +333,5 @@ func fanOutMerge(ctx context.Context, o *obs.Obs, run uint32, n int, f func(i in
 		merged.Merge(st)
 	}
 	rt.EndSpan(msp, int64(n))
-	if o != nil && o.Tracer != nil {
-		o.Tracer.Complete(obs.EvMerge, run, mergeStart, int64(n))
-	}
 	return merged, nil
 }

@@ -88,7 +88,7 @@ func TestParallelSingleSegmentBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewPool().runParallel(context.Background(), spec, WarmupOverlap(spec.Uarch), 0)
+	got, err := NewPool().runParallel(context.Background(), spec, WarmupOverlap(spec.Uarch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestOverlapSweep(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			spec.Parallel = 4
-			par, err := pool.runParallel(context.Background(), spec, overlap, 0)
+			par, err := pool.runParallel(context.Background(), spec, overlap)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

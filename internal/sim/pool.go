@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"storemlp/internal/epoch"
-	"storemlp/internal/obs"
 	"storemlp/internal/trace"
 	"storemlp/internal/uarch"
 )
@@ -61,12 +60,11 @@ func (p *Pool) Run(s Spec) (*epoch.Stats, error) {
 // the package-level RunContext: the recycled engine is reconfigured to
 // an observationally fresh state first, so results are identical.
 func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
-	parseStart := obs.Now()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if Segments(s) > 1 {
-		return p.runParallel(ctx, s, WarmupOverlap(s.Uarch), parseStart)
+		return p.runParallel(ctx, s, WarmupOverlap(s.Uarch))
 	}
 	cfg, opts := prepare(s)
 	e := p.get()
@@ -78,12 +76,7 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		return nil, err
 	}
 	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	release := observeFrom(obs.FromContext(ctx), e, runLabel(s), s.Warm+s.Insts, parseStart)
-	rt, parent := obs.SpanFrom(ctx)
-	sp := rt.StartSpan(obs.StageSimulate, parent)
-	st, err := e.RunContext(ctx, src)
-	rt.EndSpan(sp, s.Insts)
-	release()
+	st, err := simulate(ctx, e, src, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 	if err != nil {
 		return nil, err
 	}
@@ -105,13 +98,9 @@ func (p *Pool) RunTraceSource(ctx context.Context, src trace.FileSource, cfg uar
 	if err := e.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
-	// Build the run label (it allocates) only when someone is watching.
-	release := func() {}
-	if o := obs.FromContext(ctx); o != nil && (o.Tracer != nil || o.Board != nil) {
-		release = observeFrom(o, e, "trace "+cfg.Name(), 0, 0)
-	}
-	st, err := e.RunContext(ctx, src)
-	release()
+	// The planned total of a streamed trace is unknown: progress
+	// reports instructions only.
+	st, err := simulate(ctx, e, src, func() string { return "trace " + cfg.Name() }, 0, 0)
 	if err != nil {
 		return nil, err
 	}

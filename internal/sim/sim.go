@@ -132,16 +132,17 @@ func segmentOptions(ctx context.Context, s Spec, start int64) ([]epoch.Option, e
 
 // RunContext is Run with cancellation: the epoch engine polls ctx and
 // abandons the simulation once it is done, returning ctx's error.
-// When ctx carries an *obs.Obs (obs.NewContext), the run publishes
-// tracer spans and live progress snapshots into it. A Spec with
-// Parallel > 1 fans out across segment engines (see parallel.go).
+// When ctx carries a request span (obs.WithSpan) the run records its
+// simulate span and the engine's detail spans on that trace, and when
+// it carries a board (obs.NewContext) the run publishes live progress
+// snapshots to it. A Spec with Parallel > 1 fans out across segment
+// engines (see parallel.go).
 func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
-	parseStart := obs.Now()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if Segments(s) > 1 {
-		return NewPool().runParallel(ctx, s, WarmupOverlap(s.Uarch), parseStart)
+		return NewPool().runParallel(ctx, s, WarmupOverlap(s.Uarch))
 	}
 	cfg, opts := prepare(s)
 	eng, err := epoch.New(cfg, opts...)
@@ -149,12 +150,7 @@ func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		return nil, err
 	}
 	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	release := observeFrom(obs.FromContext(ctx), eng, runLabel(s), s.Warm+s.Insts, parseStart)
-	defer release()
-	rt, parent := obs.SpanFrom(ctx)
-	sp := rt.StartSpan(obs.StageSimulate, parent)
-	defer rt.EndSpan(sp, s.Insts)
-	return eng.RunContext(ctx, src)
+	return simulate(ctx, eng, src, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 }
 
 // runLabel names a run the way the paper labels bars: workload plus
@@ -163,32 +159,29 @@ func runLabel(s Spec) string {
 	return s.Workload.Name + " " + s.Uarch.Name()
 }
 
-// Observe attaches the observability sinks carried by ctx (if any) to
-// eng for one run: a fresh tracer run ID and a progress entry on the
-// board, labelled label with a planned instruction count of total. The
-// returned release function (never nil) retires the board entry and
-// detaches the sinks; callers defer it around the run. Callers that go
-// through RunContext or Pool.RunContext get this automatically; the
-// export exists for paths that drive an engine directly (trace replay,
-// storemlp.RunTraceContext).
-func Observe(ctx context.Context, eng *epoch.Engine, label string, total int64) func() {
-	return observeFrom(obs.FromContext(ctx), eng, label, total, 0)
-}
-
-// observeFrom implements Observe; a non-zero parseStart additionally
-// records the parse/build span that began then under the new run ID.
-func observeFrom(o *obs.Obs, eng *epoch.Engine, label string, total, parseStart int64) func() {
-	if o == nil || (o.Tracer == nil && o.Board == nil) {
-		return func() {}
+// simulate runs eng over src as one observed engine execution. It opens
+// the run's simulate span (recording arg) under the request span ctx
+// carries and attaches it to the engine as the parent of the engine's
+// detail spans when the trace records them; it registers a progress
+// entry planning total instructions on ctx's board, labelled by label
+// (called only when a board is watching: labels allocate). Both sinks
+// are detached before returning.
+func simulate(ctx context.Context, eng *epoch.Engine, src trace.Source, label func() string, total, arg int64) (*epoch.Stats, error) {
+	rt, parent := obs.SpanFrom(ctx)
+	sp := rt.StartSpan(obs.StageSimulate, parent)
+	defer rt.EndSpan(sp, arg)
+	detail := rt
+	if sp == obs.NoSpan || !rt.Detailed() {
+		detail = nil
 	}
-	run := o.Tracer.NewRun()
-	if parseStart != 0 {
-		o.Tracer.Complete(obs.EvParse, run, parseStart, total)
+	var p *obs.Progress
+	board := obs.BoardFrom(ctx)
+	if board != nil {
+		p = board.Start(label(), total)
 	}
-	p := o.Board.Start(label, total)
-	eng.SetObs(o.Tracer, run, p)
-	return func() {
-		o.Board.Finish(p)
-		eng.SetObs(nil, 0, nil)
-	}
+	eng.SetObs(detail, sp, p)
+	st, err := eng.RunContext(ctx, src)
+	eng.SetObs(nil, obs.NoSpan, nil)
+	board.Finish(p)
+	return st, err
 }

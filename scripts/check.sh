@@ -157,7 +157,8 @@ while [ $i -lt 100 ]; do
 done
 [ -n "$addr" ] || { echo 'mlpsimd never became ready'; exit 1; }
 # /healthz + real runs through the client (also exercises the cache
-# path); -scrape then grammar-checks /metrics and pulls the run trace;
+# path); -scrape then grammar-checks /metrics and shape-checks the
+# retained request traces;
 # -slow-out captures the slowest-request listing as an artifact.
 "$tmpdir/mlpload" -addr "http://$addr" -workloads database -insts 20000 -warm 10000 \
     -repeat 1 -concurrency 2 -mode warm -scrape -slow-out "$tmpdir/slow.json"
@@ -165,10 +166,12 @@ kill -INT "$smoke_pid"
 wait "$smoke_pid" || { echo 'mlpsimd did not shut down cleanly'; cat "$tmpdir/mlpsimd.log"; exit 1; }
 smoke_pid=''
 grep -q 'mlpsimd stopped' "$tmpdir/mlpsimd.out" || { echo 'missing clean-shutdown marker'; exit 1; }
-# -trace-out must have dumped a non-empty Chrome trace at shutdown.
+# -trace-out must have dumped the retained request traces at shutdown,
+# with the engine's detail (its fold span) nested in them.
 [ -s "$tmpdir/run.trace.json" ] || { echo 'trace-out file missing or empty'; exit 1; }
 grep -q '"traceEvents"' "$tmpdir/run.trace.json" || { echo 'trace-out file lacks traceEvents'; exit 1; }
 grep -q '"name":"simulate"' "$tmpdir/run.trace.json" || { echo 'trace-out has no simulate spans'; exit 1; }
+grep -q '"name":"fold"' "$tmpdir/run.trace.json" || { echo 'trace-out has no engine fold spans'; exit 1; }
 # The slow-request ring must have retained the load run's requests with
 # per-stage attributions, and the trace IDs it reports must be the same
 # ones stitched into the daemon's completion log lines.

@@ -237,9 +237,10 @@ func RunTrace(r io.Reader, cfg Config, warm int64) (*Stats, error) {
 }
 
 // RunTraceContext is RunTrace with cancellation. Like RunContext, it
-// publishes tracer spans and live progress when ctx carries an
-// *obs.Obs (obs.NewContext); the planned total is unknown for a
-// streamed trace, so progress reports instructions only.
+// records its simulate span and the engine's detail spans when ctx
+// carries a request span (obs.WithSpan), and publishes live progress
+// when ctx carries a board (obs.NewContext); the planned total is
+// unknown for a streamed trace, so progress reports instructions only.
 func RunTraceContext(ctx context.Context, r io.Reader, cfg Config, warm int64) (*Stats, error) {
 	tr, err := trace.NewAutoReader(r)
 	if err != nil {
