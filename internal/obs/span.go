@@ -70,6 +70,10 @@ const (
 	// StageMeasureStart marks the warmup→measurement transition
 	// (instant; arg is the instruction index).
 	StageMeasureStart
+	// StageDecode covers a trace-driven run's decode-ahead producer,
+	// from its first trace read to its exit; it overlaps the batch
+	// spans it feeds (arg is the instruction count decoded).
+	StageDecode
 	stageCount
 )
 
@@ -81,7 +85,7 @@ func (s Stage) String() string {
 	}
 	return [...]string{"request", "parse", "digest", "cache_probe", "coalesce_wait",
 		"pool_wait", "simulate", "segment", "merge", "render",
-		"batch", "fold", "window_grow", "measure_start"}[s]
+		"batch", "fold", "window_grow", "measure_start", "decode"}[s]
 }
 
 // Detail reports whether s is an engine-detail stage: recorded by the

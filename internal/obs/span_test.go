@@ -494,6 +494,7 @@ func TestEventKindString(t *testing.T) {
 		{StageRender, "render", false},
 		{StageWindowGrow, "window_grow", true},
 		{StageMeasureStart, "measure_start", true},
+		{StageDecode, "decode", true},
 		{StageSegment, "segment", false},
 		{StageMerge, "merge", false},
 	}

@@ -216,7 +216,7 @@ func (p *Pool) runSegment(ctx context.Context, s Spec, sg segment, i, k int) (*e
 		return nil, err
 	}
 	label := func() string { return fmt.Sprintf("%s [seg %d/%d]", runLabel(s), i+1, k) }
-	st, err := simulate(ctx, e, src, label, feedEnd-sg.start, sg.end-sg.meas)
+	st, err := simulate(ctx, e, src, nil, label, feedEnd-sg.start, sg.end-sg.meas)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func (p *Pool) runTraceSegment(ctx context.Context, data []byte, cfg uarch.Confi
 	}
 	src := trace.Limit(r, feedEnd-sg.start)
 	label := func() string { return fmt.Sprintf("trace %s [seg %d/%d]", cfg.Name(), i+1, k) }
-	st, err := simulate(ctx, e, src, label, feedEnd-sg.start, sg.end-sg.meas)
+	st, err := simulate(ctx, e, src, nil, label, feedEnd-sg.start, sg.end-sg.meas)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 
 	"storemlp/internal/epoch"
@@ -18,8 +20,9 @@ import (
 // Pool recycles epoch engines across simulation runs. The zero value
 // is ready to use; Pool is safe for concurrent use.
 type Pool struct {
-	mu   sync.Mutex
-	free []*epoch.Engine // guarded by mu
+	mu     sync.Mutex
+	free   []*epoch.Engine // guarded by mu
+	aheads []*decodeAhead  // guarded by mu
 }
 
 // NewPool returns an empty engine pool.
@@ -40,6 +43,24 @@ func (p *Pool) get() *epoch.Engine {
 func (p *Pool) put(e *epoch.Engine) {
 	p.mu.Lock()
 	p.free = append(p.free, e)
+	p.mu.Unlock()
+}
+
+func (p *Pool) getAhead() *decodeAhead {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.aheads); n > 0 {
+		d := p.aheads[n-1]
+		p.aheads[n-1] = nil
+		p.aheads = p.aheads[:n-1]
+		return d
+	}
+	return newDecodeAhead()
+}
+
+func (p *Pool) putAhead(d *decodeAhead) {
+	p.mu.Lock()
+	p.aheads = append(p.aheads, d)
 	p.mu.Unlock()
 }
 
@@ -76,7 +97,7 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		return nil, err
 	}
 	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	st, err := simulate(ctx, e, src, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	st, err := simulate(ctx, e, src, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 	if err != nil {
 		return nil, err
 	}
@@ -90,22 +111,46 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 // engine: Reconfigure resets the recycled engine to an observationally
 // fresh state, so the result matches a fresh epoch.New run while
 // steady-state replay reuses the cache hierarchy, the structure rings
-// and the decode batch instead of rebuilding them per trace.
+// and the decode batches instead of rebuilding them per trace. With
+// more than one P (runtime.GOMAXPROCS) the trace decodes one batch
+// ahead of the engine on a second goroutine, which is joined before
+// RunTraceSource returns; with one P it decodes inline. The statistics
+// are identical either way.
 func (p *Pool) RunTraceSource(ctx context.Context, src trace.FileSource, cfg uarch.Config, warm int64) (*epoch.Stats, error) {
+	return p.runTrace(ctx, src, cfg, warm, runtime.GOMAXPROCS(0) > 1)
+}
+
+// runTrace is RunTraceSource with the decode-ahead choice made by the
+// caller.
+func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Config, warm int64, ahead bool) (*epoch.Stats, error) {
+	if src == nil {
+		return nil, errors.New("sim: nil trace source")
+	}
 	cfg.WarmInsts = warm
 	e := p.get()
 	defer p.put(e)
 	if err := e.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
-	// The planned total of a streamed trace is unknown: progress
-	// reports instructions only.
-	st, err := simulate(ctx, e, src, func() string { return "trace " + cfg.Name() }, 0, 0)
+	var d *decodeAhead
+	if ahead {
+		d = p.getAhead()
+		defer p.putAhead(d)
+	}
+	// A random-access reader knows the trace length, so progress gets a
+	// planned total; a streamed trace's length is unknown (0).
+	var total, measured int64
+	if n := src.SizeHint(); n >= 0 {
+		total, measured = n, max(n-warm, 0)
+	}
+	st, err := simulate(ctx, e, src, d, func() string { return "trace " + cfg.Name() }, total, measured)
 	if err != nil {
 		return nil, err
 	}
-	if src.Err() != nil {
-		return nil, src.Err()
+	// simulate has joined the decode-ahead producer, so the source is
+	// quiescent.
+	if err := src.Err(); err != nil {
+		return nil, err
 	}
 	out := *st
 	return &out, nil

@@ -150,7 +150,7 @@ func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		return nil, err
 	}
 	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	return simulate(ctx, eng, src, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	return simulate(ctx, eng, src, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 }
 
 // runLabel names a run the way the paper labels bars: workload plus
@@ -165,8 +165,10 @@ func runLabel(s Spec) string {
 // detail spans when the trace records them; it registers a progress
 // entry planning total instructions on ctx's board, labelled by label
 // (called only when a board is watching: labels allocate). Both sinks
-// are detached before returning.
-func simulate(ctx context.Context, eng *epoch.Engine, src trace.Source, label func() string, total, arg int64) (*epoch.Stats, error) {
+// are detached before returning. A non-nil ahead decodes src one batch
+// ahead of the engine and records its decode span under the simulate
+// span; its producer is joined before simulate returns.
+func simulate(ctx context.Context, eng *epoch.Engine, src trace.Source, ahead *decodeAhead, label func() string, total, arg int64) (*epoch.Stats, error) {
 	rt, parent := obs.SpanFrom(ctx)
 	sp := rt.StartSpan(obs.StageSimulate, parent)
 	defer rt.EndSpan(sp, arg)
@@ -180,6 +182,11 @@ func simulate(ctx context.Context, eng *epoch.Engine, src trace.Source, label fu
 		p = board.Start(label(), total)
 	}
 	eng.SetObs(detail, sp, p)
+	if ahead != nil {
+		ahead.start(src, detail, sp)
+		defer ahead.stop()
+		src = ahead
+	}
 	st, err := eng.RunContext(ctx, src)
 	eng.SetObs(nil, obs.NoSpan, nil)
 	board.Finish(p)

@@ -53,7 +53,8 @@ type Reader struct {
 	one      [1]isa.Inst
 	skip     [256]isa.Inst // Seek decode-discard scratch
 	// scratch backs the fixed-size io.ReadFull reads of the streaming
-	// backend (block length prefix, footer fixed part, index entries):
+	// backend (header, block length prefix, footer fixed part, index
+	// entries):
 	// a stack array passed through the io.Reader interface escapes, so
 	// one heap allocation per block; a struct field costs nothing.
 	scratch [16]byte
@@ -62,15 +63,15 @@ type Reader struct {
 // NewReader validates the header of r and returns a sequential Reader.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	cr := &Reader{br: br, total: -1, streamOff: headerSize}
+	hdr := cr.scratch[:headerSize]
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: short header", ErrTruncated)
 		}
 		return nil, fmt.Errorf("colv1: reading header: %w", err)
 	}
-	cr := &Reader{br: br, total: -1, streamOff: headerSize}
-	if err := cr.parseHeader(hdr[:]); err != nil {
+	if err := cr.parseHeader(hdr); err != nil {
 		return nil, err
 	}
 	return cr, nil

@@ -2,12 +2,14 @@
 # Repository benchmarks, two stages:
 #
 #  1. Engine microbenchmarks: BenchmarkEngine + BenchmarkEngineTraced +
-#     BenchmarkEngineTraceDriven + BenchmarkTraceDecode{Legacy,Columnar}
-#     + BenchmarkEngineParallel/k=* + BenchmarkStatsMerge
-#     via `go test -bench`, best-of-N, written to BENCH_engine.json in
-#     the repo root. The engine section carries the delta against the
-#     committed pre-optimization baseline, the tracer-enabled overhead,
-#     and the trace-driven vs synthetic-generator ratio; the trace_codec
+#     BenchmarkEngineReplay + BenchmarkEngineTraceDriven +
+#     BenchmarkTraceDecode{Legacy,Columnar} + BenchmarkEngineParallel/k=*
+#     + BenchmarkStatsMerge via `go test -bench`, best-of-N, written to
+#     BENCH_engine.json in the repo root. The engine section carries the
+#     delta against the committed pre-optimization baseline, the
+#     tracer-enabled overhead, the engine core alone over a
+#     pre-materialized trace (replay: no generator, no decode), and the
+#     trace-driven vs synthetic-generator ratio; the trace_codec
 #     section measures the legacy decoder as the baseline and the
 #     columnar decoder as current, so the speedup is between real
 #     codecs, not a stale constant (BENCH_COUNT overrides N, default 3).
@@ -42,7 +44,7 @@ trap bench_cleanup EXIT
 
 echo '>> engine microbenchmarks (best of '"${BENCH_COUNT:-3}"')'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineTraceDriven|BenchmarkEngineParallel|BenchmarkStatsMerge|BenchmarkTraceDecodeLegacy|BenchmarkTraceDecodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkEngineParallel|BenchmarkStatsMerge|BenchmarkTraceDecodeLegacy|BenchmarkTraceDecodeColumnar)$' \
     -benchmem -count "${BENCH_COUNT:-3}" . | tee "$tmpdir/bench.out"
 
 NUM_CPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)

@@ -19,6 +19,7 @@ BEGIN {
 }
 $1 ~ /^BenchmarkEngine(-[0-9]+)?$/                { if (eng_ns == 0 || $3 < eng_ns) { eng_ns = $3; eng_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkEngineTraced(-[0-9]+)?$/          { if (trc_ns == 0 || $3 < trc_ns) { trc_ns = $3; trc_allocs = $(NF-1) } }
+$1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_ns) { rep_ns = $3; rep_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeLegacy(-[0-9]+)?$/     { if (leg_ns == 0 || $3 < leg_ns) { leg_ns = $3; leg_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
@@ -29,7 +30,7 @@ $1 ~ /^BenchmarkEngineParallel\/k=[0-9]+(-[0-9]+)?$/ {
 }
 $1 ~ /^BenchmarkStatsMerge(-[0-9]+)?$/            { if (mrg_ns == 0 || $3 < mrg_ns) { mrg_ns = $3 } }
 END {
-    if (eng_ns == 0 || trc_ns == 0 || td_ns == 0 || leg_ns == 0 || col_ns == 0 || par_n == 0 || mrg_ns == 0 || par_ns[1] == 0) {
+    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || leg_ns == 0 || col_ns == 0 || par_n == 0 || mrg_ns == 0 || par_ns[1] == 0) {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000
@@ -42,6 +43,7 @@ END {
     printf "    \"speedup_vs_baseline\": %.3f,\n", eng_base_ns / eng_ns
     printf "    \"traced_ns_per_op\": %d,\n    \"traced_allocs_per_op\": %d,\n", trc_ns, trc_allocs
     printf "    \"tracer_overhead\": %.4f,\n", trc_ns / eng_ns - 1
+    printf "    \"replay_ns_per_op\": %d,\n    \"replay_allocs_per_op\": %d,\n", rep_ns, rep_allocs
     printf "    \"trace_driven_ns_per_op\": %d,\n    \"trace_driven_allocs_per_op\": %d,\n", td_ns, td_allocs
     printf "    \"trace_driven_insts_per_sec\": %.0f,\n", eng_insts * 1e9 / td_ns
     printf "    \"trace_driven_vs_synthetic\": %.3f\n  },\n", td_ns / eng_ns

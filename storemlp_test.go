@@ -3,8 +3,12 @@ package storemlp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -90,6 +94,59 @@ func TestTraceFormatsEquivalent(t *testing.T) {
 	}
 	if sLegacy.Insts != 100_000 {
 		t.Errorf("measured %d insts, want 100000", sLegacy.Insts)
+	}
+}
+
+// TestDecodeAheadFacade runs the trace entry points with one P (inline
+// decode) and with two (decode ahead on a second goroutine): every
+// entry point and format returns the same statistics either way, and a
+// cancelled file run returns the context's error before the file is
+// unmapped.
+func TestDecodeAheadFacade(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := DefaultConfig()
+	dir := t.TempDir()
+	var legacy, columnar bytes.Buffer
+	if _, err := WriteTraceFormat(&legacy, SPECweb(3), cfg, 60_000, TraceLegacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteTraceFormat(&columnar, SPECweb(3), cfg, 60_000, TraceColumnar); err != nil {
+		t.Fatal(err)
+	}
+	legPath, colPath := filepath.Join(dir, "legacy.trace"), filepath.Join(dir, "columnar.trace")
+	if err := os.WriteFile(legPath, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(colPath, columnar.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want *Stats
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		runs := []struct {
+			name string
+			run  func() (*Stats, error)
+		}{
+			{"RunTraceFile columnar", func() (*Stats, error) { return RunTraceFile(colPath, cfg, 20_000) }},
+			{"RunTraceFile legacy", func() (*Stats, error) { return RunTraceFile(legPath, cfg, 20_000) }},
+			{"RunTrace columnar", func() (*Stats, error) { return RunTrace(bytes.NewReader(columnar.Bytes()), cfg, 20_000) }},
+		}
+		for _, r := range runs {
+			s, err := r.run()
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, r.name, err)
+			}
+			if want == nil {
+				want = s
+			} else if *s != *want {
+				t.Errorf("GOMAXPROCS=%d %s diverges:\n got  %+v\n want %+v", procs, r.name, *s, *want)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if s, err := RunTraceFileContext(ctx, colPath, cfg, 20_000); !errors.Is(err, context.Canceled) || s != nil {
+			t.Errorf("GOMAXPROCS=%d cancelled file run: (%v, %v), want (nil, context.Canceled)", procs, s, err)
+		}
 	}
 }
 
