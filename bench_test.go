@@ -9,8 +9,6 @@ package storemlp
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"storemlp/internal/epoch"
@@ -310,41 +308,10 @@ func BenchmarkEngineTraceDriven(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel is BenchmarkEngine split across K segment
-// engines (the -parallel knob): the scaling curve ns_per_op(K) is the
-// intra-run parallelization win. Each segment after the first pays an
-// unmeasured warm-up overlap re-simulation, so perfect scaling is not
-// expected even with K idle cores; on a single-CPU host the curve
-// records the overlap overhead instead (scripts/bench.sh stores
-// num_cpu alongside so the two cases are distinguishable).
-func BenchmarkEngineParallel(b *testing.B) {
-	const n = 500_000
-	w := workload.Database(1)
-	ks := []int{1, 2, 4}
-	if c := runtime.NumCPU(); c != 1 && c != 2 && c != 4 {
-		ks = append(ks, c)
-	}
-	for _, k := range ks {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.SetBytes(n)
-			for i := 0; i < b.N; i++ {
-				s, err := Run(RunSpec{Workload: w, Config: DefaultConfig(), Insts: n, Warm: 0, Parallel: k})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.Insts != n {
-					b.Fatalf("parallel run measured %d insts, want %d", s.Insts, n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStatsMerge isolates the fan-in cost of a parallel run: one
-// op folds four real per-segment Stats into an accumulator, exactly
-// the merge a K=4 run performs after its segments finish. It bounds
-// the serial tail of the parallelization (Amdahl): merge cost per run
-// is this number, independent of instruction count.
+// BenchmarkStatsMerge isolates the cost of folding whole-run Stats:
+// one op merges four independent runs' Stats into an accumulator, the
+// fold the experiment summary performs for its "all" row. Merge cost
+// per run is this number, independent of instruction count.
 func BenchmarkStatsMerge(b *testing.B) {
 	const n = 40_000
 	parts := make([]*Stats, 4)

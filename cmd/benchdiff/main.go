@@ -73,7 +73,7 @@ func ruleFor(path string) *rule {
 }
 
 // flatten walks decoded JSON, collecting every numeric leaf under its
-// dotted path ("parallel.segments[2].ns_per_op"). Non-numeric leaves
+// dotted path ("engine.replay_ns_per_op"). Non-numeric leaves
 // (strings, bools, nulls) are ignored: the diff is about measurements.
 func flatten(prefix string, v interface{}, out map[string]float64) {
 	switch x := v.(type) {

@@ -59,10 +59,8 @@ func main() {
 
 // grid builds the Figure-2-style sweep: every workload crossed with
 // store-prefetch policy, store-buffer size, and store-queue depth.
-// The defaults give 4 x 2 x 2 x 4 = 64 points. parallel, when nonzero,
-// is forwarded on every point so the server splits each run into that
-// many segments (0 leaves the field out; the server default applies).
-func grid(workloads []string, insts, warm int64, parallel int) []server.RunRequest {
+// The defaults give 4 x 2 x 2 x 4 = 64 points.
+func grid(workloads []string, insts, warm int64) []server.RunRequest {
 	prefetches := []int{0, 1}
 	sbs := []int{8, 16}
 	sqs := []int{16, 32, 64, 256}
@@ -77,7 +75,6 @@ func grid(workloads []string, insts, warm int64, parallel int) []server.RunReque
 						Insts:    insts,
 						Warm:     warm,
 						Config:   &server.ConfigPatch{StorePrefetch: &sp, StoreBuffer: &sb, StoreQueue: &sq},
-						Parallel: parallel,
 					})
 				}
 			}
@@ -97,9 +94,6 @@ type phaseStats struct {
 	P99MS      float64 `json:"p99_ms"`
 	Cached     int     `json:"cached"`
 	Coalesced  int     `json:"coalesced"`
-	// Segments is the largest per-run segment fan-out the server
-	// reported for this phase (1 = every run executed serially).
-	Segments int `json:"segments,omitempty"`
 	// Stages decomposes the phase's server-side time by pipeline stage
 	// (parse, cache_probe, pool_wait, simulate, ...), derived from the
 	// daemon's mlpsimd_stage_seconds histogram deltas around the phase.
@@ -256,9 +250,6 @@ func firePhase(ctx context.Context, client *http.Client, url string, reqs []serv
 					}
 					if resp.Coalesced {
 						st.Coalesced++
-					}
-					if resp.Result.Segments > st.Segments {
-						st.Segments = resp.Result.Segments
 					}
 				}
 				mu.Unlock()
@@ -455,7 +446,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		repeat      = fs.Int("repeat", 3, "timed passes over the grid per phase")
 		mode        = fs.String("mode", "both", "phases to run: cold, warm, or both")
 		jsonPath    = fs.String("json", "", "write measurements to this file (benchmark record)")
-		parallel    = fs.Int("parallel", 0, "segment count forwarded on every request (0 = let the server default decide)")
 		reqTimeout  = fs.Duration("timeout", 5*time.Minute, "per-request timeout")
 		scrape      = fs.Bool("scrape", false, "after the load phases, validate /metrics against the exposition grammar and the /debug/obs/trace export")
 		slowOut     = fs.String("slow-out", "", "after the load phases, write the daemon's /debug/obs/slow JSON (slowest requests with stage breakdowns) to this file")
@@ -482,10 +472,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("no workloads")
 	}
 
-	if *parallel < 0 {
-		return fmt.Errorf("negative -parallel %d", *parallel)
-	}
-	base := grid(workloads, *insts, *warm, *parallel)
+	base := grid(workloads, *insts, *warm)
 	url := strings.TrimRight(*addr, "/") + "/v1/run"
 	client := &http.Client{Timeout: *reqTimeout}
 
@@ -551,8 +538,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("cold phase: %w", err)
 		}
 		rec.Cold = st
-		fmt.Fprintf(stdout, "cold: %d reqs in %.2fs  %.1f req/s  p50=%.1fms p95=%.1fms p99=%.1fms  segments=%d\n",
-			st.Requests, st.ElapsedS, st.Throughput, st.P50MS, st.P95MS, st.P99MS, st.Segments)
+		fmt.Fprintf(stdout, "cold: %d reqs in %.2fs  %.1f req/s  p50=%.1fms p95=%.1fms p99=%.1fms\n",
+			st.Requests, st.ElapsedS, st.Throughput, st.P50MS, st.P95MS, st.P99MS)
 		if len(st.Stages) > 0 {
 			fmt.Fprintf(stdout, "cold stages: %s\n", formatStages(st.Stages))
 		}
@@ -569,8 +556,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("warm phase: %w", err)
 		}
 		rec.WarmPhase = st
-		fmt.Fprintf(stdout, "warm: %d reqs in %.2fs  %.1f req/s  p50=%.1fms p95=%.1fms p99=%.1fms  segments=%d  (%d cached, %d coalesced)\n",
-			st.Requests, st.ElapsedS, st.Throughput, st.P50MS, st.P95MS, st.P99MS, st.Segments, st.Cached, st.Coalesced)
+		fmt.Fprintf(stdout, "warm: %d reqs in %.2fs  %.1f req/s  p50=%.1fms p95=%.1fms p99=%.1fms  (%d cached, %d coalesced)\n",
+			st.Requests, st.ElapsedS, st.Throughput, st.P50MS, st.P95MS, st.P99MS, st.Cached, st.Coalesced)
 		if len(st.Stages) > 0 {
 			fmt.Fprintf(stdout, "warm stages: %s\n", formatStages(st.Stages))
 		}

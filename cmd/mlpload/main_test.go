@@ -48,7 +48,7 @@ func stubService(t *testing.T, delay time.Duration) (*httptest.Server, *atomic.I
 }
 
 func TestGridShape(t *testing.T) {
-	pts := grid([]string{"database", "tpcw", "specjbb", "specweb"}, 1000, 500, 0)
+	pts := grid([]string{"database", "tpcw", "specjbb", "specweb"}, 1000, 500)
 	if len(pts) != 64 {
 		t.Fatalf("grid has %d points, want 64", len(pts))
 	}

@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -71,18 +70,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		perfect      = fs.Bool("perfect", false, "stores never stall (perfect-stores baseline)")
 		bpred        = fs.Bool("bpred", false, "model the gshare+BTB front end instead of calibrated mispredict flags")
 		cycle        = fs.Bool("cycle", false, "also run the cycle-level validator and report overlap/overall CPI")
-		parallel     = fs.Int("parallel", 1, "split the run into N concurrent segments merged associatively (0 = one per CPU core, 1 = serial); parallel results carry a small documented warm-up drift")
 		progress     = fs.Bool("progress", false, "live one-line progress ticker on stderr (insts, insts/s, running MLP)")
 		verbose      = fs.Bool("v", false, "print the full statistics dump")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("negative -parallel %d", *parallel)
-	}
-	if *parallel == 0 {
-		*parallel = runtime.NumCPU()
 	}
 
 	if *progress {
@@ -146,7 +138,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// run through the mmap-backed random-access reader, so even
 		// huge traces are paged in block by block.
 		var err error
-		stats, err = storemlp.RunTraceFileParallel(ctx, *traceFile, cfg, *warm, *parallel)
+		stats, err = storemlp.RunTraceFileContext(ctx, *traceFile, cfg, *warm)
 		if err != nil {
 			return fmt.Errorf("running trace: %w", err)
 		}
@@ -157,7 +149,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		wk, haveWorkload = w, true
 		stats, err = storemlp.RunContext(ctx, storemlp.RunSpec{
-			Workload: w, Config: cfg, Insts: *insts, Warm: *warm, Parallel: *parallel,
+			Workload: w, Config: cfg, Insts: *insts, Warm: *warm,
 		})
 		if err != nil {
 			return fmt.Errorf("running simulation: %w", err)

@@ -47,7 +47,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -71,28 +70,21 @@ var onReady = func(addr string) {}
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mlpsimd", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", ":7743", "listen address (host:port, :0 picks a free port)")
-		workers  = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		cache    = fs.Int("cache", 4096, "result-cache entries (negative disables caching)")
-		maxI     = fs.Int64("max-insts", 100_000_000, "per-request insts+warm ceiling")
-		reqTO    = fs.Duration("timeout", 120*time.Second, "default per-request timeout")
-		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-		logFmt   = fs.String("log", "text", "log format: text or json")
-		verbose  = fs.Bool("v", false, "debug logging (includes healthz/metrics probes)")
-		pprofOn  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling; leave off in production)")
-		trcCap   = fs.Int("trace-events", 0, "engine-detail spans (batches, fold) one request trace may hold (0 = default 384, the maximum; negative records none)")
-		trcOut   = fs.String("trace-out", "", "write the retained request traces as Chrome trace_event JSON to this file on graceful shutdown")
-		parallel = fs.Int("parallel", 1, "segments per simulation when a request carries no parallel field (0 = one per CPU core, 1 = serial)")
-		slowN    = fs.Int("slow", 0, "slowest-request ring size behind /debug/obs/slow (0 = default 32, negative disables request span tracing)")
+		addr    = fs.String("addr", ":7743", "listen address (host:port, :0 picks a free port)")
+		workers = fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		cache   = fs.Int("cache", 4096, "result-cache entries (negative disables caching)")
+		maxI    = fs.Int64("max-insts", 100_000_000, "per-request insts+warm ceiling")
+		reqTO   = fs.Duration("timeout", 120*time.Second, "default per-request timeout")
+		drain   = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
+		logFmt  = fs.String("log", "text", "log format: text or json")
+		verbose = fs.Bool("v", false, "debug logging (includes healthz/metrics probes)")
+		pprofOn = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (profiling; leave off in production)")
+		trcCap  = fs.Int("trace-events", 0, "engine-detail spans (batches, fold) one request trace may hold (0 = default 384, the maximum; negative records none)")
+		trcOut  = fs.String("trace-out", "", "write the retained request traces as Chrome trace_event JSON to this file on graceful shutdown")
+		slowN   = fs.Int("slow", 0, "slowest-request ring size behind /debug/obs/slow (0 = default 32, negative disables request span tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("negative -parallel %d", *parallel)
-	}
-	if *parallel == 0 {
-		*parallel = runtime.NumCPU()
 	}
 
 	level := slog.LevelInfo
@@ -111,14 +103,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	log := slog.New(handler)
 
 	svc := server.New(server.Config{
-		Workers:         *workers,
-		CacheEntries:    *cache,
-		MaxInsts:        *maxI,
-		DefaultTimeout:  *reqTO,
-		Logger:          log,
-		TraceEvents:     *trcCap,
-		DefaultParallel: *parallel,
-		SlowRequests:    *slowN,
+		Workers:        *workers,
+		CacheEntries:   *cache,
+		MaxInsts:       *maxI,
+		DefaultTimeout: *reqTO,
+		Logger:         log,
+		TraceEvents:    *trcCap,
+		SlowRequests:   *slowN,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

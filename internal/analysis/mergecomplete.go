@@ -10,19 +10,19 @@ import (
 
 // MergeComplete verifies the transitive completeness of the parallel
 // merge path: starting from the configured root merge methods (the
-// fold that combines per-segment results after a sharded run), every
+// fold that combines independent runs' results into an aggregate), every
 // struct type whose Merge/Add method is reached must reference every
 // one of its fields, or the field must carry //storemlp:nomerge
-// declaring it deliberately unmerged (configuration echoed on every
-// shard, derived state recomputed after the fold).
+// declaring it deliberately unmerged (configuration echoed by every
+// run, derived state recomputed after the fold).
 //
 // stats-drift pins the numeric counters of the top-level Stats struct;
 // this rule closes the gap it leaves: the *nested* accumulators —
 // cache hierarchies, SMAC tables, overlap histograms — that the root
 // fold delegates to. A field added to a nested struct but forgotten by
-// its Add silently vanishes from every multi-segment run, and only
-// from multi-segment runs, which is exactly the configuration the
-// paper's headline numbers use.
+// its Add silently vanishes from every merged aggregate (such as the
+// experiment summary's "all" row), and only from merged aggregates, so
+// single-run tests never notice.
 type MergeComplete struct {
 	// Roots are the merge entry points, "pkgpath.Type.Method"
 	// (e.g. "storemlp/internal/epoch.Stats.Merge").

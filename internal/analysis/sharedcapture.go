@@ -9,8 +9,7 @@ import (
 )
 
 // SharedCapture checks goroutine closures for plain writes to captured
-// variables — the data race the parallel fan-out makes easiest to
-// write. A `go func() { ... }` literal that assigns to a variable it
+// variables — the data race worker fan-outs make easiest to write. A `go func() { ... }` literal that assigns to a variable it
 // captured from the enclosing function races with the spawner (and
 // with its sibling workers) unless the write is disciplined. Four
 // disciplines are recognized:
@@ -18,7 +17,7 @@ import (
 //   - per-worker slot: results[i] = ... where every index is the
 //     worker's own parameter, a literal-local variable, or a Go 1.22
 //     per-iteration loop variable — each goroutine owns a distinct
-//     element, the engine's fan-out/merge idiom;
+//     element, the worker fan-out/merge idiom;
 //   - mutex: the write happens with a lock held on every path
 //     (the flow lattice must prove it, same as guardedby);
 //   - channel/atomic: sends and sync/atomic calls are not plain

@@ -181,30 +181,6 @@ func (t *Traffic) AdvanceOne() {
 	}
 }
 
-// Skip advances the traffic clock by n instructions while discarding
-// the snoops that fall due, leaving the source in exactly the state n
-// AdvanceOne calls would have produced: same rng position, same
-// fractional accumulator, same Delivered count. The loop repeats the
-// per-instruction accumulation rather than adding n*perInst in one
-// step — the one-shot product rounds differently in float64 and would
-// desynchronize the snoop-per-instruction alignment. Segment engines
-// of a parallel run use this to fast-forward past their stream prefix
-// so the measured snoop sequence matches the serial run bit-exactly.
-func (t *Traffic) Skip(n int64) {
-	if t == nil || t.perInst <= 0 || n <= 0 {
-		return
-	}
-	h := t.handler
-	t.handler = nil
-	for i := int64(0); i < n; i++ {
-		t.acc += t.perInst
-		if t.acc >= 1 {
-			t.drain()
-		}
-	}
-	t.handler = h
-}
-
 // drain delivers every due snoop. Kept out of Advance's inlined body:
 // snoops are rare (a handful per kilo-instruction), so Advance's
 // per-instruction cost must stay a multiply-add and a compare.

@@ -40,10 +40,6 @@ const (
 
 const termScanCap = 64 // max epochs labelled per stall (ranges are tiny in practice)
 
-// noMeasEnd disables the measurement limit: measurement runs to the end
-// of the stream (the serial default).
-const noMeasEnd = int64(^uint64(0) >> 1)
-
 type missKind uint8
 
 const (
@@ -105,23 +101,8 @@ type Engine struct {
 
 	lastLoadMissEpoch int64
 
-	idx     int64
-	warm    int64
-	measEnd int64 // idx at which measurement stops (noMeasEnd = stream end)
-
-	// contAtWarm marks the warmup prefix as a segment overlap of a
-	// parallel intra-run simulation (sim/parallel.go): epochs charged
-	// during it belong to the previous segment, so foldRec must not
-	// count them a second time (see epochRec.warmKinds).
-	contAtWarm bool
-
-	// End-of-measurement substrate snapshots, taken at idx == measEnd so
-	// the drain suffix past a segment's measured range is excluded from
-	// Hierarchy/SMAC/Snoop statistics just as the warmup prefix is.
-	hierFinal  cache.HierarchyStats
-	smacFinal  smac.Stats
-	snoopFinal int64
-	finalsSet  bool
+	idx  int64
+	warm int64
 
 	// Sliding epoch-record window. Epochs are monotone and only ever
 	// referenced within a bounded lookback (see refFloor), so records
@@ -182,57 +163,13 @@ func WithSharedCore(src trace.Source) Option {
 	}
 }
 
-// WithMeasureLimit stops measurement after n instructions: instructions
-// past WarmInsts+n are still simulated — caches, predictor, scout and
-// the open-store window keep evolving, and stalls still resolve the
-// fate of measured open stores — but contribute nothing to statistics.
-// A parallel run segment uses this to append an unmeasured drain
-// suffix: stores still open at its measurement boundary reach the same
-// overlapped/exposed disposition the serial run gives them, instead of
-// being conservatively exposed at stream end.
-func WithMeasureLimit(n int64) Option {
-	return func(e *Engine) error {
-		if n < 0 {
-			return fmt.Errorf("epoch: negative measure limit %d", n)
-		}
-		e.measEnd = e.warm + n
-		return nil
-	}
-}
-
-// WithWarmContinuation treats the warmup prefix as a segment overlap of
-// a parallel run: an epoch that was already charged during the prefix
-// belongs to the previous segment (which measured those charges and
-// counted the epoch), so when its tail is folded here only the charges
-// are added — Epochs, the MLP histogram and the termination label are
-// not incremented again. Never set on segment 0: its warmup is the
-// run's true warmup, and an epoch spanning that boundary is counted by
-// the serial engine.
-func WithWarmContinuation() Option {
-	return func(e *Engine) error {
-		e.contAtWarm = true
-		return nil
-	}
-}
-
 // WithTraffic attaches remote-node coherence traffic (Figure 6).
 func WithTraffic(spec coherence.TrafficSpec, seed int64) Option {
-	return WithTrafficSkip(spec, seed, 0)
-}
-
-// WithTrafficSkip is WithTraffic fast-forwarded past the first skip
-// instructions: the traffic source advances its clock and rng exactly
-// as skip engine steps would, but the due snoops are discarded instead
-// of delivered. A segment engine of a parallel run starts at stream
-// position skip, so from its first step onward it observes the
-// identical snoop sequence the serial engine saw from that position.
-func WithTrafficSkip(spec coherence.TrafficSpec, seed, skip int64) Option {
 	return func(e *Engine) error {
 		t, err := coherence.NewTraffic(spec, e.cfg.Nodes, seed, nil)
 		if err != nil {
 			return err
 		}
-		t.Skip(skip)
 		t.SetHandler(e.onSnoop)
 		e.traf = t
 		return nil
@@ -306,16 +243,10 @@ func (e *Engine) Reconfigure(cfg uarch.Config, opts ...Option) error {
 	e.lastLoadMissEpoch = -1
 	e.idx = 0
 	e.warm = cfg.WarmInsts
-	e.measEnd = noMeasEnd
-	e.contAtWarm = false
 	e.window = cfg.OverlapWindow()
 	e.hierBase = cache.HierarchyStats{}
 	e.smacBase = smac.Stats{}
 	e.snoopBase = 0
-	e.hierFinal = cache.HierarchyStats{}
-	e.smacFinal = smac.Stats{}
-	e.snoopFinal = 0
-	e.finalsSet = false
 	e.rt, e.rtParent, e.prog = nil, obs.NoSpan, nil
 	e.stats = Stats{}
 
@@ -566,15 +497,6 @@ func (e *Engine) winRec(ep int64) *epochRec {
 //storemlp:noalloc
 func (e *Engine) charge(ep int64, kind missKind, measuring bool) {
 	if !measuring {
-		// During a segment's warmup overlap, mark the epoch as charged
-		// pre-boundary: if measured charges later land in it (the normal
-		// boundary epoch, or an older one a scout window reaches back
-		// to), it straddles the segment boundary and the previous segment
-		// already counted it (see foldRec). The mark does not set r.live,
-		// so a record with only warm marks folds as nothing.
-		if e.contAtWarm && e.idx <= e.warm {
-			e.winRec(ep).warmKinds |= 1 << kind
-		}
 		return
 	}
 	r := e.winRec(ep)
@@ -694,12 +616,9 @@ func (e *Engine) addrReadyBy(in isa.Inst, ep int64) bool {
 func (e *Engine) step(in isa.Inst) {
 	idx := e.idx
 	e.idx++
-	measuring := idx >= e.warm && idx < e.measEnd
+	measuring := idx >= e.warm
 	if idx == e.warm {
 		e.snapshotBaselines()
-	}
-	if idx == e.measEnd {
-		e.snapshotFinals()
 	}
 	if e.traf != nil {
 		e.traf.AdvanceOne()
@@ -956,43 +875,31 @@ func (e *Engine) SMAC() *smac.SMAC { return e.sm }
 // contributions are commutative adds, so fold order (incremental during
 // the run vs. the old end-of-run map sweep) does not affect the result.
 //
-// When the warmup prefix is a segment overlap (WithWarmContinuation),
-// an epoch charged during the prefix is the previous segment's: charges
-// it accrues here are the tail the previous segment could not see, so
-// they are added to the miss totals and MLP sums, but the epoch itself
-// (and its histogram bucket and termination label) was already counted
-// there and is not counted again.
-//
 //storemlp:noalloc
 func (e *Engine) foldRec(r *epochRec) {
 	m := r.misses()
 	if m <= 0 {
 		return
 	}
-	cont := r.warmKinds != 0
+	e.stats.Epochs++
 	e.stats.StoreMisses += int64(r.storeMisses)
 	e.stats.LoadMisses += int64(r.loadMisses)
 	e.stats.InstMisses += int64(r.instMisses)
-	if !cont {
-		e.stats.Epochs++
-		sb := int(r.storeMisses)
-		if sb > MaxStoreMLPBucket {
-			sb = MaxStoreMLPBucket
-		}
-		lb := int(r.loadMisses + r.instMisses)
-		if lb > MaxLoadInstBucket {
-			lb = MaxLoadInstBucket
-		}
-		e.stats.MLPJoint[sb][lb]++
-		e.stats.epochsWithAny++
+	sb := int(r.storeMisses)
+	if sb > MaxStoreMLPBucket {
+		sb = MaxStoreMLPBucket
 	}
+	lb := int(r.loadMisses + r.instMisses)
+	if lb > MaxLoadInstBucket {
+		lb = MaxLoadInstBucket
+	}
+	e.stats.MLPJoint[sb][lb]++
+	e.stats.epochsWithAny++
 	e.stats.loadInstMLPSum += int64(r.loadMisses) + int64(r.instMisses)
 	if r.storeMisses > 0 {
+		e.stats.EpochsWithStore++
 		e.stats.storeMLPSum += int64(r.storeMisses)
-		if !cont || r.warmKinds&(1<<kindStore) == 0 {
-			e.stats.EpochsWithStore++
-			e.stats.TermCounts[r.term]++
-		}
+		e.stats.TermCounts[r.term]++
 	}
 }
 
@@ -1008,25 +915,12 @@ func (e *Engine) finalize() {
 		*r = epochRec{}
 	}
 	e.winBase = e.winHi
-	hierEnd, smacEnd := e.hier.Stats, smac.Stats{}
+	e.stats.Hierarchy = subHier(e.hier.Stats, e.hierBase)
 	if e.sm != nil {
-		smacEnd = e.sm.Stats
-	}
-	snoopEnd := int64(0)
-	if e.traf != nil {
-		snoopEnd = e.traf.Delivered
-	}
-	if e.finalsSet {
-		// A measure limit stopped measurement before the stream ended;
-		// the drain suffix past it is excluded like the warmup prefix.
-		hierEnd, smacEnd, snoopEnd = e.hierFinal, e.smacFinal, e.snoopFinal
-	}
-	e.stats.Hierarchy = subHier(hierEnd, e.hierBase)
-	if e.sm != nil {
-		e.stats.SMAC = subSMAC(smacEnd, e.smacBase)
+		e.stats.SMAC = subSMAC(e.sm.Stats, e.smacBase)
 	}
 	if e.traf != nil {
-		e.stats.Snoops = snoopEnd - e.snoopBase
+		e.stats.Snoops = e.traf.Delivered - e.snoopBase
 	}
 }
 
@@ -1043,22 +937,6 @@ func (e *Engine) snapshotBaselines() {
 	if e.rt != nil {
 		e.rt.Instant(obs.StageMeasureStart, e.rtParent, e.idx)
 	}
-}
-
-// snapshotFinals records substrate counters at the moment measurement
-// stops (idx == measEnd), so the unmeasured drain suffix of a parallel
-// run segment is excluded from them.
-//
-//storemlp:noalloc
-func (e *Engine) snapshotFinals() {
-	e.hierFinal = e.hier.Stats
-	if e.sm != nil {
-		e.smacFinal = e.sm.Stats
-	}
-	if e.traf != nil {
-		e.snoopFinal = e.traf.Delivered
-	}
-	e.finalsSet = true
 }
 
 func subHier(a, b cache.HierarchyStats) cache.HierarchyStats {

@@ -71,11 +71,6 @@ type epochRec struct {
 	instMisses  int32
 	term        TermCond
 	live        bool
-	// warmKinds marks miss kinds charged to this epoch during a segment
-	// warmup overlap (WithWarmContinuation): the previous segment of a
-	// parallel run measured those charges and counted the epoch, so
-	// foldRec adds only this segment's tail charges (see foldRec).
-	warmKinds uint8
 }
 
 func (r *epochRec) misses() int64 {

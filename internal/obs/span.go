@@ -13,9 +13,9 @@ import (
 // fixed-capacity arena of stage-labelled spans forming a tree rooted
 // at the request itself — propagated down the serving pipeline via
 // context, so the digest lookup, the cache probe, the singleflight
-// wait, the worker-slot wait, every parallel segment, the engine's own
-// instruction batches and the final merge all land as intervals
-// attributable to one trace ID. The completed tree feeds per-stage
+// wait, the worker-slot wait, the simulation and the engine's own
+// instruction batches all land as intervals attributable to one trace
+// ID. The completed tree feeds per-stage
 // latency histograms, the slowest-N ring (slowring.go) and the Chrome
 // trace_event exports.
 //
@@ -26,7 +26,7 @@ import (
 
 // Stage labels a request span with the pipeline stage it timed. The
 // set mirrors the serving pipeline: parse → digest → cache-probe →
-// (coalesce-wait | pool-wait → segment×K → simulate → merge) → render,
+// (coalesce-wait | pool-wait → simulate) → render,
 // followed by the engine-detail stages the epoch engine records inside
 // each simulate span.
 type Stage uint8
@@ -45,17 +45,9 @@ const (
 	StageCoalesceWait
 	// StagePoolWait covers waiting for a worker slot.
 	StagePoolWait
-	// StageSimulate covers one engine execution (serial run, or one
-	// segment's engine inside a StageSegment parent). The engine-detail
+	// StageSimulate covers one engine execution. The engine-detail
 	// spans of that execution nest under it.
 	StageSimulate
-	// StageSegment covers one segment of a parallel intra-run fan-out:
-	// source construction, fast-forward and the engine run (arg is the
-	// segment index).
-	StageSegment
-	// StageMerge covers the associative Stats merge joining segment
-	// results (arg is the segment count).
-	StageMerge
 	// StageRender covers response encoding.
 	StageRender
 	// StageBatch covers one instruction block through the engine's step
@@ -84,7 +76,7 @@ func (s Stage) String() string {
 		return "unknown"
 	}
 	return [...]string{"request", "parse", "digest", "cache_probe", "coalesce_wait",
-		"pool_wait", "simulate", "segment", "merge", "render",
+		"pool_wait", "simulate", "render",
 		"batch", "fold", "window_grow", "measure_start", "decode"}[s]
 }
 
@@ -134,7 +126,8 @@ type ReqSpan struct {
 // Engine-detail spans are further bounded by the trace's detail cap,
 // so a long run's instruction batches cannot crowd the request stages
 // out of the arena. All methods are safe for concurrent use (sweep
-// points and parallel segments record spans from many goroutines) and
+// points and the decode-ahead producer record spans from many
+// goroutines) and
 // nil-safe.
 type ReqTrace struct {
 	id        string // immutable after construction
@@ -411,8 +404,8 @@ func (t *ReqTrace) WriteChrome(w io.Writer) error {
 
 // chromeSpans encodes one trace's spans as the events of process pid,
 // timestamps relative to base. Concurrent spans are split onto
-// separate tracks (tid) by greedy interval packing so parallel segments
-// render side by side.
+// separate tracks (tid) by greedy interval packing so concurrent spans
+// (sweep points, decode beside batches) render side by side.
 func chromeSpans(spans []ReqSpan, base int64, pid int) []chromeEvent {
 	// Greedy track packing: visit spans by start time, place each on
 	// the first track whose previous occupant already ended.

@@ -20,10 +20,10 @@ func TestReqTraceTreeShape(t *testing.T) {
 	rt.EndSpan(parse, 0)
 	dig := rt.StartSpan(StageDigest, root)
 	rt.EndSpan(dig, 0)
-	seg := rt.StartSpan(StageSegment, root)
-	sim := rt.StartSpan(StageSimulate, seg)
+	wait := rt.StartSpan(StagePoolWait, root)
+	sim := rt.StartSpan(StageSimulate, wait)
 	rt.EndSpan(sim, 42)
-	rt.EndSpan(seg, 0)
+	rt.EndSpan(wait, 0)
 	rt.Finish("POST /v1/run", 200)
 
 	spans := rt.Snapshot()
@@ -166,11 +166,11 @@ func TestReqTraceDetailCap(t *testing.T) {
 
 func TestWithSpanRoundTrip(t *testing.T) {
 	rt := NewReqTrace("ctx", 8, 0)
-	seg := rt.StartSpan(StageSegment, rt.Root())
-	ctx := WithSpan(context.Background(), rt, seg)
+	sim := rt.StartSpan(StageSimulate, rt.Root())
+	ctx := WithSpan(context.Background(), rt, sim)
 	got, parent := SpanFrom(ctx)
-	if got != rt || parent != seg {
-		t.Fatalf("SpanFrom = (%p, %d), want (%p, %d)", got, parent, rt, seg)
+	if got != rt || parent != sim {
+		t.Fatalf("SpanFrom = (%p, %d), want (%p, %d)", got, parent, rt, sim)
 	}
 }
 
@@ -184,12 +184,10 @@ func TestRequestSpanZeroAllocDisabled(t *testing.T) {
 		rt, parent := SpanFrom(ctx)
 		ctx2 := WithSpan(ctx, rt, parent)
 		sp := rt.StartSpan(StagePoolWait, parent)
-		rt2, parent2 := SpanFrom(ctx2)
-		seg := rt2.StartSpan(StageSegment, parent2)
-		sim := rt2.StartSpan(StageSimulate, seg)
-		rt2.EndSpan(sim, 0)
-		rt2.EndSpan(seg, 0)
 		rt.EndSpan(sp, 0)
+		rt2, parent2 := SpanFrom(ctx2)
+		sim := rt2.StartSpan(StageSimulate, parent2)
+		rt2.EndSpan(sim, 0)
 		rt.Finish("", 0)
 	})
 	if allocs != 0 {
@@ -206,10 +204,10 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 	parse := rt.StartSpan(StageParse, root)
 	rt.EndSpan(parse, 0)
 	for i := 0; i < 3; i++ {
-		seg := rt.StartSpan(StageSegment, root)
-		rt.EndSpan(seg, int64(i))
+		sim := rt.StartSpan(StageSimulate, root)
+		rt.EndSpan(sim, int64(i))
 	}
-	open := rt.StartSpan(StageMerge, root)
+	open := rt.StartSpan(StageRender, root)
 	_ = open // deliberately left open: must render, not corrupt
 	rt.Finish("GET /x", 200)
 
@@ -478,7 +476,7 @@ func TestStageStrings(t *testing.T) {
 }
 
 // TestEventKindString pins the trace-export names of the run events the
-// engine and the parallel runner record: they are Stage values now, and
+// engine and the serving pipeline record: they are Stage values now, and
 // a saved trace must keep reading the same names. Only the engine's own
 // events are detail stages.
 func TestEventKindString(t *testing.T) {
@@ -495,8 +493,6 @@ func TestEventKindString(t *testing.T) {
 		{StageWindowGrow, "window_grow", true},
 		{StageMeasureStart, "measure_start", true},
 		{StageDecode, "decode", true},
-		{StageSegment, "segment", false},
-		{StageMerge, "merge", false},
 	}
 	for _, c := range cases {
 		if got := c.s.String(); got != c.name {

@@ -78,10 +78,9 @@ type Config struct {
 	// <0 records no engine detail — the engine hot path then pays only
 	// a nil check. Request stages follow SlowRequests.
 	TraceEvents int
-	// DefaultParallel is the segment count applied to requests that do
-	// not carry their own "parallel" field (<=1 = serial). Because the
-	// knob is digest-visible, a daemon restarted with a different
-	// default serves from a disjoint cache-key space.
+	// Deprecated: DefaultParallel has no effect. Intra-run segment
+	// fan-out was removed; every run executes serially. The field is
+	// kept only so existing callers still compile.
 	DefaultParallel int
 	// SlowRequests sizes the slowest-N request ring behind
 	// /debug/obs/slow and /debug/obs/req (default 32; <0 disables
@@ -137,7 +136,6 @@ type Server struct {
 	mHitRatio     *obs.FloatGauge
 	mCoalesced    *Counter
 	mInflight     *Gauge
-	mSegInflight  *Gauge
 	mQueueDepth   *Gauge
 	mSaturation   *obs.FloatGauge
 	mPoolIdle     *Gauge
@@ -191,9 +189,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 120 * time.Second
-	}
-	if cfg.DefaultParallel < 1 {
-		cfg.DefaultParallel = 1
 	}
 	var pool *sim.Pool
 	if cfg.Runner == nil {
@@ -271,12 +266,9 @@ func (s *Server) registerMetrics() {
 	s.mCoalesced = m.Counter("mlpsimd_coalesced_requests_total",
 		"Requests that joined an identical in-flight simulation instead of executing.")
 	s.mInflight = m.Gauge("mlpsimd_sims_inflight", "Simulations currently executing.")
-	s.mSegInflight = m.Gauge("mlpsimd_segments_inflight",
-		"Engine segments currently executing; a parallel run contributes one per segment.")
 	s.mQueueDepth = m.Gauge("mlpsimd_queue_depth", "Simulations waiting for a worker slot.")
 	s.mSaturation = m.FloatGauge("mlpsimd_pool_saturation",
-		"Fraction of worker capacity occupied: engine segments in flight / workers. "+
-			"Parallel runs fan out past their one slot, so this can exceed 1.")
+		"Fraction of worker capacity occupied: simulations in flight / workers.")
 	s.mPoolIdle = m.Gauge("mlpsimd_pool_engines_idle",
 		"Recycled engines parked in the pool (0 under a custom runner).")
 	s.mExecuted = m.Counter("mlpsimd_sims_executed_total", "Engine executions started.")
@@ -296,12 +288,11 @@ func (s *Server) registerMetrics() {
 		"cache_entries", strconv.Itoa(s.cfg.CacheEntries),
 		"max_insts", strconv.FormatInt(s.cfg.MaxInsts, 10),
 		"trace_events", strconv.Itoa(s.cfg.TraceEvents),
-		"default_parallel", strconv.Itoa(s.cfg.DefaultParallel),
 		"slow_requests", strconv.Itoa(s.cfg.SlowRequests),
 		"digest", digest.Sum(struct {
-			Workers, CacheEntries, TraceEvents, DefaultParallel, SlowRequests int
-			MaxInsts, DefaultTimeoutMS                                        int64
-		}{s.cfg.Workers, s.cfg.CacheEntries, s.cfg.TraceEvents, s.cfg.DefaultParallel,
+			Workers, CacheEntries, TraceEvents, SlowRequests int
+			MaxInsts, DefaultTimeoutMS                       int64
+		}{s.cfg.Workers, s.cfg.CacheEntries, s.cfg.TraceEvents,
 			s.cfg.SlowRequests, s.cfg.MaxInsts, s.cfg.DefaultTimeout.Milliseconds()}))
 	m.OnScrape(func() {
 		s.mUptime.Set(int64(time.Since(s.start).Seconds()))
@@ -315,7 +306,7 @@ func (s *Server) registerMetrics() {
 		if hits, misses := s.mCacheHits.Value(), s.mCacheMisses.Value(); hits+misses > 0 {
 			s.mHitRatio.Set(float64(hits) / float64(hits+misses))
 		}
-		s.mSaturation.Set(float64(s.mSegInflight.Value()) / float64(s.cfg.Workers))
+		s.mSaturation.Set(float64(s.mInflight.Value()) / float64(s.cfg.Workers))
 		if s.pool != nil {
 			s.mPoolIdle.Set(int64(s.pool.Idle()))
 		}
@@ -464,10 +455,9 @@ type RunRequest struct {
 	Config         *ConfigPatch `json:"config,omitempty"`
 	DisableTraffic bool         `json:"disable_traffic,omitempty"`
 	SharedCore     bool         `json:"shared_core,omitempty"`
-	// Parallel splits the run into that many concurrently simulated
-	// segments (0 = server default, 1 = serial). Digest-visible:
-	// parallel results approximate serial ones, so they never share a
-	// cache key.
+	// Parallel is accepted only as 0 or 1 (both mean serial) so older
+	// clients keep working; any other value is rejected, because
+	// intra-run fan-out was removed. It does not enter the digest.
 	Parallel int `json:"parallel,omitempty"`
 	// NoCache bypasses the result cache AND coalescing: the request
 	// always executes a fresh simulation (benchmark cold path).
@@ -490,10 +480,6 @@ type RunResult struct {
 	LoadMisses              int64   `json:"load_misses"`
 	InstMisses              int64   `json:"inst_misses"`
 	SMACAccelerated         int64   `json:"smac_accelerated,omitempty"`
-	// Segments is the number of concurrently simulated segments the run
-	// actually fanned out to (after clamping tiny runs); absent/0 means
-	// serial.
-	Segments int `json:"segments,omitempty"`
 }
 
 // RunResponse wraps a result with its serving provenance.
@@ -557,12 +543,15 @@ func (s *Server) resolve(req RunRequest) (sim.Spec, string, error) {
 	if warm == 0 {
 		warm = 1_000_000
 	}
-	if insts+warm > s.cfg.MaxInsts {
-		return sim.Spec{}, "", badRequest("insts+warm %d exceeds server limit %d", insts+warm, s.cfg.MaxInsts)
+	if insts < 0 || warm < 0 {
+		return sim.Spec{}, "", badRequest("negative insts %d or warm %d", insts, warm)
 	}
-	par := req.Parallel
-	if par == 0 {
-		par = s.cfg.DefaultParallel
+	// Compared without forming insts+warm, which can overflow.
+	if insts > s.cfg.MaxInsts || warm > s.cfg.MaxInsts-insts {
+		return sim.Spec{}, "", badRequest("insts %d + warm %d exceeds server limit %d", insts, warm, s.cfg.MaxInsts)
+	}
+	if req.Parallel != 0 && req.Parallel != 1 {
+		return sim.Spec{}, "", badRequest("parallel %d: intra-run fan-out was removed; send 0 or 1 (serial)", req.Parallel)
 	}
 	spec := sim.Spec{
 		Workload:       w,
@@ -571,7 +560,6 @@ func (s *Server) resolve(req RunRequest) (sim.Spec, string, error) {
 		Warm:           warm,
 		DisableTraffic: req.DisableTraffic,
 		SharedCore:     req.SharedCore,
-		Parallel:       par,
 	}
 	if err := spec.Validate(); err != nil {
 		return sim.Spec{}, "", badRequest("%v", err)
@@ -600,17 +588,9 @@ func (s *Server) execute(ctx context.Context, spec sim.Spec) (*RunResult, error)
 	}
 	defer func() { <-s.slots }()
 
-	// A parallel run occupies one worker slot but checks several segment
-	// engines out of the pool; the saturation metric counts segments so
-	// fan-out past the slot width is visible.
-	segs := sim.Segments(spec)
 	s.mInflight.Add(1)
-	s.mSegInflight.Add(int64(segs))
 	s.mExecuted.Inc()
-	defer func() {
-		s.mInflight.Add(-1)
-		s.mSegInflight.Add(int64(-segs))
-	}()
+	defer s.mInflight.Add(-1)
 	// Thread the live-run board into the engine: the default pool
 	// runner picks it up via obs.BoardFrom (and the request span via
 	// obs.SpanFrom).
@@ -634,7 +614,6 @@ func (s *Server) execute(ctx context.Context, spec sim.Spec) (*RunResult, error)
 		LoadMisses:              stats.LoadMisses,
 		InstMisses:              stats.InstMisses,
 		SMACAccelerated:         stats.SMACAccelerated,
-		Segments:                segs,
 	}, nil
 }
 
@@ -689,7 +668,7 @@ func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, e
 	res, shared, err := s.flights.do(ctx, key, func(execCtx context.Context) (*RunResult, error) {
 		// The leader executes on a context derived from the server's
 		// lifetime, not its own request — re-attach the leader's span
-		// context so the execution's pool-wait/segment/merge spans land
+		// context so the execution's pool-wait/simulate spans land
 		// on the leader's trace. Followers only record a coalesce-wait
 		// span (see flightGroup.do): the work was never theirs.
 		execCtx = obs.WithSpan(execCtx, rt, parent)

@@ -246,6 +246,10 @@ func TestBadRequests(t *testing.T) {
 		{"bad hws", "/v1/run", RunRequest{Workload: "tpcw", Config: &ConfigPatch{HWS: intptr(7)}}},
 		{"invalid config", "/v1/run", RunRequest{Workload: "tpcw", Config: &ConfigPatch{ROB: intptr(-1)}}},
 		{"over budget", "/v1/run", RunRequest{Workload: "tpcw", Insts: 1 << 60}},
+		// insts+warm wraps negative in int64: the cap must not be
+		// checked through the sum.
+		{"insts+warm overflow", "/v1/run", RunRequest{Workload: "tpcw", Insts: 1 << 62, Warm: 1 << 62}},
+		{"negative warm", "/v1/run", RunRequest{Workload: "tpcw", Insts: 1000, Warm: -1}},
 		{"empty sweep", "/v1/sweep", SweepRequest{}},
 	}
 	for _, c := range cases {
@@ -796,62 +800,60 @@ func ExampleServer() {
 	// Output: 200 42 false
 }
 
-// TestParallelRequestSegments covers the parallel serving knob: the
-// request field fans the run out and is digest-visible, the daemon
-// default applies when the request is silent, and the response reports
-// the actual segment count.
-func TestParallelRequestSegments(t *testing.T) {
+// TestParallelFieldRejected: intra-run fan-out is gone, so a parallel
+// value other than 0 or 1 is a 400 that says so, while 0 and 1 (what
+// older clients send) still run serially under one digest.
+func TestParallelFieldRejected(t *testing.T) {
 	var execs atomic.Int64
 	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
 
-	_, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 100_000, Parallel: 4})
-	par := decodeRun(t, body)
-	if par.Result.Segments != 4 {
-		t.Errorf("segments = %d, want 4", par.Result.Segments)
+	for _, par := range []int{2, 4, 64, -2} {
+		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 100_000, Parallel: par})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("parallel %d: status %d (%s), want 400", par, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "intra-run fan-out was removed") {
+			t.Errorf("parallel %d: error %s does not say fan-out was removed", par, body)
+		}
 	}
-	_, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 100_000})
-	serial := decodeRun(t, body)
-	if serial.Result.Segments != 1 {
-		t.Errorf("serial segments = %d, want 1", serial.Result.Segments)
-	}
-	// Parallel results approximate serial ones: the two requests must
-	// not share a cache key.
-	if par.Digest == serial.Digest {
-		t.Errorf("parallel and serial runs share digest %s", par.Digest)
-	}
-	if serial.Cached || par.Cached {
-		t.Error("distinct digests should both have executed")
+	if n := execs.Load(); n != 0 {
+		t.Errorf("rejected requests executed %d times", n)
 	}
 
-	// A tiny run clamps below the requested fan-out instead of running
-	// sub-minimum segments.
-	_, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 5000, Parallel: 64})
-	if got := decodeRun(t, body).Result.Segments; got >= 64 {
-		t.Errorf("tiny run segments = %d, want clamped below 64", got)
+	var digests []string
+	for _, par := range []int{0, 1} {
+		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 100_000, Parallel: par})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("parallel %d: status %d (%s), want 200", par, resp.StatusCode, body)
+		}
+		digests = append(digests, decodeRun(t, body).Digest)
 	}
-
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 100_000, Parallel: -2})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative parallel: status %d (%s), want 400", resp.StatusCode, body)
+	if digests[0] != digests[1] {
+		t.Errorf("parallel 0 and 1 digest differently: %s vs %s", digests[0], digests[1])
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("parallel 0 then 1 executed %d times, want 1 (second is a cache hit)", n)
 	}
 }
 
-// TestDefaultParallelApplied: a daemon started with DefaultParallel
-// splits silent requests, and the config default is digest-visible so
-// the cache space is disjoint from a serial daemon's.
-func TestDefaultParallelApplied(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Runner:          countingRunner(new(atomic.Int64), 0),
-		DefaultParallel: 2,
-	})
-	_, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "tpcw", Insts: 100_000})
-	rr := decodeRun(t, body)
-	if rr.Result.Segments != 2 {
-		t.Errorf("segments = %d, want daemon default 2", rr.Result.Segments)
+// TestDefaultParallelIgnored: the deprecated DefaultParallel field is
+// accepted and has no effect — a daemon configured with it serves the
+// same digests as one without.
+func TestDefaultParallelIgnored(t *testing.T) {
+	req := RunRequest{Workload: "tpcw", Insts: 100_000}
+	var digests []string
+	for _, def := range []int{0, 4} {
+		_, ts := newTestServer(t, Config{
+			Runner:          countingRunner(new(atomic.Int64), 0),
+			DefaultParallel: def,
+		})
+		resp, body := postJSON(t, ts.URL+"/v1/run", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("DefaultParallel %d: status %d (%s), want 200", def, resp.StatusCode, body)
+		}
+		digests = append(digests, decodeRun(t, body).Digest)
 	}
-	// An explicit parallel:1 overrides the daemon default back to serial.
-	_, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "tpcw", Insts: 100_000, Parallel: 1})
-	if got := decodeRun(t, body).Result.Segments; got != 1 {
-		t.Errorf("explicit serial segments = %d, want 1", got)
+	if digests[0] != digests[1] {
+		t.Errorf("DefaultParallel changed the digest: %s vs %s", digests[0], digests[1])
 	}
 }

@@ -509,11 +509,10 @@ func TestDecodeAheadOneProc(t *testing.T) {
 }
 
 // BenchmarkDecodeAhead replays the replay benchmark's four traces (1.5M
-// instructions each: 500k warmup, 1M measured, default machine) three
-// ways: serial with inline decode, serial with decode-ahead, and split
-// into two segments (RunTraceParallel). Run it with -cpu 2 or more for
-// the pipelined and fan-out cases to have a second core; EXPERIMENTS.md
-// records the table.
+// instructions each: 500k warmup, 1M measured, default machine) two
+// ways: inline decode and decode-ahead. Run it with -cpu 2 or more for
+// the pipelined case to have a second core; EXPERIMENTS.md records the
+// table.
 func BenchmarkDecodeAhead(b *testing.B) {
 	const warm, total = 500_000, 1_500_000
 	cfg := uarch.Default()
@@ -528,9 +527,6 @@ func BenchmarkDecodeAhead(b *testing.B) {
 			}},
 			{"ahead", func(p *Pool, r *colv1.Reader) (*epoch.Stats, error) {
 				return p.runTrace(context.Background(), r, cfg, warm, true)
-			}},
-			{"parallel2", func(p *Pool, _ *colv1.Reader) (*epoch.Stats, error) {
-				return p.RunTraceParallel(context.Background(), data, cfg, warm, 2)
 			}},
 		}
 		for _, m := range modes {

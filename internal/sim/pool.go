@@ -84,9 +84,6 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if Segments(s) > 1 {
-		return p.runParallel(ctx, s, WarmupOverlap(s.Uarch))
-	}
 	cfg, opts := prepare(s)
 	e := p.get()
 	// A failed Reconfigure (or a cancelled run) leaves mid-run state

@@ -33,15 +33,6 @@ type Spec struct {
 	// seed) on the other core of the CMP, sharing the L2 — the paper's
 	// two-cores-per-L2 configuration.
 	SharedCore bool // storemlpvet:novalidate (both states valid)
-	// Parallel splits the run into that many contiguous segments
-	// simulated concurrently on per-core engines and merged with
-	// epoch.Stats.Merge; 0 or 1 runs serially. Each segment after the
-	// first re-simulates an unmeasured warm-up overlap prefix to
-	// reconstruct machine state at its boundary, so parallel results
-	// are approximate (see WarmupOverlap for the tolerance contract) —
-	// which is why the knob is digest-visible: a parallel run must not
-	// share a cache key with the serial run it approximates.
-	Parallel int
 }
 
 // Validate checks the spec.
@@ -57,9 +48,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Warm < 0 {
 		return fmt.Errorf("sim: negative warmup %d", s.Warm)
-	}
-	if s.Parallel < 0 {
-		return fmt.Errorf("sim: negative segment count %d", s.Parallel)
 	}
 	return nil
 }
@@ -90,44 +78,22 @@ func Run(s Spec) (*epoch.Stats, error) {
 
 // prepare derives the engine configuration and options from a
 // validated spec; it is shared by the one-shot RunContext and the
-// engine Pool. It is segmentOptions at stream position zero — the
-// whole-run case.
+// engine Pool.
 func prepare(s Spec) (uarch.Config, []epoch.Option) {
 	cfg := s.Uarch
 	cfg.WarmInsts = s.Warm
-	// At stream position 0 no fast-forward runs, so no error or
-	// cancellation is possible.
-	opts, _ := segmentOptions(context.Background(), s, 0)
-	return cfg, opts
-}
-
-// segmentOptions builds the engine options for a run (or run segment)
-// whose instruction stream begins at position start: coherence traffic
-// is fast-forwarded so the snoop sequence aligns with the serial run,
-// and the shared-core co-runner's generator is advanced past the same
-// prefix. start 0 reproduces the serial options exactly.
-func segmentOptions(ctx context.Context, s Spec, start int64) ([]epoch.Option, error) {
 	var opts []epoch.Option
 	if !s.DisableTraffic && s.Uarch.Nodes > 1 && s.Workload.SnoopsPerKiloInst > 0 {
-		opts = append(opts, epoch.WithTrafficSkip(s.Workload.Traffic(), s.Workload.Seed+1, start))
+		opts = append(opts, epoch.WithTraffic(s.Workload.Traffic(), s.Workload.Seed+1))
 	}
 	if s.SharedCore {
 		co := s.Workload
 		co.Seed += 13
 		// The co-runner is a separate process: disjoint address space.
 		co.AddrOffset = 1 << 44
-		var bg trace.Source = workload.NewGenerator(co)
-		if start > 0 {
-			// The co-runner advances one instruction per primary step, so
-			// a segment starting at stream position start has consumed
-			// exactly start co-runner instructions.
-			if err := discard(ctx, bg, start); err != nil {
-				return nil, err
-			}
-		}
-		opts = append(opts, epoch.WithSharedCore(bg))
+		opts = append(opts, epoch.WithSharedCore(workload.NewGenerator(co)))
 	}
-	return opts, nil
+	return cfg, opts
 }
 
 // RunContext is Run with cancellation: the epoch engine polls ctx and
@@ -135,14 +101,10 @@ func segmentOptions(ctx context.Context, s Spec, start int64) ([]epoch.Option, e
 // When ctx carries a request span (obs.WithSpan) the run records its
 // simulate span and the engine's detail spans on that trace, and when
 // it carries a board (obs.NewContext) the run publishes live progress
-// snapshots to it. A Spec with Parallel > 1 fans out across segment
-// engines (see parallel.go).
+// snapshots to it.
 func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if Segments(s) > 1 {
-		return NewPool().runParallel(ctx, s, WarmupOverlap(s.Uarch))
 	}
 	cfg, opts := prepare(s)
 	eng, err := epoch.New(cfg, opts...)

@@ -52,12 +52,6 @@ func Open(path string) (*File, error) {
 	return &File{Reader: cr, data: data, unmap: unmap}, nil
 }
 
-// Data exposes the file's complete byte image (the mmap on Linux).
-// Additional independent readers — e.g. one per worker of a parallel
-// segment run — are built over it with NewBytesReader; none of them,
-// nor the slice itself, may be used after Close releases the mapping.
-func (cf *File) Data() []byte { return cf.data }
-
 // Close releases the mapping and invalidates the Reader.
 func (cf *File) Close() error {
 	if cf.closed {

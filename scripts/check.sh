@@ -93,23 +93,20 @@ esac
 echo '>> go test -race ./...'
 go test -race "$@" ./...
 
-echo '>> go test -race -cpu 1,2,4 -short (parallel fan-out, decode-ahead, merge algebra, span trees)'
-# The parallel intra-run path fans one simulation out over goroutines
-# that share the engine pool and the trace mmap, a trace-driven run
-# hands decoded batches from its decode-ahead producer to the engine,
-# and every request's span tree is written from sweep points and
-# segment goroutines concurrently; re-run their tests at several
-# GOMAXPROCS values so real interleavings (not just the single-P
-# schedule) pass the race detector. -short drops the golden accuracy
-# grid and overlap sweep — they measure drift, not concurrency, and
-# already ran once in the full -race stage above.
+echo '>> go test -race -cpu 1,2,4 -short (decode-ahead, merge algebra, span trees)'
+# A trace-driven run hands decoded batches from its decode-ahead
+# producer goroutine to the engine, and every request's span tree is
+# written from concurrent sweep points and that producer; re-run their
+# tests (plus the Stats merge algebra the experiment summary relies on)
+# at several GOMAXPROCS values so real interleavings, not just the
+# single-P schedule, pass the race detector.
 go test -race -short -cpu 1,2,4 \
-    -run 'TestParallel|TestSplitRun|TestSegments|TestOverlapSweep|TestMerge|TestDefaultParallel|TestSpan|TestDecodeAhead' \
+    -run 'TestMerge|TestSpan|TestDecodeAhead' \
     ./internal/sim/ ./internal/server/ .
 
 echo '>> benchmark smoke (1 iteration) + benchdiff report'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkEngineParallel|BenchmarkStatsMerge|BenchmarkTraceDecodeLegacy|BenchmarkTraceDecodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeLegacy|BenchmarkTraceDecodeColumnar)$' \
     -benchtime 1x -benchmem . | tee "$tmpdir/smokebench.out"
 # Shape the 1-iteration numbers with the shared awk and diff them
 # against the committed baseline. Report mode only: single-iteration

@@ -7,7 +7,7 @@
 # Inputs (all optional, via awk -v):
 #   eng_base_ns      pre-optimization engine ns/op baseline
 #   eng_base_allocs  pre-optimization engine allocs/op baseline
-#   num_cpu          host CPU count recorded in the parallel section
+#   num_cpu          host CPU count recorded in the engine section
 BEGIN {
     # Pre-optimization engine baseline (map-based epoch records,
     # per-inst Next() trace pull), measured on the same 500k-instruction
@@ -23,14 +23,9 @@ $1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_
 $1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeLegacy(-[0-9]+)?$/     { if (leg_ns == 0 || $3 < leg_ns) { leg_ns = $3; leg_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkEngineParallel\/k=[0-9]+(-[0-9]+)?$/ {
-    k = $1; sub(/^BenchmarkEngineParallel\/k=/, "", k); sub(/-[0-9]+$/, "", k)
-    if (!(k in par_ns)) { par_ks[++par_n] = k }
-    if (par_ns[k] == 0 || $3 < par_ns[k]) { par_ns[k] = $3 }
-}
 $1 ~ /^BenchmarkStatsMerge(-[0-9]+)?$/            { if (mrg_ns == 0 || $3 < mrg_ns) { mrg_ns = $3 } }
 END {
-    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || leg_ns == 0 || col_ns == 0 || par_n == 0 || mrg_ns == 0 || par_ns[1] == 0) {
+    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || leg_ns == 0 || col_ns == 0 || mrg_ns == 0) {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000
@@ -46,21 +41,12 @@ END {
     printf "    \"replay_ns_per_op\": %d,\n    \"replay_allocs_per_op\": %d,\n", rep_ns, rep_allocs
     printf "    \"trace_driven_ns_per_op\": %d,\n    \"trace_driven_allocs_per_op\": %d,\n", td_ns, td_allocs
     printf "    \"trace_driven_insts_per_sec\": %.0f,\n", eng_insts * 1e9 / td_ns
-    printf "    \"trace_driven_vs_synthetic\": %.3f\n  },\n", td_ns / eng_ns
+    printf "    \"trace_driven_vs_synthetic\": %.3f,\n", td_ns / eng_ns
+    printf "    \"merge_ns_per_op\": %d,\n    \"num_cpu\": %d\n  },\n", mrg_ns, num_cpu
     printf "  \"trace_codec\": {\n"
     printf "    \"ns_per_op\": %d,\n    \"insts_per_op\": %d,\n", col_ns, cod_insts
     printf "    \"insts_per_sec\": %.0f,\n    \"allocs_per_op\": %d,\n", cod_insts * 1e9 / col_ns, col_allocs
     printf "    \"baseline_ns_per_op\": %d,\n    \"baseline_allocs_per_op\": %d,\n", leg_ns, leg_allocs
-    printf "    \"speedup_vs_baseline\": %.3f\n  },\n", leg_ns / col_ns
-    printf "  \"parallel\": {\n"
-    printf "    \"num_cpu\": %d,\n    \"insts_per_op\": %d,\n", num_cpu, eng_insts
-    printf "    \"merge_ns_per_op\": %d,\n", mrg_ns
-    printf "    \"segments\": [\n"
-    for (i = 1; i <= par_n; i++) {
-        k = par_ks[i]
-        printf "      {\"k\": %d, \"ns_per_op\": %d, \"speedup_vs_serial\": %.3f}%s\n", \
-            k, par_ns[k], par_ns[1] / par_ns[k], (i < par_n ? "," : "")
-    }
-    printf "    ]\n  }\n"
+    printf "    \"speedup_vs_baseline\": %.3f\n  }\n", leg_ns / col_ns
     printf "}\n"
 }

@@ -31,7 +31,6 @@ package storemlp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -43,7 +42,6 @@ import (
 	"storemlp/internal/onchip"
 	"storemlp/internal/sim"
 	"storemlp/internal/trace"
-	"storemlp/internal/trace/colv1"
 	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
@@ -122,13 +120,6 @@ type RunSpec struct {
 	// core of the CMP, sharing the L2 (the paper's two-cores-per-L2
 	// configuration); it exerts cache pressure only.
 	SharedCore bool
-	// Parallel splits the run into that many contiguous segments
-	// simulated concurrently and merged associatively; 0 or 1 runs
-	// serially. Segments re-simulate an unmeasured warm-up overlap to
-	// reconstruct machine state at their boundaries, so parallel
-	// results approximate the serial run (see internal/sim.WarmupOverlap
-	// for the accuracy contract) — the knob is therefore digest-visible.
-	Parallel int
 }
 
 // Run executes one simulation: the workload generator's TSO trace is
@@ -150,7 +141,6 @@ func RunContext(ctx context.Context, s RunSpec) (*Stats, error) {
 		Warm:           s.Warm,
 		DisableTraffic: s.DisableTraffic,
 		SharedCore:     s.SharedCore,
-		Parallel:       s.Parallel,
 	})
 }
 
@@ -169,17 +159,7 @@ func ConfigDigest(s RunSpec) string {
 		"warm":           s.Warm,
 		"disableTraffic": s.DisableTraffic,
 		"sharedCore":     s.SharedCore,
-		"parallel":       s.Parallel,
 	})
-}
-
-// Segments reports the number of segments a run of s actually fans out
-// to: the Parallel knob clamped so every segment measures a worthwhile
-// slice. 1 means the run executes serially. The serving layer surfaces
-// this in responses and accounts segment engines in its saturation
-// metric.
-func Segments(s RunSpec) int {
-	return sim.Segments(sim.Spec{Insts: s.Insts, Parallel: s.Parallel})
 }
 
 // TraceFormat selects an on-disk trace encoding for WriteTraceFormat
@@ -269,36 +249,6 @@ func RunTraceFileContext(ctx context.Context, path string, cfg Config, warm int6
 	}
 	defer closer.Close()
 	return runTraceSource(ctx, tr, cfg, warm)
-}
-
-// RunTraceFileParallel is RunTraceFileContext fanned out across
-// segments concurrent segment engines. Columnar traces parallelize for
-// real: the file is memory-mapped once and every worker gets an
-// independent random-access reader over the shared image, positioned in
-// O(1) by the footer seek index, so decode scales with the simulation.
-// Legacy traces have no random access — they fall back to the serial
-// path, as does segments <= 1. Parallel results approximate the serial
-// run within the documented overlap tolerance (see RunSpec.Parallel).
-func RunTraceFileParallel(ctx context.Context, path string, cfg Config, warm int64, segments int) (*Stats, error) {
-	if segments <= 1 {
-		return RunTraceFileContext(ctx, path, cfg, warm)
-	}
-	cf, err := colv1.Open(path)
-	if errors.Is(err, colv1.ErrBadMagic) {
-		// Not columnar: a legacy trace streams through the serial path.
-		return RunTraceFileContext(ctx, path, cfg, warm)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer cf.Close()
-	return RunTraceBytesParallel(ctx, cf.Data(), cfg, warm, segments)
-}
-
-// RunTraceBytesParallel runs a complete in-memory columnar trace image
-// across segments concurrent segment engines (see RunTraceFileParallel).
-func RunTraceBytesParallel(ctx context.Context, data []byte, cfg Config, warm int64, segments int) (*Stats, error) {
-	return sim.NewPool().RunTraceParallel(ctx, data, cfg, warm, segments)
 }
 
 // tracePool recycles engines across the package-level trace entry

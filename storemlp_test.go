@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -348,62 +347,5 @@ func TestOverallCPI(t *testing.T) {
 	var zero Stats
 	if OverallCPI(1.0, 0, &zero, 500) != 0 {
 		t.Error("zero stats should give 0")
-	}
-}
-
-// TestParallelFacade covers the root-level fan-out entry points with
-// the accuracy contract from RunSpec.Parallel: overlap-invariant
-// counters (instructions, accesses) are exact, EPI stays within the
-// documented 0.5% of the serial run. Segments here are much shorter
-// than the production default, so this also exercises overlap clamping
-// near the stream start.
-func TestParallelFacade(t *testing.T) {
-	const tol = 0.005
-	drift := func(got, want float64) float64 {
-		if want == 0 {
-			return 0
-		}
-		return math.Abs(got-want) / want
-	}
-	cfg := DefaultConfig()
-	serial, err := Run(RunSpec{Workload: SPECweb(3), Config: cfg, Insts: 60_000, Warm: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(RunSpec{Workload: SPECweb(3), Config: cfg, Insts: 60_000, Warm: 20_000, Parallel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Insts != serial.Insts || par.Hierarchy.Loads != serial.Hierarchy.Loads ||
-		par.Hierarchy.Stores != serial.Hierarchy.Stores {
-		t.Errorf("overlap-invariant counters diverge:\nserial:   %+v\nparallel: %+v", serial, par)
-	}
-	if d := drift(par.EPI(), serial.EPI()); d > tol {
-		t.Errorf("generated run EPI drift %.4f%% exceeds %.2f%% (serial %.4f, parallel %.4f)",
-			100*d, 100*tol, serial.EPI(), par.EPI())
-	}
-
-	var buf bytes.Buffer
-	if _, err := WriteTraceFormat(&buf, Database(9), cfg, 80_000, TraceColumnar); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	sSerial, err := RunTrace(bytes.NewReader(data), cfg, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sPar, err := RunTraceBytesParallel(context.Background(), data, cfg, 20_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sPar.Insts != 60_000 {
-		t.Errorf("measured %d insts, want 60000", sPar.Insts)
-	}
-	if sPar.Hierarchy.Loads != sSerial.Hierarchy.Loads || sPar.Hierarchy.Stores != sSerial.Hierarchy.Stores {
-		t.Errorf("trace overlap-invariant counters diverge:\nserial:   %+v\nparallel: %+v", sSerial, sPar)
-	}
-	if d := drift(sPar.EPI(), sSerial.EPI()); d > tol {
-		t.Errorf("trace run EPI drift %.4f%% exceeds %.2f%% (serial %.4f, parallel %.4f)",
-			100*d, 100*tol, sSerial.EPI(), sPar.EPI())
 	}
 }
