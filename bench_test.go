@@ -17,6 +17,7 @@ import (
 	"storemlp/internal/obs"
 	"storemlp/internal/sim"
 	"storemlp/internal/trace"
+	"storemlp/internal/trace/colv1"
 	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
@@ -291,7 +292,7 @@ func BenchmarkEngineReplay(b *testing.B) {
 func BenchmarkEngineTraceDriven(b *testing.B) {
 	const n = 500_000
 	var buf bytes.Buffer
-	if _, err := WriteTraceFormat(&buf, Database(1), DefaultConfig(), n, TraceColumnar); err != nil {
+	if _, err := WriteTrace(&buf, Database(1), DefaultConfig(), n); err != nil {
 		b.Fatal(err)
 	}
 	enc := buf.Bytes()
@@ -335,31 +336,23 @@ func BenchmarkStatsMerge(b *testing.B) {
 	}
 }
 
-// encodedBenchTrace builds one n-instruction TPC-W trace in the given
-// format, outside the timed region.
-func encodedBenchTrace(b *testing.B, n int64, f TraceFormat) []byte {
-	b.Helper()
+// BenchmarkTraceDecodeColumnar measures pure decode throughput: a
+// pre-encoded 200k-instruction TPC-W trace pulled through ReadBatch
+// into the engine's 4096-inst batch buffer, exactly the shape RunTrace
+// uses. Decoding costs O(blocks) allocations.
+func BenchmarkTraceDecodeColumnar(b *testing.B) {
+	const n = 200_000
 	var buf bytes.Buffer
-	if _, err := WriteTraceFormat(&buf, TPCW(1), DefaultConfig(), n, f); err != nil {
+	if _, err := WriteTrace(&buf, TPCW(1), DefaultConfig(), n); err != nil {
 		b.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// benchTraceDecode measures pure decode throughput: a pre-encoded
-// trace pulled through ReadBatch into the engine's 4096-inst batch
-// buffer, exactly the shape RunTrace uses. The legacy codec allocates
-// per instruction (~200k allocs here); the columnar codec decodes the
-// same stream in O(blocks) allocations.
-func benchTraceDecode(b *testing.B, f TraceFormat) {
-	const n = 200_000
-	enc := encodedBenchTrace(b, n, f)
+	enc := buf.Bytes()
 	batch := make([]isa.Inst, 4096)
 	b.SetBytes(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := trace.NewAutoReader(bytes.NewReader(enc))
+		src, err := colv1.NewReader(bytes.NewReader(enc))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,25 +373,19 @@ func benchTraceDecode(b *testing.B, f TraceFormat) {
 	}
 }
 
-func BenchmarkTraceDecodeLegacy(b *testing.B)   { benchTraceDecode(b, TraceLegacy) }
-func BenchmarkTraceDecodeColumnar(b *testing.B) { benchTraceDecode(b, TraceColumnar) }
-
-// benchTraceEncode measures generation + encoding into a discarding
-// writer, the tracegen hot path.
-func benchTraceEncode(b *testing.B, f TraceFormat) {
+// BenchmarkTraceEncodeColumnar measures generation + encoding into a
+// discarding writer, the tracegen hot path.
+func BenchmarkTraceEncodeColumnar(b *testing.B) {
 	const n = 200_000
 	b.SetBytes(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var sink countWriter
-		if _, err := WriteTraceFormat(&sink, TPCW(1), DefaultConfig(), n, f); err != nil {
+		if _, err := WriteTrace(&sink, TPCW(1), DefaultConfig(), n); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkTraceEncodeLegacy(b *testing.B)   { benchTraceEncode(b, TraceLegacy) }
-func BenchmarkTraceEncodeColumnar(b *testing.B) { benchTraceEncode(b, TraceColumnar) }
 
 type countWriter struct{ n int64 }
 

@@ -20,6 +20,7 @@ import (
 	"storemlp/internal/consistency"
 	"storemlp/internal/isa"
 	"storemlp/internal/trace"
+	"storemlp/internal/trace/colv1"
 )
 
 func main() {
@@ -48,12 +49,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	// Either trace format, autodetected by magic bytes; the output (if
-	// any) stays in the legacy format, matching the detector's
-	// streaming one-pass shape.
-	reader, err := trace.NewAutoReader(f)
+	// One streaming pass: detection, rewrite and the optional output
+	// trace all consume the input as it decodes.
+	reader, err := colv1.NewReader(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("reading %s: %w", *in, err)
 	}
 
 	var src trace.Source = consistency.DetectLocks(reader)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"storemlp"
+	"storemlp/internal/trace/colv1"
 )
 
 // writeTestTrace produces a PC trace with locks for the tool to find.
@@ -106,5 +109,29 @@ func TestLockdetectErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", junk}, &out); err == nil {
 		t.Error("junk input should error")
+	}
+}
+
+// TestLegacyTraceRejected: a trace in the removed record-at-a-time
+// format fails with the same removal error, naming the remedy, from
+// every entry point that opens traces — the streaming reader
+// (RunTrace), the mapped file (RunTraceFile) and lockdetect -in.
+func TestLegacyTraceRejected(t *testing.T) {
+	legacy := []byte("SMLT\x01\x00\x00\x00\x08\x00\x00\x00\x02\x00")
+	path := filepath.Join(t.TempDir(), "legacy.trace")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, traceErr := storemlp.RunTrace(bytes.NewReader(legacy), storemlp.DefaultConfig(), 0)
+	_, fileErr := storemlp.RunTraceFile(path, storemlp.DefaultConfig(), 0)
+	var out strings.Builder
+	for name, err := range map[string]error{
+		"RunTrace":       traceErr,
+		"RunTraceFile":   fileErr,
+		"lockdetect -in": run([]string{"-in", path}, &out),
+	} {
+		if !errors.Is(err, colv1.ErrBadMagic) || !strings.Contains(err.Error(), "regenerate the trace with tracegen") {
+			t.Errorf("%s: err = %v, want the legacy-format-removed error", name, err)
+		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"storemlp/internal/isa"
-	"storemlp/internal/trace"
+	"storemlp/internal/trace/colv1"
 )
 
-// reparse reads a rewritten trace back through the binary codec,
+// reparse reads a rewritten trace back through the trace codec,
 // failing the test on any decode error, and returns the count of
 // instructions without lock flags plus the total.
 func reparse(t *testing.T, path string) (nonLock, total int64) {
@@ -20,7 +20,7 @@ func reparse(t *testing.T, path string) (nonLock, total int64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := trace.NewReader(f)
+	tr, err := colv1.NewReader(f)
 	if err != nil {
 		t.Fatalf("%s does not re-parse: %v", filepath.Base(path), err)
 	}

@@ -50,8 +50,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("mlpsim", flag.ContinueOnError)
 	var (
 		workloadName = fs.String("workload", "database", "workload: database, tpcw, specjbb, specweb")
-		traceFile    = fs.String("trace", "", "run a binary trace file instead of a generator")
-		insts        = fs.Int64("insts", 2_000_000, "measured instructions")
+		traceFile    = fs.String("trace", "", "run a trace file written by tracegen instead of a generator")
+		insts        = fs.Int64("insts", 2_000_000, "measured instructions (generator runs; a trace is measured to its end)")
 		warm         = fs.Int64("warm", 1_000_000, "cache warmup instructions (excluded from stats)")
 		seed         = fs.Int64("seed", 1, "workload generator seed")
 		model        = fs.String("model", "pc", "memory consistency model: pc (TSO) or wc (PowerPC)")
@@ -75,6 +75,21 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *traceFile != "" {
+		// A trace fixes the stream and its length; the generator flags
+		// would be silently ignored.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "insts", "workload", "seed":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("%s cannot be combined with -trace: the trace fixes the stream (set its length with tracegen -n)",
+				strings.Join(ignored, ", "))
+		}
 	}
 
 	if *progress {
@@ -134,9 +149,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var wk storemlp.Workload
 	haveWorkload := false
 	if *traceFile != "" {
-		// Format is autodetected from the magic bytes; columnar traces
-		// run through the mmap-backed random-access reader, so even
-		// huge traces are paged in block by block.
+		// The trace runs through the mmap-backed random-access reader,
+		// so even huge traces are paged in block by block; every
+		// instruction after the warmup is measured.
 		var err error
 		stats, err = storemlp.RunTraceFileContext(ctx, *traceFile, cfg, *warm)
 		if err != nil {

@@ -46,7 +46,6 @@ func TestRunErrors(t *testing.T) {
 		{"-prefetch", "9"},
 		{"-hws", "7"},
 		{"-workload", "nope"},
-		{"-trace", "/does/not/exist"},
 		{"-sle", "-tm"}, // mutually exclusive
 	}
 	for _, args := range cases {
@@ -74,6 +73,45 @@ func TestRunFromTraceFile(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "EPI") {
 		t.Errorf("trace run output:\n%s", out.String())
+	}
+}
+
+// TestRunTraceRejectsGeneratorFlags: -insts, -workload and -seed
+// configure the generator, which a -trace run does not use; setting any
+// of them alongside -trace is an error instead of being dropped (the
+// run would otherwise measure the whole trace after -warm, not -insts).
+func TestRunTraceRejectsGeneratorFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := storemlp.WriteTrace(f, storemlp.TPCW(1), storemlp.DefaultConfig(), 30_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		args []string
+		want string // substring of the error; "" means the run succeeds
+	}{
+		{[]string{"-trace", path, "-warm", "10000"}, ""},
+		{[]string{"-trace", path, "-insts", "5000", "-warm", "10000"}, "tracegen -n"},
+		{[]string{"-trace", path, "-workload", "tpcw"}, "-workload cannot be combined with -trace"},
+		{[]string{"-trace", path, "-seed", "1"}, "-seed cannot be combined with -trace"},
+		{[]string{"-seed", "2", "-trace", path, "-insts", "5000"}, "-insts, -seed cannot"},
+		{[]string{"-trace", filepath.Join(t.TempDir(), "missing.trace")}, "running trace"},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		err := run(context.Background(), c.args, &out)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.want)
+		}
 	}
 }
 

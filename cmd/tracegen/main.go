@@ -3,16 +3,13 @@
 // simulator trace capture. Traces are emitted for the TSO (PC) model by
 // default; -wc applies the lock-idiom rewrite and -sle elides locks.
 //
-// Traces are written in the columnar block format by default (-format
-// columnar); -format legacy emits the original record-at-a-time
-// encoding, and -convert rewrites an existing trace of either format
-// into the selected one without regenerating it.
+// Traces are written in the columnar block format, the one format
+// mlpsim -trace, lockdetect and the trace API read.
 //
 // Example:
 //
 //	tracegen -workload database -n 10000000 -o database.trace
 //	tracegen -workload specjbb -wc -o specjbb-wc.trace
-//	tracegen -convert old-legacy.trace -o fast.trace
 package main
 
 import (
@@ -41,40 +38,12 @@ func run(args []string, stdout io.Writer) error {
 		seed         = fs.Int64("seed", 1, "generator seed")
 		wc           = fs.Bool("wc", false, "rewrite lock idioms for weak consistency (PowerPC)")
 		sle          = fs.Bool("sle", false, "apply speculative lock elision")
-		formatName   = fs.String("format", "columnar", "output trace format: columnar or legacy")
-		convert      = fs.String("convert", "", "re-encode this existing trace instead of generating (format autodetected)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("-o output file is required")
-	}
-	format, err := storemlp.ParseTraceFormat(*formatName)
-	if err != nil {
-		return err
-	}
-
-	if *convert != "" {
-		in, err := os.Open(*convert)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		converted, err := storemlp.ConvertTrace(f, in, format)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "converted %d instructions (format=%s) from %s to %s\n",
-			converted, format, *convert, *out)
-		return nil
 	}
 
 	w, err := storemlp.WorkloadByName(strings.ToLower(*workloadName), *seed)
@@ -91,14 +60,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	written, err := storemlp.WriteTraceFormat(f, w, cfg, *n, format)
+	written, err := storemlp.WriteTrace(f, w, cfg, *n)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "wrote %d instructions (%s, model=%s, sle=%v, format=%s) to %s\n",
-		written, w.Name, cfg.Model, *sle, format, *out)
+	fmt.Fprintf(stdout, "wrote %d instructions (%s, model=%s, sle=%v) to %s\n",
+		written, w.Name, cfg.Model, *sle, *out)
 	return nil
 }

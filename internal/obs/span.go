@@ -45,8 +45,9 @@ const (
 	StageCoalesceWait
 	// StagePoolWait covers waiting for a worker slot.
 	StagePoolWait
-	// StageSimulate covers one engine execution. The engine-detail
-	// spans of that execution nest under it.
+	// StageSimulate covers one engine execution, from configuring the
+	// engine and building its instruction source to the folded stats.
+	// The engine-detail spans of that execution nest under it.
 	StageSimulate
 	// StageRender covers response encoding.
 	StageRender

@@ -33,11 +33,11 @@ const (
 )
 
 // encodeTrace writes n instructions of w, generated under the default
-// machine, in format f.
-func encodeTrace(t testing.TB, w workload.Params, n int64, f trace.Format) []byte {
+// machine, as a trace.
+func encodeTrace(t testing.TB, w workload.Params, n int64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := trace.WriteAllFormat(&buf, BuildSource(w, uarch.Default(), n), f); err != nil {
+	if _, err := trace.WriteAll(&buf, BuildSource(w, uarch.Default(), n)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -53,10 +53,10 @@ func bytesReader(t testing.TB, data []byte) *colv1.Reader {
 	return r
 }
 
-// streamReader opens a sequential reader over data, either format.
-func streamReader(t testing.TB, data []byte) trace.FileSource {
+// streamReader opens a sequential reader over data.
+func streamReader(t testing.TB, data []byte) *colv1.Reader {
 	t.Helper()
-	r, err := trace.NewAutoReader(bytes.NewReader(data))
+	r, err := colv1.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,27 +103,22 @@ func (w *watchedSource) Err() error {
 }
 
 // TestDecodeAheadExact: for the four paper workloads under the three
-// replay settings, in both trace formats through the streaming and the
-// file (mmap for columnar) backends, the pipelined run returns the
-// inline run's statistics field for field, and every backend agrees.
+// replay settings, through the streaming and the mmap file backends,
+// the pipelined run returns the inline run's statistics field for
+// field, and both backends agree.
 func TestDecodeAheadExact(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPool()
 	for _, w := range workload.All(1) {
-		leg := encodeTrace(t, w, aheadInsts+aheadWarm, trace.FormatLegacy)
-		col := encodeTrace(t, w, aheadInsts+aheadWarm, trace.FormatColumnar)
-		legPath, colPath := filepath.Join(dir, w.Name+".legacy"), filepath.Join(dir, w.Name+".columnar")
-		for path, data := range map[string][]byte{legPath: leg, colPath: col} {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		col := encodeTrace(t, w, aheadInsts+aheadWarm)
+		colPath := filepath.Join(dir, w.Name+".columnar")
+		if err := os.WriteFile(colPath, col, 0o644); err != nil {
+			t.Fatal(err)
 		}
 		backends := []struct {
 			name string
 			open func() (trace.FileSource, func())
 		}{
-			{"legacy/stream", func() (trace.FileSource, func()) { return streamReader(t, leg), func() {} }},
-			{"legacy/file", func() (trace.FileSource, func()) { return openFile(t, legPath) }},
 			{"columnar/stream", func() (trace.FileSource, func()) { return streamReader(t, col), func() {} }},
 			{"columnar/mmap", func() (trace.FileSource, func()) { return openFile(t, colPath) }},
 		}
@@ -171,7 +166,7 @@ func openFile(t *testing.T, path string) (trace.FileSource, func()) {
 // and no statistics, and none touches its source after returning. The
 // pool's engine and pipeline then serve an exact run.
 func TestDecodeAheadCancel(t *testing.T) {
-	data := encodeTrace(t, workload.TPCW(1), aheadInsts+aheadWarm, trace.FormatColumnar)
+	data := encodeTrace(t, workload.TPCW(1), aheadInsts+aheadWarm)
 	cfg := uarch.Default()
 	want, err := NewPool().runTrace(context.Background(), bytesReader(t, data), cfg, aheadWarm, false)
 	if err != nil {
@@ -246,12 +241,11 @@ func blockOffset(t *testing.T, data []byte, k int) int {
 // surfaces the decoder's error and no statistics, pipelined or not; a
 // nil source is an error, not a crash on the producer goroutine.
 func TestDecodeAheadDecodeErrors(t *testing.T) {
-	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm, trace.FormatColumnar)
+	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm)
 	truncated := data[:blockOffset(t, data, 5)]
 	corrupt := bytes.Clone(data)
 	// A block claiming zero instructions is a structural violation.
 	binary.LittleEndian.PutUint32(corrupt[blockOffset(t, data, 5)+4:], 0)
-	legacy := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm, trace.FormatLegacy)
 
 	cases := []struct {
 		name string
@@ -261,7 +255,6 @@ func TestDecodeAheadDecodeErrors(t *testing.T) {
 		{"columnar truncated/stream", func() trace.FileSource { return streamReader(t, truncated) }, colv1.ErrTruncated},
 		{"columnar corrupt/stream", func() trace.FileSource { return streamReader(t, corrupt) }, colv1.ErrCorrupt},
 		{"columnar corrupt/random access", func() trace.FileSource { return bytesReader(t, corrupt) }, colv1.ErrCorrupt},
-		{"legacy truncated/stream", func() trace.FileSource { return streamReader(t, legacy[:len(legacy)/2]) }, nil},
 	}
 	for _, ahead := range []bool{false, true} {
 		if st, err := NewPool().runTrace(context.Background(), nil, uarch.Default(), 0, ahead); err == nil || st != nil {
@@ -277,7 +270,7 @@ func TestDecodeAheadDecodeErrors(t *testing.T) {
 				t.Errorf("%s ahead=%v: got (%v, %v), want a decode error", c.name, ahead, st, err)
 				continue
 			}
-			if c.want != nil && !errors.Is(err, c.want) {
+			if !errors.Is(err, c.want) {
 				t.Errorf("%s ahead=%v: err = %v, want %v", c.name, ahead, err, c.want)
 			}
 		}
@@ -287,7 +280,7 @@ func TestDecodeAheadDecodeErrors(t *testing.T) {
 // TestDecodeAheadNoLeak: after 100 mixed complete, cancelled and
 // corrupt pipelined runs, the goroutine count returns to its baseline.
 func TestDecodeAheadNoLeak(t *testing.T) {
-	data := encodeTrace(t, workload.SPECjbb(1), 20_000, trace.FormatColumnar)
+	data := encodeTrace(t, workload.SPECjbb(1), 20_000)
 	corrupt := bytes.Clone(data)
 	binary.LittleEndian.PutUint32(corrupt[blockOffset(t, data, 2)+4:], 0)
 	p := NewPool()
@@ -329,7 +322,7 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 // and decoding ahead adds nothing — the buffers, channels and the
 // producer's bound method are reused across runs.
 func TestDecodeAheadAllocs(t *testing.T) {
-	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm, trace.FormatColumnar)
+	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm)
 	r := bytesReader(t, data)
 	cfg := uarch.Default()
 	p := NewPool()
@@ -362,7 +355,7 @@ func TestDecodeAheadAllocs(t *testing.T) {
 // unknown and both stay 0.
 func TestDecodeAheadProgressTotal(t *testing.T) {
 	const total = aheadInsts + aheadWarm
-	data := encodeTrace(t, workload.SPECweb(1), total, trace.FormatColumnar)
+	data := encodeTrace(t, workload.SPECweb(1), total)
 	cases := []struct {
 		name      string
 		src       func() trace.FileSource
@@ -411,7 +404,7 @@ func TestDecodeAheadProgressTotal(t *testing.T) {
 // cap.
 func TestDecodeAheadSpan(t *testing.T) {
 	const total = aheadInsts + aheadWarm
-	data := encodeTrace(t, workload.TPCW(1), total, trace.FormatColumnar)
+	data := encodeTrace(t, workload.TPCW(1), total)
 	details := 0 // engine-detail spans of the uncapped pipelined run
 	for _, ahead := range []bool{false, true} {
 		rt := obs.NewReqTrace("decode", 512, 384)
@@ -481,7 +474,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 // goroutine otherwise; the statistics match.
 func TestDecodeAheadOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	data := encodeTrace(t, workload.Database(2), aheadInsts+aheadWarm, trace.FormatColumnar)
+	data := encodeTrace(t, workload.Database(2), aheadInsts+aheadWarm)
 	p := NewPool()
 	var stats [2]*epoch.Stats
 	for i, procs := range []int{1, 2} {
@@ -517,7 +510,7 @@ func BenchmarkDecodeAhead(b *testing.B) {
 	const warm, total = 500_000, 1_500_000
 	cfg := uarch.Default()
 	for _, w := range workload.All(1) {
-		data := encodeTrace(b, w, total, trace.FormatColumnar)
+		data := encodeTrace(b, w, total)
 		modes := []struct {
 			name string
 			run  func(p *Pool, r *colv1.Reader) (*epoch.Stats, error)

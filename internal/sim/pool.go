@@ -90,11 +90,13 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 	// behind, but the next Reconfigure discards it, so the engine goes
 	// back to the pool on every path.
 	defer p.put(e)
-	if err := e.Reconfigure(cfg, opts...); err != nil {
-		return nil, err
+	setup := func() (trace.Source, error) {
+		if err := e.Reconfigure(cfg, opts...); err != nil {
+			return nil, err
+		}
+		return BuildSource(s.Workload, cfg, s.Warm+s.Insts), nil
 	}
-	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	st, err := simulate(ctx, e, src, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	st, err := simulate(ctx, e, setup, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +128,6 @@ func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Con
 	cfg.WarmInsts = warm
 	e := p.get()
 	defer p.put(e)
-	if err := e.Reconfigure(cfg); err != nil {
-		return nil, err
-	}
 	var d *decodeAhead
 	if ahead {
 		d = p.getAhead()
@@ -140,7 +139,13 @@ func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Con
 	if n := src.SizeHint(); n >= 0 {
 		total, measured = n, max(n-warm, 0)
 	}
-	st, err := simulate(ctx, e, src, d, func() string { return "trace " + cfg.Name() }, total, measured)
+	setup := func() (trace.Source, error) {
+		if err := e.Reconfigure(cfg); err != nil {
+			return nil, err
+		}
+		return src, nil
+	}
+	st, err := simulate(ctx, e, setup, d, func() string { return "trace " + cfg.Name() }, total, measured)
 	if err != nil {
 		return nil, err
 	}

@@ -107,12 +107,14 @@ func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		return nil, err
 	}
 	cfg, opts := prepare(s)
-	eng, err := epoch.New(cfg, opts...)
-	if err != nil {
-		return nil, err
+	eng := new(epoch.Engine)
+	setup := func() (trace.Source, error) {
+		if err := eng.Reconfigure(cfg, opts...); err != nil {
+			return nil, err
+		}
+		return BuildSource(s.Workload, cfg, s.Warm+s.Insts), nil
 	}
-	src := BuildSource(s.Workload, cfg, s.Warm+s.Insts)
-	return simulate(ctx, eng, src, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	return simulate(ctx, eng, setup, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 }
 
 // runLabel names a run the way the paper labels bars: workload plus
@@ -121,19 +123,25 @@ func runLabel(s Spec) string {
 	return s.Workload.Name + " " + s.Uarch.Name()
 }
 
-// simulate runs eng over src as one observed engine execution. It opens
-// the run's simulate span (recording arg) under the request span ctx
-// carries and attaches it to the engine as the parent of the engine's
+// simulate runs eng over the source setup returns as one observed
+// engine execution. It opens the run's simulate span (recording arg)
+// under the request span ctx carries before calling setup, so the span
+// covers configuring the engine and building its source as well as the
+// run, and attaches it to the engine as the parent of the engine's
 // detail spans when the trace records them; it registers a progress
 // entry planning total instructions on ctx's board, labelled by label
 // (called only when a board is watching: labels allocate). Both sinks
-// are detached before returning. A non-nil ahead decodes src one batch
-// ahead of the engine and records its decode span under the simulate
-// span; its producer is joined before simulate returns.
-func simulate(ctx context.Context, eng *epoch.Engine, src trace.Source, ahead *decodeAhead, label func() string, total, arg int64) (*epoch.Stats, error) {
+// are detached before returning. A non-nil ahead decodes the source one
+// batch ahead of the engine and records its decode span under the
+// simulate span; its producer is joined before simulate returns.
+func simulate(ctx context.Context, eng *epoch.Engine, setup func() (trace.Source, error), ahead *decodeAhead, label func() string, total, arg int64) (*epoch.Stats, error) {
 	rt, parent := obs.SpanFrom(ctx)
 	sp := rt.StartSpan(obs.StageSimulate, parent)
 	defer rt.EndSpan(sp, arg)
+	src, err := setup()
+	if err != nil {
+		return nil, err
+	}
 	detail := rt
 	if sp == obs.NoSpan || !rt.Detailed() {
 		detail = nil

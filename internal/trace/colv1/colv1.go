@@ -45,13 +45,19 @@
 // index relies on.
 package colv1
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 const (
 	// Magic identifies a columnar trace file; it is the first four
-	// bytes of the stream (the legacy record-at-a-time format uses
-	// "SMLT", so the two are distinguishable by their magic alone).
+	// bytes of the stream and the only trace magic a reader accepts.
 	Magic = "SMLC"
+	// legacyMagic began traces in the removed record-at-a-time
+	// format; a reader that meets it says how to replace the file
+	// instead of calling it garbage.
+	legacyMagic = "SMLT"
 	// trailerMagic terminates the file so a random-access reader can
 	// locate the footer without scanning.
 	trailerMagic = "SMLX"
@@ -91,6 +97,8 @@ func maxPayload(blockLen int) int {
 var (
 	// ErrBadMagic means the input does not start with "SMLC".
 	ErrBadMagic = errors.New("colv1: bad magic (not a columnar trace)")
+	// errLegacy is the ErrBadMagic a legacy "SMLT" trace gets.
+	errLegacy = fmt.Errorf("%w: the legacy record-at-a-time format was removed; regenerate the trace with tracegen", ErrBadMagic)
 	// ErrBadVersion means the version field is unsupported.
 	ErrBadVersion = errors.New("colv1: unsupported format version")
 	// ErrTruncated means the stream ended before the footer and
@@ -102,6 +110,23 @@ var (
 	// disagrees with the blocks it indexes.
 	ErrCorrupt = errors.New("colv1: corrupt trace")
 )
+
+// checkMagic validates the magic at the start of b. Input too short to
+// hold a magic passes, so the caller's length check reports it as
+// truncated.
+func checkMagic(b []byte) error {
+	if len(b) < len(Magic) {
+		return nil
+	}
+	switch string(b[:len(Magic)]) {
+	case Magic:
+		return nil
+	case legacyMagic:
+		return errLegacy
+	default:
+		return ErrBadMagic
+	}
+}
 
 // blockIndexEnt is one footer seek-index entry: the file offset of a
 // block's payloadLen field and the stream-wide index of its first

@@ -12,8 +12,7 @@ import (
 
 // Reader decodes a columnar trace. It implements the trace package's
 // Source, BatchSource and Sized contracts (structurally — this package
-// only imports isa), so it drops into every consumer of the legacy
-// codec unchanged.
+// only imports isa), so every trace consumer reads it directly.
 //
 // A Reader has one of two backends:
 //
@@ -65,7 +64,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	cr := &Reader{br: br, total: -1, streamOff: headerSize}
 	hdr := cr.scratch[:headerSize]
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if n, err := io.ReadFull(br, hdr); err != nil {
+		if merr := checkMagic(hdr[:n]); merr != nil {
+			return nil, merr
+		}
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: short header", ErrTruncated)
 		}
@@ -82,6 +84,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 // are validated eagerly; block payloads are referenced in place and
 // only touched when decoded.
 func NewBytesReader(data []byte) (*Reader, error) {
+	if err := checkMagic(data); err != nil {
+		return nil, err
+	}
 	if len(data) < headerSize+16+trailerSize {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than an empty trace", ErrTruncated, len(data))
 	}
@@ -96,8 +101,8 @@ func NewBytesReader(data []byte) (*Reader, error) {
 }
 
 func (cr *Reader) parseHeader(hdr []byte) error {
-	if string(hdr[:4]) != Magic {
-		return ErrBadMagic
+	if err := checkMagic(hdr); err != nil {
+		return err
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)

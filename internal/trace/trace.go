@@ -1,6 +1,7 @@
 // Package trace provides the dynamic instruction stream abstraction the
-// epoch MLP engine consumes, plus a binary on-disk trace format and
-// stream transforms (limit, concat, replay, statistics).
+// epoch MLP engine consumes, reading and writing trace files in the
+// columnar format of internal/trace/colv1, and stream transforms
+// (limit, concat, replay, statistics).
 //
 // The paper's MLPsim "reads in an instruction trace and a set of
 // microarchitecture parameters as inputs"; Source is that trace input.

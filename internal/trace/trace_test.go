@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"storemlp/internal/isa"
+	"storemlp/internal/trace/colv1"
 )
 
 func mkInst(i int) isa.Inst {
@@ -100,9 +103,12 @@ func TestMap(t *testing.T) {
 	}
 }
 
+// The codec tests below drive the one on-disk format through this
+// package's write path: WriteAll in, colv1's streaming reader out.
+
 func TestCodecRoundTrip(t *testing.T) {
 	var insts []isa.Inst
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < 5000; i++ { // one full block and a partial one
 		insts = append(insts, mkInst(i))
 	}
 	var buf bytes.Buffer
@@ -110,10 +116,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteAll: %v", err)
 	}
-	if n != 1000 {
-		t.Fatalf("wrote %d, want 1000", n)
+	if n != 5000 {
+		t.Fatalf("wrote %d, want 5000", n)
 	}
-	r, err := NewReader(&buf)
+	r, err := colv1.NewReader(&buf)
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
@@ -126,9 +132,20 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecBadMagic: both backends reject a foreign magic, and reject
+// a legacy trace with the error that names the remedy.
 func TestCodecBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewBufferString("NOPE....")); err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
+	garbage := []byte("NOPE" + strings.Repeat(".", 60))
+	for name, open := range map[string]func([]byte) error{
+		"stream": func(b []byte) error { _, err := colv1.NewReader(bytes.NewReader(b)); return err },
+		"bytes":  func(b []byte) error { _, err := colv1.NewBytesReader(b); return err },
+	} {
+		if err := open(garbage); !errors.Is(err, colv1.ErrBadMagic) || isLegacyErr(err) {
+			t.Errorf("%s: garbage err = %v, want plain ErrBadMagic", name, err)
+		}
+		if err := open(legacyTrace); !isLegacyErr(err) {
+			t.Errorf("%s: legacy err = %v, want the legacy-format-removed error", name, err)
+		}
 	}
 }
 
@@ -137,43 +154,32 @@ func TestCodecTruncated(t *testing.T) {
 	if _, err := WriteAll(&buf, NewSlice([]isa.Inst{mkInst(0), mkInst(1)})); err != nil {
 		t.Fatal(err)
 	}
-	// Chop mid-record: header is 4 (magic) + 2 (version,count) bytes.
+	// Chop into the trailer: the block decodes, the footer is missing.
 	trunc := buf.Bytes()[:buf.Len()-3]
-	r, err := NewReader(bytes.NewReader(trunc))
+	r, err := colv1.NewReader(bytes.NewReader(trunc))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	got := Collect(r)
-	if got.Len() != 1 {
-		t.Errorf("truncated trace yielded %d records, want 1", got.Len())
-	}
-	if r.Err() == nil {
-		t.Error("expected decode error on truncated record")
+	Collect(r)
+	if !errors.Is(r.Err(), colv1.ErrTruncated) && !errors.Is(r.Err(), colv1.ErrCorrupt) {
+		t.Errorf("truncated trace: err = %v, want ErrTruncated or ErrCorrupt", r.Err())
 	}
 }
 
 func TestCodecInvalidOpcode(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 0)
-	if err != nil {
+	if _, err := WriteAll(&buf, NewSlice([]isa.Inst{{Op: isa.Op(200)}})); err != nil {
 		t.Fatal(err)
 	}
-	bad := isa.Inst{Op: isa.Op(200)}
-	if err := w.Write(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := colv1.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.Next(); ok {
 		t.Error("invalid opcode should end the stream")
 	}
-	if r.Err() == nil {
-		t.Error("expected invalid-opcode error")
+	if !errors.Is(r.Err(), colv1.ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", r.Err())
 	}
 }
 
@@ -205,7 +211,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if _, err := WriteAll(&buf, NewSlice(insts)); err != nil {
 			return false
 		}
-		r, err := NewReader(&buf)
+		r, err := colv1.NewReader(&buf)
 		if err != nil {
 			return false
 		}

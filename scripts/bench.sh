@@ -3,7 +3,7 @@
 #
 #  1. Engine microbenchmarks: BenchmarkEngine + BenchmarkEngineTraced +
 #     BenchmarkEngineReplay + BenchmarkEngineTraceDriven +
-#     BenchmarkTraceDecode{Legacy,Columnar} + BenchmarkStatsMerge via
+#     BenchmarkTraceDecodeColumnar + BenchmarkStatsMerge via
 #     `go test -bench`, best-of-N, written to
 #     BENCH_engine.json in the repo root. The engine section carries the
 #     delta against the committed pre-optimization baseline, the
@@ -11,9 +11,8 @@
 #     pre-materialized trace (replay: no generator, no decode), and the
 #     trace-driven vs synthetic-generator ratio, the Stats merge cost
 #     and the host CPU count (num_cpu); the trace_codec
-#     section measures the legacy decoder as the baseline and the
-#     columnar decoder as current, so the speedup is between real
-#     codecs, not a stale constant (BENCH_COUNT overrides N, default 3).
+#     section measures the columnar decoder against the removed legacy
+#     decoder's recorded cost (BENCH_COUNT overrides N, default 3).
 #  2. Serving-layer benchmark: start a local mlpsimd, replay the
 #     repeated Figure-2-style 64-point grid with mlpload, and write the
 #     measurements (cold vs warm throughput, tail latencies, speedup)
@@ -41,7 +40,7 @@ trap bench_cleanup EXIT
 
 echo '>> engine microbenchmarks (best of '"${BENCH_COUNT:-3}"')'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeLegacy|BenchmarkTraceDecodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar)$' \
     -benchmem -count "${BENCH_COUNT:-3}" . | tee "$tmpdir/bench.out"
 
 NUM_CPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)

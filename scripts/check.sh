@@ -106,7 +106,7 @@ go test -race -short -cpu 1,2,4 \
 
 echo '>> benchmark smoke (1 iteration) + benchdiff report'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeLegacy|BenchmarkTraceDecodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar)$' \
     -benchtime 1x -benchmem . | tee "$tmpdir/smokebench.out"
 # Shape the 1-iteration numbers with the shared awk and diff them
 # against the committed baseline. Report mode only: single-iteration
@@ -117,26 +117,26 @@ go build -o "$tmpdir/benchdiff" ./cmd/benchdiff
 awk -f scripts/engine_bench_json.awk "$tmpdir/smokebench.out" >"$tmpdir/BENCH_engine_smoke.json"
 "$tmpdir/benchdiff" -mode report -slack 3 BENCH_engine.json "$tmpdir/BENCH_engine_smoke.json"
 
-echo '>> trace format smoke (legacy vs columnar)'
-# The two on-disk codecs must be interchangeable: converting a legacy
-# trace must reproduce the direct columnar encoding byte for byte, and
-# mlpsim must report identical statistics from either file.
+echo '>> trace smoke (trace vs generator)'
+# Writing a generated stream to a trace must not alter it: mlpsim on the
+# trace must print the direct synthetic run's statistics byte for byte.
+# One node, because trace runs never attach coherence traffic.
 go build -o "$tmpdir/tracegen" ./cmd/tracegen
 go build -o "$tmpdir/mlpsim" ./cmd/mlpsim
-"$tmpdir/tracegen" -workload tpcw -n 30000 -format legacy -o "$tmpdir/smoke-legacy.trace"
-"$tmpdir/tracegen" -workload tpcw -n 30000 -format columnar -o "$tmpdir/smoke-columnar.trace"
-"$tmpdir/tracegen" -convert "$tmpdir/smoke-legacy.trace" -format columnar -o "$tmpdir/smoke-converted.trace"
-cmp "$tmpdir/smoke-columnar.trace" "$tmpdir/smoke-converted.trace" || {
-    echo 'legacy->columnar conversion differs from direct columnar generation'
-    exit 1
+# trace_smoke WORKLOAD TRACEGEN_FLAGS MLPSIM_FLAGS (flags word-split on purpose)
+trace_smoke() {
+    "$tmpdir/tracegen" -workload "$1" -n 30000 $2 -o "$tmpdir/smoke-$1.trace" >/dev/null
+    "$tmpdir/mlpsim" -trace "$tmpdir/smoke-$1.trace" -warm 10000 -nodes 1 $3 -v >"$tmpdir/$1-trace.stats"
+    "$tmpdir/mlpsim" -workload "$1" -insts 20000 -warm 10000 -nodes 1 $3 -v >"$tmpdir/$1-synthetic.stats"
+    diff "$tmpdir/$1-trace.stats" "$tmpdir/$1-synthetic.stats" || {
+        echo "mlpsim statistics diverge between the $1 trace and its generator"
+        exit 1
+    }
 }
-"$tmpdir/mlpsim" -trace "$tmpdir/smoke-legacy.trace" -warm 10000 -v >"$tmpdir/legacy.stats"
-"$tmpdir/mlpsim" -trace "$tmpdir/smoke-columnar.trace" -warm 10000 -v >"$tmpdir/columnar.stats"
-diff "$tmpdir/legacy.stats" "$tmpdir/columnar.stats" || {
-    echo 'mlpsim statistics diverge between trace formats'
-    exit 1
-}
-echo 'trace formats: OK (byte-identical conversion, identical statistics)'
+trace_smoke tpcw '' ''
+trace_smoke specjbb -wc '-model wc'
+trace_smoke specweb -sle -sle
+echo 'trace vs generator: OK (identical statistics for PC, WC and SLE)'
 
 echo '>> mlpsimd smoke test (with observability checks)'
 go build -o "$tmpdir/mlpsimd" ./cmd/mlpsimd

@@ -11,21 +11,24 @@
 BEGIN {
     # Pre-optimization engine baseline (map-based epoch records,
     # per-inst Next() trace pull), measured on the same 500k-instruction
-    # benchmark. The trace codec needs no pinned constant: the legacy
-    # decoder still exists and is measured live.
+    # benchmark.
     if (eng_base_ns == 0) eng_base_ns = 80420000
     if (eng_base_allocs == 0) eng_base_allocs = 10349
+    # The removed legacy record-at-a-time trace decoder on the same
+    # 200k-instruction decode benchmark, as last measured before its
+    # removal; the columnar decoder is measured live against it.
+    leg_ns = 10977207
+    leg_allocs = 200007
     if (num_cpu == 0) num_cpu = 1
 }
 $1 ~ /^BenchmarkEngine(-[0-9]+)?$/                { if (eng_ns == 0 || $3 < eng_ns) { eng_ns = $3; eng_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkEngineTraced(-[0-9]+)?$/          { if (trc_ns == 0 || $3 < trc_ns) { trc_ns = $3; trc_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_ns) { rep_ns = $3; rep_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkTraceDecodeLegacy(-[0-9]+)?$/     { if (leg_ns == 0 || $3 < leg_ns) { leg_ns = $3; leg_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkStatsMerge(-[0-9]+)?$/            { if (mrg_ns == 0 || $3 < mrg_ns) { mrg_ns = $3 } }
 END {
-    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || leg_ns == 0 || col_ns == 0 || mrg_ns == 0) {
+    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || mrg_ns == 0) {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000

@@ -42,6 +42,7 @@ import (
 	"storemlp/internal/onchip"
 	"storemlp/internal/sim"
 	"storemlp/internal/trace"
+	"storemlp/internal/trace/colv1"
 	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
@@ -162,33 +163,10 @@ func ConfigDigest(s RunSpec) string {
 	})
 }
 
-// TraceFormat selects an on-disk trace encoding for WriteTraceFormat
-// and ConvertTrace.
-type TraceFormat = trace.Format
-
-// Trace formats: the legacy record-at-a-time varint codec and the
-// columnar block codec (delta/varint columns, run-length kinds, seek
-// index, O(blocks) decode allocations). Readers autodetect either by
-// magic bytes; the columnar format is what tracegen emits by default.
-const (
-	TraceLegacy   = trace.FormatLegacy
-	TraceColumnar = trace.FormatColumnar
-)
-
-// ParseTraceFormat resolves "legacy" or "columnar".
-func ParseTraceFormat(s string) (TraceFormat, error) { return trace.ParseFormat(s) }
-
 // WriteTrace generates n instructions of the workload — transformed for
-// the configuration's consistency model and SLE setting — into w using
-// the legacy binary trace format. It returns the number of records
-// written. New traces should prefer WriteTraceFormat with
-// TraceColumnar.
+// the configuration's consistency model and SLE setting — into w as a
+// columnar trace. It returns the number of instructions written.
 func WriteTrace(w io.Writer, wk Workload, cfg Config, n int64) (int64, error) {
-	return WriteTraceFormat(w, wk, cfg, n, TraceLegacy)
-}
-
-// WriteTraceFormat is WriteTrace with an explicit on-disk format.
-func WriteTraceFormat(w io.Writer, wk Workload, cfg Config, n int64, f TraceFormat) (int64, error) {
 	if err := wk.Validate(); err != nil {
 		return 0, err
 	}
@@ -198,20 +176,36 @@ func WriteTraceFormat(w io.Writer, wk Workload, cfg Config, n int64, f TraceForm
 	if n <= 0 {
 		return 0, fmt.Errorf("storemlp: non-positive trace length %d", n)
 	}
-	return trace.WriteAllFormat(w, sim.BuildSource(wk, cfg, n), f)
+	return trace.WriteAll(w, sim.BuildSource(wk, cfg, n))
 }
 
-// ConvertTrace re-encodes the trace on r (either format, autodetected
-// by magic bytes) into w in the target format, preserving the
-// instruction stream exactly, and returns the instruction count.
-func ConvertTrace(w io.Writer, r io.Reader, f TraceFormat) (int64, error) {
-	return trace.Convert(w, r, f)
+// TraceFormat names an on-disk trace encoding for WriteTraceFormat.
+//
+// Deprecated: traces have one format; use WriteTrace.
+type TraceFormat int
+
+// TraceColumnar is the one on-disk trace format. It keeps its old
+// value, so a zero TraceFormat (once the legacy format) is rejected.
+//
+// Deprecated: traces have one format; use WriteTrace.
+const TraceColumnar TraceFormat = 1
+
+// WriteTraceFormat is WriteTrace for callers that still name the
+// format; any value other than TraceColumnar is an error.
+//
+// Deprecated: use WriteTrace.
+func WriteTraceFormat(w io.Writer, wk Workload, cfg Config, n int64, f TraceFormat) (int64, error) {
+	if f != TraceColumnar {
+		return 0, fmt.Errorf("storemlp: unknown trace format %d (only TraceColumnar remains)", int(f))
+	}
+	return WriteTrace(w, wk, cfg, n)
 }
 
-// RunTrace drives a previously written binary trace — either format,
-// autodetected by magic bytes — through the epoch engine. The trace is
-// used as-is: no consistency rewriting is applied (use cmd/lockdetect
-// or WriteTraceFormat for that).
+// RunTrace drives a trace previously written by WriteTrace or tracegen
+// through the epoch engine. The trace is used as-is: no consistency
+// rewriting is applied (use cmd/lockdetect or WriteTrace for that). A
+// trace in the removed legacy format is refused with an error that says
+// to regenerate it.
 func RunTrace(r io.Reader, cfg Config, warm int64) (*Stats, error) {
 	return RunTraceContext(context.Background(), r, cfg, warm)
 }
@@ -222,18 +216,17 @@ func RunTrace(r io.Reader, cfg Config, warm int64) (*Stats, error) {
 // when ctx carries a board (obs.NewContext); the planned total is
 // unknown for a streamed trace, so progress reports instructions only.
 func RunTraceContext(ctx context.Context, r io.Reader, cfg Config, warm int64) (*Stats, error) {
-	tr, err := trace.NewAutoReader(r)
+	tr, err := colv1.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	return runTraceSource(ctx, tr, cfg, warm)
 }
 
-// RunTraceFile runs the trace stored at path. Columnar traces go
-// through the memory-mapped random-access backend, so the file is
-// paged in block by block as the engine consumes it and progress
-// knows the planned total; legacy traces stream through the
-// descriptor. Every trace entry point decodes one 4096-instruction
+// RunTraceFile runs the trace stored at path through the
+// memory-mapped random-access backend, so the file is paged in block
+// by block as the engine consumes it and progress knows the planned
+// total. Every trace entry point decodes one 4096-instruction
 // batch ahead of the engine on a second goroutine when GOMAXPROCS is
 // above 1 (inline otherwise), with bit-identical statistics; the
 // decoder has stopped before the call returns and the file is closed.

@@ -67,55 +67,53 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	}
 }
 
-// TestTraceFormatsEquivalent is the codec-neutrality gate: the same
-// generated stream encoded legacy and columnar must drive the epoch
-// engine to bit-identical statistics. Any divergence means one codec
-// altered the instruction stream.
-func TestTraceFormatsEquivalent(t *testing.T) {
-	cfg := DefaultConfig()
-	var legacy, columnar bytes.Buffer
-	if _, err := WriteTraceFormat(&legacy, Database(5), cfg, 120_000, TraceLegacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteTraceFormat(&columnar, Database(5), cfg, 120_000, TraceColumnar); err != nil {
-		t.Fatal(err)
-	}
-	sLegacy, err := RunTrace(&legacy, cfg, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sColumnar, err := RunTrace(&columnar, cfg, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sLegacy, sColumnar) {
-		t.Errorf("stats diverge between codecs:\nlegacy:   %+v\ncolumnar: %+v", sLegacy, sColumnar)
-	}
-	if sLegacy.Insts != 100_000 {
-		t.Errorf("measured %d insts, want 100000", sLegacy.Insts)
+// TestTraceMatchesSynthetic is the trace-fidelity gate: for the four
+// paper workloads under PC, WC and SLE, writing the generated stream to
+// a trace and replaying it must reproduce the direct synthetic run's
+// statistics exactly. Any divergence means the codec altered the
+// stream the generator produced. One node: trace runs never attach
+// coherence traffic, so the synthetic run must not either.
+func TestTraceMatchesSynthetic(t *testing.T) {
+	const insts, warm = 20_000, 10_000
+	pc := DefaultConfig()
+	pc.Nodes = 1
+	wc, sle := pc, pc
+	wc.Model = WC
+	sle.SLE = true
+	for _, w := range AllWorkloads(1) {
+		for name, cfg := range map[string]Config{"PC": pc, "WC": wc, "SLE": sle} {
+			var buf bytes.Buffer
+			if _, err := WriteTrace(&buf, w, cfg, insts+warm); err != nil {
+				t.Fatal(err)
+			}
+			fromTrace, err := RunTrace(&buf, cfg, warm)
+			if err != nil {
+				t.Fatalf("%s %s: RunTrace: %v", w.Name, name, err)
+			}
+			synthetic, err := Run(RunSpec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
+			if err != nil {
+				t.Fatalf("%s %s: Run: %v", w.Name, name, err)
+			}
+			if !reflect.DeepEqual(fromTrace, synthetic) {
+				t.Errorf("%s %s: trace run diverges from the synthetic run:\ntrace:     %+v\nsynthetic: %+v",
+					w.Name, name, fromTrace, synthetic)
+			}
+		}
 	}
 }
 
 // TestDecodeAheadFacade runs the trace entry points with one P (inline
 // decode) and with two (decode ahead on a second goroutine): every
-// entry point and format returns the same statistics either way, and a
-// cancelled file run returns the context's error before the file is
-// unmapped.
+// entry point returns the same statistics either way, and a cancelled
+// file run returns the context's error before the file is unmapped.
 func TestDecodeAheadFacade(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := DefaultConfig()
-	dir := t.TempDir()
-	var legacy, columnar bytes.Buffer
-	if _, err := WriteTraceFormat(&legacy, SPECweb(3), cfg, 60_000, TraceLegacy); err != nil {
+	var columnar bytes.Buffer
+	if _, err := WriteTrace(&columnar, SPECweb(3), cfg, 60_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteTraceFormat(&columnar, SPECweb(3), cfg, 60_000, TraceColumnar); err != nil {
-		t.Fatal(err)
-	}
-	legPath, colPath := filepath.Join(dir, "legacy.trace"), filepath.Join(dir, "columnar.trace")
-	if err := os.WriteFile(legPath, legacy.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	colPath := filepath.Join(t.TempDir(), "columnar.trace")
 	if err := os.WriteFile(colPath, columnar.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,6 @@ func TestDecodeAheadFacade(t *testing.T) {
 			run  func() (*Stats, error)
 		}{
 			{"RunTraceFile columnar", func() (*Stats, error) { return RunTraceFile(colPath, cfg, 20_000) }},
-			{"RunTraceFile legacy", func() (*Stats, error) { return RunTraceFile(legPath, cfg, 20_000) }},
 			{"RunTrace columnar", func() (*Stats, error) { return RunTrace(bytes.NewReader(columnar.Bytes()), cfg, 20_000) }},
 		}
 		for _, r := range runs {
@@ -149,37 +146,6 @@ func TestDecodeAheadFacade(t *testing.T) {
 	}
 }
 
-// TestConvertTraceFacade checks the facade-level converter preserves
-// counts and produces the requested encoding.
-func TestConvertTraceFacade(t *testing.T) {
-	cfg := DefaultConfig()
-	var legacy bytes.Buffer
-	if _, err := WriteTraceFormat(&legacy, TPCW(3), cfg, 60_000, TraceLegacy); err != nil {
-		t.Fatal(err)
-	}
-	var col bytes.Buffer
-	n, err := ConvertTrace(&col, bytes.NewReader(legacy.Bytes()), TraceColumnar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 60_000 {
-		t.Errorf("converted %d insts, want 60000", n)
-	}
-	if got := string(col.Bytes()[:4]); got != "SMLC" {
-		t.Errorf("converted magic = %q, want SMLC", got)
-	}
-	s, err := RunTrace(&col, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Insts != 60_000 {
-		t.Errorf("converted trace drove %d insts, want 60000", s.Insts)
-	}
-	if _, err := ParseTraceFormat("nope"); err == nil {
-		t.Error("unknown format should error")
-	}
-}
-
 func TestWriteTraceErrors(t *testing.T) {
 	var buf bytes.Buffer
 	bad := Database(1)
@@ -194,6 +160,9 @@ func TestWriteTraceErrors(t *testing.T) {
 	}
 	if _, err := WriteTrace(&buf, Database(1), DefaultConfig(), 0); err == nil {
 		t.Error("zero length should error")
+	}
+	if _, err := WriteTraceFormat(&buf, Database(1), DefaultConfig(), 10, TraceFormat(0)); err == nil {
+		t.Error("a format other than TraceColumnar should error")
 	}
 	if _, err := RunTrace(bytes.NewBufferString("JUNKJUNK"), DefaultConfig(), 0); err == nil {
 		t.Error("junk trace should error")
