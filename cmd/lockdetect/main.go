@@ -97,10 +97,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "wrote %d instructions to %s\n", n, *out)
 	} else {
-		for {
-			if _, ok := counted.Next(); !ok {
-				break
-			}
+		// Drain the stream so the counting transform sees all of it.
+		buf := make([]isa.Inst, 4096)
+		for trace.Fill(counted, buf) != 0 {
 		}
 	}
 	if reader.Err() != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"storemlp/internal/isa"
+	"storemlp/internal/trace"
 	"storemlp/internal/trace/colv1"
 )
 
@@ -24,11 +25,7 @@ func reparse(t *testing.T, path string) (nonLock, total int64) {
 	if err != nil {
 		t.Fatalf("%s does not re-parse: %v", filepath.Base(path), err)
 	}
-	for {
-		in, ok := tr.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Collect(tr).Insts {
 		if !in.Op.Valid() {
 			t.Fatalf("%s: invalid opcode %d at instruction %d", filepath.Base(path), in.Op, total)
 		}

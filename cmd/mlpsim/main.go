@@ -149,9 +149,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var wk storemlp.Workload
 	haveWorkload := false
 	if *traceFile != "" {
-		// The trace runs through the mmap-backed random-access reader,
-		// so even huge traces are paged in block by block; every
-		// instruction after the warmup is measured.
+		// The trace file is streamed block by block, so even huge
+		// traces need no full-file read; every instruction after the
+		// warmup is measured.
 		var err error
 		stats, err = storemlp.RunTraceFileContext(ctx, *traceFile, cfg, *warm)
 		if err != nil {

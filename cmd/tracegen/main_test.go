@@ -50,8 +50,7 @@ func TestTracegenWCAndSLE(t *testing.T) {
 }
 
 // TestTracegenFormatRoundTrip: tracegen's output is a columnar trace
-// that opens through the random-access reader and holds exactly -n
-// instructions.
+// that opens through colv1.Open and holds exactly -n instructions.
 func TestTracegenFormatRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.trace")
 	var out strings.Builder
@@ -63,7 +62,7 @@ func TestTracegenFormatRoundTrip(t *testing.T) {
 		t.Fatalf("tracegen output does not open as a columnar trace: %v", err)
 	}
 	defer cf.Close()
-	if got := cf.NumInsts(); got != 30_000 {
+	if got := cf.SizeHint(); got != 30_000 {
 		t.Errorf("trace holds %d instructions, want 30000", got)
 	}
 }

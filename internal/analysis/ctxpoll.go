@@ -275,8 +275,8 @@ func (a CtxPoll) consumesTrace(pkg *Package, body *ast.BlockStmt) bool {
 }
 
 // isTraceCall reports whether call resolves to TracePkg's Fill, Next or
-// ReadBatch — as a method (including through the Source/BatchSource
-// interfaces) or a package-level function.
+// ReadBatch — as a method (including through an interface such as
+// Source) or a package-level function.
 func (a CtxPoll) isTraceCall(pkg *Package, call *ast.CallExpr) bool {
 	var obj types.Object
 	switch fun := call.Fun.(type) {

@@ -96,15 +96,15 @@ func DetectLocks(src trace.Source) trace.Source {
 //	membar                -> lwsync
 //
 // Instructions must already carry lock flags (from the workload
-// generator or DetectLocks). The returned source is batch-aware.
+// generator or DetectLocks).
 func RewriteWC(src trace.Source) trace.Source {
 	return &wcRewriter{src: src}
 }
 
 // wcRewriter expands one input instruction into at most three outputs.
 // Outputs that do not fit the caller's block are parked in pending and
-// drained first on the next call, so Next and ReadBatch interleave
-// without reordering.
+// drained first on the next call, so block boundaries never reorder
+// the stream.
 type wcRewriter struct {
 	src     trace.Source
 	pending [3]isa.Inst
@@ -146,25 +146,7 @@ func (r *wcRewriter) rewrite(in isa.Inst, out *[3]isa.Inst) int {
 	}
 }
 
-// Next implements trace.Source.
-func (r *wcRewriter) Next() (isa.Inst, bool) {
-	if r.pHead < r.pLen {
-		out := r.pending[r.pHead]
-		r.pHead++
-		return out, true
-	}
-	in, ok := r.src.Next()
-	if !ok {
-		return isa.Inst{}, false
-	}
-	var out [3]isa.Inst
-	n := r.rewrite(in, &out)
-	copy(r.pending[:], out[1:n])
-	r.pHead, r.pLen = 0, n-1
-	return out[0], true
-}
-
-// ReadBatch implements trace.BatchSource. Input blocks are sized to a
+// ReadBatch implements trace.Source. Input blocks are sized to a
 // third of the remaining room so the worst-case 3x expansion fits; any
 // spill from the final input lands in pending for the next call.
 func (r *wcRewriter) ReadBatch(dst []isa.Inst) int {

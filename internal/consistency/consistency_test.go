@@ -9,13 +9,10 @@ import (
 
 func ops(src trace.Source) []isa.Op {
 	var out []isa.Op
-	for {
-		in, ok := src.Next()
-		if !ok {
-			return out
-		}
+	for _, in := range trace.Collect(src).Insts {
 		out = append(out, in.Op)
 	}
+	return out
 }
 
 func TestModelBasics(t *testing.T) {

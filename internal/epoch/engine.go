@@ -62,8 +62,12 @@ type Engine struct {
 	bp   *branch.Predictor // optional modelled front end
 
 	// Optional co-scheduled core sharing the L2 (pure cache pressure).
-	bgSrc  trace.Source
-	bgHier *cache.Hierarchy
+	// Its stream is pulled through bgBuf a block at a time;
+	// bgBuf[bgPos:bgLen] holds the instructions not yet stepped.
+	bgSrc        trace.Source
+	bgHier       *cache.Hierarchy
+	bgBuf        [bgBatchLen]isa.Inst //storemlp:keep (contents overwritten by every fill)
+	bgPos, bgLen int
 
 	// Scheduling state (all in epoch units).
 	regReady     [isa.RegCount]int64
@@ -278,6 +282,7 @@ func (e *Engine) Reconfigure(cfg uarch.Config, opts ...Option) error {
 	// Option state is always rebuilt: seeds and sources are per run.
 	e.traf = nil
 	e.bgSrc, e.bgHier = nil, nil
+	e.bgPos, e.bgLen = 0, 0
 	e.cfg = cfg
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
@@ -287,16 +292,25 @@ func (e *Engine) Reconfigure(cfg uarch.Config, opts ...Option) error {
 	return nil
 }
 
+// bgBatchLen is the block size the co-scheduled core's stream is
+// pulled in: big enough to amortize the source's call overhead, small
+// enough to keep the Engine compact.
+const bgBatchLen = 256
+
 // stepSharedCore advances the co-scheduled core by one instruction.
 func (e *Engine) stepSharedCore() {
 	if e.bgSrc == nil {
 		return
 	}
-	in, ok := e.bgSrc.Next()
-	if !ok {
-		e.bgSrc = nil
-		return
+	if e.bgPos == e.bgLen {
+		e.bgPos, e.bgLen = 0, trace.Fill(e.bgSrc, e.bgBuf[:])
+		if e.bgLen == 0 {
+			e.bgSrc = nil
+			return
+		}
 	}
+	in := e.bgBuf[e.bgPos]
+	e.bgPos++
 	e.bgHier.Fetch(in.PC)
 	shared := in.Flags.Has(isa.FlagShared)
 	if in.Op.IsLoad() {

@@ -33,24 +33,27 @@ func Table1(c Config) ([]Table1Row, error) {
 		}
 		h := cache.NewHierarchy(cache.DefaultConfig())
 		g := workload.NewGenerator(w)
+		buf := make([]isa.Inst, 4096)
 		replay := func(n int64) (stats cache.HierarchyStats, insts, stores int64) {
 			src := trace.Limit(g, n)
 			base := h.Stats
 			for {
-				in, ok := src.Next()
-				if !ok {
+				k := trace.Fill(src, buf)
+				if k == 0 {
 					break
 				}
-				insts++
-				h.Fetch(in.PC)
-				shared := in.Flags.Has(isa.FlagShared)
-				if in.Op.IsLoad() {
-					h.Load(in.Addr, shared)
+				for _, in := range buf[:k] {
+					h.Fetch(in.PC)
+					shared := in.Flags.Has(isa.FlagShared)
+					if in.Op.IsLoad() {
+						h.Load(in.Addr, shared)
+					}
+					if in.Op.IsStore() {
+						h.Store(in.Addr, shared)
+						stores++
+					}
 				}
-				if in.Op.IsStore() {
-					h.Store(in.Addr, shared)
-					stores++
-				}
+				insts += int64(k)
 			}
 			s := h.Stats
 			return cache.HierarchyStats{

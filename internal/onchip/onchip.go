@@ -83,31 +83,34 @@ func Measure(p workload.Params, warm, n int64) (Inputs, error) {
 	h := cache.NewHierarchy(cache.DefaultConfig())
 	g := workload.NewGenerator(p)
 	var in Inputs
+	buf := make([]isa.Inst, 4096)
 	run := func(count int64, record bool) {
 		src := trace.Limit(g, count)
 		for {
-			ins, ok := src.Next()
-			if !ok {
+			k := trace.Fill(src, buf)
+			if k == 0 {
 				return
 			}
-			fr := h.Fetch(ins.PC)
-			if record && !fr.L1Hit && !fr.OffChip {
-				in.L1IMiss++
-			}
-			shared := ins.Flags.Has(isa.FlagShared)
-			if ins.Op.IsLoad() {
-				lr := h.Load(ins.Addr, shared)
-				if record && !lr.L1Hit && !lr.OffChip {
-					in.L1DLoadMiss++
+			for _, ins := range buf[:k] {
+				fr := h.Fetch(ins.PC)
+				if record && !fr.L1Hit && !fr.OffChip {
+					in.L1IMiss++
 				}
-			}
-			if ins.Op.IsStore() {
-				h.Store(ins.Addr, shared)
-			}
-			if record {
-				in.Insts++
-				if ins.Op == isa.OpBranch && ins.Flags.Has(isa.FlagMispredict) {
-					in.Mispredicts++
+				shared := ins.Flags.Has(isa.FlagShared)
+				if ins.Op.IsLoad() {
+					lr := h.Load(ins.Addr, shared)
+					if record && !lr.L1Hit && !lr.OffChip {
+						in.L1DLoadMiss++
+					}
+				}
+				if ins.Op.IsStore() {
+					h.Store(ins.Addr, shared)
+				}
+				if record {
+					in.Insts++
+					if ins.Op == isa.OpBranch && ins.Flags.Has(isa.FlagMispredict) {
+						in.Mispredicts++
+					}
 				}
 			}
 		}

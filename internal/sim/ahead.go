@@ -98,7 +98,7 @@ func (d *decodeAhead) produce() {
 	}
 }
 
-// ReadBatch implements trace.BatchSource for the engine: it copies the
+// ReadBatch implements trace.Source for the engine: it copies the
 // oldest decoded batch into dst and returns its buffer to the producer
 // once drained. 0 means end of stream.
 //
@@ -121,16 +121,6 @@ func (d *decodeAhead) ReadBatch(dst []isa.Inst) int {
 		d.release()
 	}
 	return k
-}
-
-// Next implements trace.Source; the engine always reads through
-// ReadBatch.
-func (d *decodeAhead) Next() (isa.Inst, bool) {
-	var one [1]isa.Inst
-	if d.ReadBatch(one[:]) == 0 {
-		return isa.Inst{}, false
-	}
-	return one[0], true
 }
 
 // release hands the buffer being copied out back to the producer.

@@ -43,16 +43,6 @@ func encodeTrace(t testing.TB, w workload.Params, n int64) []byte {
 	return buf.Bytes()
 }
 
-// bytesReader opens a random-access columnar reader over data.
-func bytesReader(t testing.TB, data []byte) *colv1.Reader {
-	t.Helper()
-	r, err := colv1.NewBytesReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 // streamReader opens a sequential reader over data.
 func streamReader(t testing.TB, data []byte) *colv1.Reader {
 	t.Helper()
@@ -103,9 +93,9 @@ func (w *watchedSource) Err() error {
 }
 
 // TestDecodeAheadExact: for the four paper workloads under the three
-// replay settings, through the streaming and the mmap file backends,
-// the pipelined run returns the inline run's statistics field for
-// field, and both backends agree.
+// replay settings, read from an in-memory stream and from a file
+// opened with trace.OpenFile, the pipelined run returns the inline
+// run's statistics field for field, and both inputs agree.
 func TestDecodeAheadExact(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPool()
@@ -120,7 +110,7 @@ func TestDecodeAheadExact(t *testing.T) {
 			open func() (trace.FileSource, func())
 		}{
 			{"columnar/stream", func() (trace.FileSource, func()) { return streamReader(t, col), func() {} }},
-			{"columnar/mmap", func() (trace.FileSource, func()) { return openFile(t, colPath) }},
+			{"columnar/file", func() (trace.FileSource, func()) { return openFile(t, colPath) }},
 		}
 		for si, cfg := range replaySettings() {
 			var ref *epoch.Stats
@@ -161,6 +151,25 @@ func openFile(t *testing.T, path string) (trace.FileSource, func()) {
 	return src, func() { closer.Close() }
 }
 
+// openBytes writes data to a temporary file and opens it with
+// trace.OpenFile; the file is closed when the test ends.
+func openBytes(t *testing.T, data []byte) trace.FileSource {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, closeSrc := openFile(t, path)
+	t.Cleanup(closeSrc)
+	return src
+}
+
+// sliceFile is a FileSource over an in-memory trace that never fails;
+// Reset rewinds it between runs.
+type sliceFile struct{ *trace.Slice }
+
+func (sliceFile) Err() error { return nil }
+
 // TestDecodeAheadCancel: a run cancelled mid-stream, one cancelled
 // before it starts and one whose Reconfigure fails all return an error
 // and no statistics, and none touches its source after returning. The
@@ -168,7 +177,7 @@ func openFile(t *testing.T, path string) (trace.FileSource, func()) {
 func TestDecodeAheadCancel(t *testing.T) {
 	data := encodeTrace(t, workload.TPCW(1), aheadInsts+aheadWarm)
 	cfg := uarch.Default()
-	want, err := NewPool().runTrace(context.Background(), bytesReader(t, data), cfg, aheadWarm, false)
+	want, err := NewPool().runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +187,7 @@ func TestDecodeAheadCancel(t *testing.T) {
 		p := NewPool()
 
 		ctx, cancel := context.WithCancel(context.Background())
-		src := &watchedSource{FileSource: bytesReader(t, data), t: t, onRead: func(call int64) {
+		src := &watchedSource{FileSource: streamReader(t, data), t: t, onRead: func(call int64) {
 			if call == 3 {
 				cancel()
 			}
@@ -195,14 +204,14 @@ func TestDecodeAheadCancel(t *testing.T) {
 			t.Errorf("ahead=%v: cancelled run read the trace %d times, want at most 5", ahead, n)
 		}
 
-		src = &watchedSource{FileSource: bytesReader(t, data), t: t}
+		src = &watchedSource{FileSource: streamReader(t, data), t: t}
 		st, err = p.runTrace(ctx, src, cfg, aheadWarm, ahead)
 		src.done.Store(true)
 		if !errors.Is(err, context.Canceled) || st != nil {
 			t.Errorf("ahead=%v: pre-cancelled run returned (%v, %v), want (nil, context.Canceled)", ahead, st, err)
 		}
 
-		src = &watchedSource{FileSource: bytesReader(t, data), t: t}
+		src = &watchedSource{FileSource: streamReader(t, data), t: t}
 		st, err = p.runTrace(context.Background(), src, bad, aheadWarm, ahead)
 		src.done.Store(true)
 		if err == nil || st != nil {
@@ -212,7 +221,7 @@ func TestDecodeAheadCancel(t *testing.T) {
 			t.Errorf("ahead=%v: failed Reconfigure still read the trace %d times", ahead, n)
 		}
 
-		got, err := p.runTrace(context.Background(), bytesReader(t, data), cfg, aheadWarm, ahead)
+		got, err := p.runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, ahead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +263,7 @@ func TestDecodeAheadDecodeErrors(t *testing.T) {
 	}{
 		{"columnar truncated/stream", func() trace.FileSource { return streamReader(t, truncated) }, colv1.ErrTruncated},
 		{"columnar corrupt/stream", func() trace.FileSource { return streamReader(t, corrupt) }, colv1.ErrCorrupt},
-		{"columnar corrupt/random access", func() trace.FileSource { return bytesReader(t, corrupt) }, colv1.ErrCorrupt},
+		{"columnar corrupt/file", func() trace.FileSource { return openBytes(t, corrupt) }, colv1.ErrCorrupt},
 	}
 	for _, ahead := range []bool{false, true} {
 		if st, err := NewPool().runTrace(context.Background(), nil, uarch.Default(), 0, ahead); err == nil || st != nil {
@@ -290,15 +299,15 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 		var src trace.FileSource
 		switch i % 3 {
 		case 0:
-			src = bytesReader(t, data)
+			src = streamReader(t, data)
 		case 1:
-			src = &watchedSource{FileSource: bytesReader(t, data), t: t, onRead: func(call int64) {
+			src = &watchedSource{FileSource: streamReader(t, data), t: t, onRead: func(call int64) {
 				if call == 2 {
 					cancel()
 				}
 			}}
 		case 2:
-			src = bytesReader(t, corrupt)
+			src = streamReader(t, corrupt)
 		}
 		st, err := p.runTrace(ctx, src, uarch.Default(), 5_000, true)
 		cancel()
@@ -320,17 +329,17 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 // TestDecodeAheadAllocs pins the allocation contract of a warmed
 // pool: a steady-state trace run allocates only the returned Stats,
 // and decoding ahead adds nothing — the buffers, channels and the
-// producer's bound method are reused across runs.
+// producer's bound method are reused across runs. The trace is a
+// rewindable in-memory slice, so the count is the pool's alone.
 func TestDecodeAheadAllocs(t *testing.T) {
 	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm)
-	r := bytesReader(t, data)
+	s := trace.Collect(streamReader(t, data))
+	var src trace.FileSource = sliceFile{s}
 	cfg := uarch.Default()
 	p := NewPool()
 	run := func(ahead bool) {
-		if err := r.SeekInst(0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.runTrace(context.Background(), r, cfg, aheadWarm, ahead); err != nil {
+		s.Reset()
+		if _, err := p.runTrace(context.Background(), src, cfg, aheadWarm, ahead); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,10 +358,10 @@ func TestDecodeAheadAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeAheadProgressTotal: a random-access reader knows the trace
-// length, so the progress board plans the whole trace and the simulate
-// span's arg is the measured count; a streamed trace's length is
-// unknown and both stay 0.
+// TestDecodeAheadProgressTotal: a trace opened with trace.OpenFile
+// knows its length, so the progress board plans the whole trace and
+// the simulate span's arg is the measured count; a trace streamed from
+// an io.Reader has an unknown length and both stay 0.
 func TestDecodeAheadProgressTotal(t *testing.T) {
 	const total = aheadInsts + aheadWarm
 	data := encodeTrace(t, workload.SPECweb(1), total)
@@ -362,7 +371,7 @@ func TestDecodeAheadProgressTotal(t *testing.T) {
 		wantTotal int64
 		wantArg   int64
 	}{
-		{"random access", func() trace.FileSource { return bytesReader(t, data) }, total, aheadInsts},
+		{"file", func() trace.FileSource { return openBytes(t, data) }, total, aheadInsts},
 		{"stream", func() trace.FileSource { return streamReader(t, data) }, 0, 0},
 	}
 	for _, c := range cases {
@@ -409,7 +418,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 	for _, ahead := range []bool{false, true} {
 		rt := obs.NewReqTrace("decode", 512, 384)
 		ctx := obs.WithSpan(context.Background(), rt, rt.Root())
-		if _, err := NewPool().runTrace(ctx, bytesReader(t, data), uarch.Default(), aheadWarm, ahead); err != nil {
+		if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, ahead); err != nil {
 			t.Fatal(err)
 		}
 		spans := rt.Snapshot()
@@ -455,7 +464,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 	// dropped and counted like a batch span.
 	rt := obs.NewReqTrace("capped", 512, 4)
 	ctx := obs.WithSpan(context.Background(), rt, rt.Root())
-	if _, err := NewPool().runTrace(ctx, bytesReader(t, data), uarch.Default(), aheadWarm, true); err != nil {
+	if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, true); err != nil {
 		t.Fatal(err)
 	}
 	kept := 0
@@ -480,7 +489,7 @@ func TestDecodeAheadOneProc(t *testing.T) {
 	for i, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		var onProducer atomic.Bool
-		src := &watchedSource{FileSource: bytesReader(t, data), t: t, onRead: func(int64) {
+		src := &watchedSource{FileSource: streamReader(t, data), t: t, onRead: func(int64) {
 			buf := make([]byte, 16<<10)
 			if strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*decodeAhead).produce") {
 				onProducer.Store(true)
@@ -511,26 +520,15 @@ func BenchmarkDecodeAhead(b *testing.B) {
 	cfg := uarch.Default()
 	for _, w := range workload.All(1) {
 		data := encodeTrace(b, w, total)
-		modes := []struct {
-			name string
-			run  func(p *Pool, r *colv1.Reader) (*epoch.Stats, error)
-		}{
-			{"inline", func(p *Pool, r *colv1.Reader) (*epoch.Stats, error) {
-				return p.runTrace(context.Background(), r, cfg, warm, false)
-			}},
-			{"ahead", func(p *Pool, r *colv1.Reader) (*epoch.Stats, error) {
-				return p.runTrace(context.Background(), r, cfg, warm, true)
-			}},
-		}
-		for _, m := range modes {
+		for _, m := range []struct {
+			name  string
+			ahead bool
+		}{{"inline", false}, {"ahead", true}} {
 			b.Run(w.Name+"/"+m.name, func(b *testing.B) {
-				p, r := NewPool(), bytesReader(b, data)
+				p := NewPool()
 				b.SetBytes(total)
 				for i := 0; i < b.N; i++ {
-					if err := r.SeekInst(0); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := m.run(p, r); err != nil {
+					if _, err := p.runTrace(context.Background(), streamReader(b, data), cfg, warm, m.ahead); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -133,8 +133,9 @@ func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Con
 		d = p.getAhead()
 		defer p.putAhead(d)
 	}
-	// A random-access reader knows the trace length, so progress gets a
-	// planned total; a streamed trace's length is unknown (0).
+	// A trace opened from a file knows its length, so progress gets a
+	// planned total; a trace streamed from an io.Reader has an unknown
+	// length (0).
 	var total, measured int64
 	if n := src.SizeHint(); n >= 0 {
 		total, measured = n, max(n-warm, 0)

@@ -6,6 +6,7 @@ import (
 	"storemlp/internal/consistency"
 	"storemlp/internal/epoch"
 	"storemlp/internal/isa"
+	"storemlp/internal/trace"
 	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
@@ -57,13 +58,8 @@ func TestSpecValidate(t *testing.T) {
 func TestBuildSourceTransforms(t *testing.T) {
 	w := workload.SPECjbb(5)
 	count := func(cfg uarch.Config, op isa.Op) int {
-		src := BuildSource(w, cfg, 100_000)
 		n := 0
-		for {
-			in, ok := src.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Collect(BuildSource(w, cfg, 100_000)).Insts {
 			if in.Op == op {
 				n++
 			}

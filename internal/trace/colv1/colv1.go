@@ -3,7 +3,7 @@
 // dynamic instruction stream, built so that trace-driven simulation is
 // I/O-bound on nothing — ReadBatch decodes whole 4096-instruction
 // blocks straight into the engine's batch buffers with zero
-// per-instruction allocation, and the layout is mmap-friendly so
+// per-instruction allocation, and the reader streams block by block so
 // billion-instruction traces never need a full-file read.
 //
 // # File layout
@@ -21,10 +21,10 @@
 //
 // A block's payloadLen can never be 0 (empty blocks are not written),
 // so the u32 0 marker unambiguously separates the last block from the
-// footer for sequential readers; random-access readers instead find the
-// footer through the fixed-size trailer at end of file, which is why an
-// mmap consumer touches only the trailer page, the footer, and the
-// blocks it actually decodes.
+// footer. The fixed-size trailer at end of file locates the footer
+// without a scan: Open reads the instruction total through it before
+// streaming, and the reader checks that it points exactly at the
+// marker it met and that nothing follows it.
 //
 // # Column encodings
 //
@@ -41,8 +41,10 @@
 //	src2  one raw byte per instruction
 //
 // Delta chains reset at every block boundary, so any block decodes
-// independently of every other block — the property the footer's seek
-// index relies on.
+// independently of every other block, and the footer's seek index
+// (block offset, first instruction) names a valid entry point for each
+// one. The reader holds every index entry to the block it actually
+// saw.
 package colv1
 
 import (
@@ -58,8 +60,8 @@ const (
 	// format; a reader that meets it says how to replace the file
 	// instead of calling it garbage.
 	legacyMagic = "SMLT"
-	// trailerMagic terminates the file so a random-access reader can
-	// locate the footer without scanning.
+	// trailerMagic terminates the file so a reader can locate the
+	// footer without scanning.
 	trailerMagic = "SMLX"
 
 	version = 1

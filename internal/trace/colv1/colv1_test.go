@@ -91,6 +91,16 @@ func encode(t testing.TB, insts []isa.Inst) []byte {
 	return buf.Bytes()
 }
 
+// writeTemp writes data to a fresh temporary file and returns its path.
+func writeTemp(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "t.colv1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // drain reads everything from cr in the given batch size.
 func drain(t testing.TB, cr *Reader, batchLen int) []isa.Inst {
 	t.Helper()
@@ -109,18 +119,26 @@ func drain(t testing.TB, cr *Reader, batchLen int) []isa.Inst {
 	return out
 }
 
+// TestRoundTripStreamAndBytes decodes traces of every block shape both
+// from an in-memory io.Reader and from a file opened with Open.
 func TestRoundTripStreamAndBytes(t *testing.T) {
 	for _, n := range []int{0, 1, 7, DefaultBlockLen - 1, DefaultBlockLen, DefaultBlockLen + 1, 3*DefaultBlockLen + 100} {
 		insts := genInsts(n, int64(n)+1)
 		data := encode(t, insts)
+		path := writeTemp(t, data)
 
-		for _, mode := range []string{"stream", "bytes"} {
+		for _, mode := range []string{"stream", "file"} {
 			var cr *Reader
 			var err error
 			if mode == "stream" {
 				cr, err = NewReader(bytes.NewReader(data))
 			} else {
-				cr, err = NewBytesReader(data)
+				var cf *File
+				cf, err = Open(path)
+				if err == nil {
+					t.Cleanup(func() { cf.Close() })
+					cr = cf.Reader
+				}
 			}
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, mode, err)
@@ -134,8 +152,8 @@ func TestRoundTripStreamAndBytes(t *testing.T) {
 					t.Fatalf("n=%d %s: inst %d: got %v want %v", n, mode, i, got[i], insts[i])
 				}
 			}
-			if cr.NumInsts() != int64(n) {
-				t.Fatalf("n=%d %s: NumInsts = %d", n, mode, cr.NumInsts())
+			if cr.SizeHint() != 0 {
+				t.Fatalf("n=%d %s: SizeHint after the footer = %d, want 0", n, mode, cr.SizeHint())
 			}
 		}
 	}
@@ -145,7 +163,7 @@ func TestRoundTripOddBatchSizes(t *testing.T) {
 	insts := genInsts(2*DefaultBlockLen+17, 9)
 	data := encode(t, insts)
 	for _, batch := range []int{1, 3, 100, DefaultBlockLen - 1, DefaultBlockLen + 1, 5 * DefaultBlockLen} {
-		cr, err := NewBytesReader(data)
+		cr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,45 +179,25 @@ func TestRoundTripOddBatchSizes(t *testing.T) {
 	}
 }
 
-func TestNextMatchesReadBatch(t *testing.T) {
-	insts := genInsts(DefaultBlockLen+55, 3)
-	data := encode(t, insts)
-	cr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range insts {
-		got, ok := cr.Next()
-		if !ok {
-			t.Fatalf("inst %d: early end (err %v)", i, cr.Err())
-		}
-		if got != want {
-			t.Fatalf("inst %d: got %v want %v", i, got, want)
-		}
-	}
-	if _, ok := cr.Next(); ok {
-		t.Fatal("Next after end returned an instruction")
-	}
-	if cr.Err() != nil {
-		t.Fatal(cr.Err())
-	}
-}
-
+// TestSizeHint: a file opened with Open knows its length before the
+// first read and counts down as it decodes; a trace streamed from an
+// io.Reader cannot know it until the footer.
 func TestSizeHint(t *testing.T) {
 	insts := genInsts(DefaultBlockLen+100, 5)
 	data := encode(t, insts)
 
-	cr, err := NewBytesReader(data)
+	cf, err := Open(writeTemp(t, data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cr.SizeHint(); got != int64(len(insts)) {
-		t.Fatalf("bytes SizeHint = %d, want %d", got, len(insts))
+	defer cf.Close()
+	if got := cf.SizeHint(); got != int64(len(insts)) {
+		t.Fatalf("file SizeHint = %d, want %d", got, len(insts))
 	}
 	buf := make([]isa.Inst, 100)
-	cr.ReadBatch(buf)
-	if got := cr.SizeHint(); got != int64(len(insts)-100) {
-		t.Fatalf("bytes SizeHint after 100 = %d", got)
+	cf.ReadBatch(buf)
+	if got := cf.SizeHint(); got != int64(len(insts)-100) {
+		t.Fatalf("file SizeHint after 100 = %d", got)
 	}
 
 	sr, err := NewReader(bytes.NewReader(data))
@@ -211,61 +209,33 @@ func TestSizeHint(t *testing.T) {
 	}
 }
 
-func TestSeekInst(t *testing.T) {
-	insts := genInsts(3*DefaultBlockLen+200, 11)
-	data := encode(t, insts)
-	cr, err := NewBytesReader(data)
-	if err != nil {
+// openAndDrain writes data to path, opens it with Open and drains it.
+// It returns the instructions decoded and Open's error or, when Open
+// succeeds, the reader's terminal error.
+func openAndDrain(t testing.TB, path string, data []byte) (int, error) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	targets := []int64{0, 1, 255, 256, 257, DefaultBlockLen - 1, DefaultBlockLen,
-		2*DefaultBlockLen + 1234, int64(len(insts)) - 1, int64(len(insts))}
-	buf := make([]isa.Inst, 64)
-	for _, tgt := range targets {
-		if err := cr.SeekInst(tgt); err != nil {
-			t.Fatalf("SeekInst(%d): %v", tgt, err)
-		}
-		if got := cr.SizeHint(); got != int64(len(insts))-tgt {
-			t.Fatalf("SeekInst(%d): SizeHint = %d", tgt, got)
-		}
-		k := cr.ReadBatch(buf)
-		if tgt == int64(len(insts)) {
-			if k != 0 {
-				t.Fatalf("read after seek-to-end returned %d insts", k)
-			}
-			continue
-		}
-		if k == 0 {
-			t.Fatalf("SeekInst(%d): no insts (err %v)", tgt, cr.Err())
-		}
-		for i := 0; i < k; i++ {
-			if buf[i] != insts[tgt+int64(i)] {
-				t.Fatalf("SeekInst(%d): inst %d mismatch", tgt, i)
-			}
-		}
-	}
-	if err := cr.SeekInst(-1); err == nil {
-		t.Fatal("SeekInst(-1) succeeded")
-	}
-	if err := cr.SeekInst(int64(len(insts)) + 1); err == nil {
-		t.Fatal("SeekInst past end succeeded")
-	}
-
-	sr, err := NewReader(bytes.NewReader(data))
+	cf, err := Open(path)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
-	if err := sr.SeekInst(0); err == nil {
-		t.Fatal("SeekInst on a streaming reader succeeded")
-	}
+	defer cf.Close()
+	n := drainUnchecked(cf.Reader, DefaultBlockLen)
+	return n, cf.Err()
 }
 
-// TestTruncationWalk feeds every strict prefix of a valid trace to
-// both backends: none may panic, and every one must report an error or
-// (streaming) end without having invented instructions.
+// TestTruncationWalk feeds strict prefixes of a valid trace to the
+// streaming reader and to Open: none may panic, and every one must
+// report an error after emitting only valid instructions. The stream
+// sees every prefix; Open, which reads the end of the file before
+// streaming, sees every prefix that cuts the footer or trailer and a
+// sample of the rest.
 func TestTruncationWalk(t *testing.T) {
 	insts := genInsts(DefaultBlockLen+300, 21)
 	data := encode(t, insts)
+	path := filepath.Join(t.TempDir(), "cut.colv1")
 	step := 1
 	if testing.Short() {
 		step = 97
@@ -274,11 +244,9 @@ func TestTruncationWalk(t *testing.T) {
 	for cut := 0; cut < len(data); cut += step {
 		prefix := data[:cut]
 
-		if cr, err := NewBytesReader(prefix); err == nil {
-			for cr.ReadBatch(buf) != 0 {
-			}
-			if cr.Err() == nil && cr.instPos != 0 {
-				t.Fatalf("cut=%d: bytes reader accepted a truncated trace (%d insts)", cut, cr.instPos)
+		if cut%97 == 0 || cut > len(data)-128 {
+			if n, err := openAndDrain(t, path, prefix); err == nil {
+				t.Fatalf("cut=%d: Open accepted a truncated trace (%d insts)", cut, n)
 			}
 		}
 
@@ -286,13 +254,11 @@ func TestTruncationWalk(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		n := 0
 		for {
 			k := cr.ReadBatch(buf)
 			if k == 0 {
 				break
 			}
-			n += k
 			for i := 0; i < k; i++ {
 				if !buf[i].Op.Valid() {
 					t.Fatalf("cut=%d: invalid opcode surfaced", cut)
@@ -305,7 +271,6 @@ func TestTruncationWalk(t *testing.T) {
 		if !errors.Is(cr.Err(), ErrTruncated) && !errors.Is(cr.Err(), ErrCorrupt) {
 			t.Fatalf("cut=%d: error %v is neither ErrTruncated nor ErrCorrupt", cut, cr.Err())
 		}
-		_ = n
 	}
 }
 
@@ -318,9 +283,10 @@ func TestZeroLengthAndGarbageInputs(t *testing.T) {
 		[]byte("garbage that is long enough to not be a header at all........."),
 		bytes.Repeat([]byte{0}, 64),
 	}
+	path := filepath.Join(t.TempDir(), "garbage")
 	for i, data := range cases {
-		if _, err := NewBytesReader(data); err == nil {
-			t.Errorf("case %d: NewBytesReader accepted garbage", i)
+		if n, err := openAndDrain(t, path, data); err == nil {
+			t.Errorf("case %d: Open accepted garbage (%d insts)", i, n)
 		}
 		if cr, err := NewReader(bytes.NewReader(data)); err == nil {
 			if n := drainUnchecked(cr, 64); n != 0 || cr.Err() == nil {
@@ -353,16 +319,18 @@ func corruptU32(data []byte, off int, v uint32) []byte {
 	return out
 }
 
+// TestTargetedCorruption: each structural lie in a trace is caught by
+// the streaming reader and by Open, either up front or by the time the
+// stream ends.
 func TestTargetedCorruption(t *testing.T) {
 	insts := genInsts(2*DefaultBlockLen+10, 31)
 	data := encode(t, insts)
+	path := filepath.Join(t.TempDir(), "mutated.colv1")
 
 	check := func(name string, mutated []byte) {
 		t.Helper()
-		if cr, err := NewBytesReader(mutated); err == nil {
-			if drainUnchecked(cr, DefaultBlockLen); cr.Err() == nil {
-				t.Errorf("%s: bytes reader accepted the corruption", name)
-			}
+		if _, err := openAndDrain(t, path, mutated); err == nil {
+			t.Errorf("%s: Open accepted the corruption", name)
 		}
 		if cr, err := NewReader(bytes.NewReader(mutated)); err == nil {
 			if drainUnchecked(cr, DefaultBlockLen); cr.Err() == nil {
@@ -404,10 +372,10 @@ func TestTargetedCorruption(t *testing.T) {
 		for i := 1; i < 8; i++ {
 			mutated[trailerOff+i] = 0
 		}
-		if _, err := NewBytesReader(mutated); err == nil {
-			t.Error("trailer pointing mid-block: accepted")
-		}
+		check("trailer pointing into a block", mutated)
 	}
+	// Bytes appended after the trailer.
+	check("trailing bytes", append(bytes.Clone(data), "garbage"...))
 	// Seek index entry tampered: second block's startInst.
 	if footOff+16+16+8 < trailerOff {
 		check("seek index startInst wrong", corruptU32(data, footOff+16+16+8, 9))
@@ -422,13 +390,12 @@ func binary64(b []byte) uint64 {
 	return uint64(binary32(b)) | uint64(binary32(b[4:]))<<32
 }
 
+// TestOpenMmap opens a trace file with Open: it decodes exactly, Close
+// is idempotent and fails later reads, and a missing or empty file is
+// an error.
 func TestOpenMmap(t *testing.T) {
 	insts := genInsts(DefaultBlockLen+500, 77)
-	data := encode(t, insts)
-	path := filepath.Join(t.TempDir(), "t.colv1")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeTemp(t, encode(t, insts))
 	cf, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -448,6 +415,9 @@ func TestOpenMmap(t *testing.T) {
 	if err := cf.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
+	if cf.Err() == nil {
+		t.Fatal("reader reports no error after Close")
+	}
 
 	if _, err := Open(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("Open of a missing file succeeded")
@@ -461,30 +431,31 @@ func TestOpenMmap(t *testing.T) {
 	}
 }
 
-// TestReadBatchZeroAlloc proves the random-access decode path performs
-// zero allocations per batch in steady state: the block payloads are
-// sliced from the mapped bytes and decoded straight into the caller's
-// buffer.
+// TestReadBatchZeroAlloc proves the streaming decode path performs zero
+// allocations per block in steady state: once the first block has
+// sized the payload buffer and the block log, every further block is
+// read into the same buffer and decoded straight into the caller's.
 func TestReadBatchZeroAlloc(t *testing.T) {
-	insts := genInsts(4*DefaultBlockLen, 55)
-	data := encode(t, insts)
-	cr, err := NewBytesReader(data)
+	const runs = 10
+	// The first block, AllocsPerRun's warm-up call and the measured
+	// runs each take one block; the block log's initial capacity (64)
+	// covers them all.
+	insts := genInsts((runs+4)*DefaultBlockLen, 55)
+	cr, err := NewReader(bytes.NewReader(encode(t, insts)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]isa.Inst, DefaultBlockLen)
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := cr.SeekInst(0); err != nil {
-			t.Fatal(err)
-		}
-		for cr.ReadBatch(buf) != 0 {
-		}
-		if cr.Err() != nil {
-			t.Fatal(cr.Err())
+	if cr.ReadBatch(buf) != DefaultBlockLen {
+		t.Fatalf("first block: %v", cr.Err())
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if cr.ReadBatch(buf) != DefaultBlockLen {
+			t.Fatalf("short block: %v", cr.Err())
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("decode of a %d-inst trace allocated %.0f times per run, want 0", len(insts), allocs)
+		t.Fatalf("steady-state block decode allocated %.2f times per block, want 0", allocs)
 	}
 }
 

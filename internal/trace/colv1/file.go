@@ -1,67 +1,83 @@
 package colv1
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 )
 
-// File is a columnar trace opened from disk through the random-access
-// backend: on platforms with mmap support (linux) the file is
-// memory-mapped, so the reader touches only the header, trailer,
-// footer and the block pages it actually decodes — a billion-
-// instruction trace costs no up-front read at all. Elsewhere the file
-// is read into memory once. Close releases the mapping (or the
-// buffer) and the descriptor; the embedded Reader must not be used
-// after Close.
+// File is a columnar trace opened from disk: the embedded Reader
+// streams the file block by block, and its SizeHint is exact from the
+// start because Open reads the instruction total from the footer
+// first. Close closes the descriptor; the embedded Reader must not be
+// used after Close.
 type File struct {
 	*Reader
-	data   []byte
-	unmap  func([]byte) error
+	f      *os.File
 	closed bool
 }
 
-// Open opens path as a columnar trace for random-access reading.
+// Open opens path as a columnar trace for sequential reading.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	cr, err := NewReader(f)
+	if err == nil {
+		err = cr.readTotal(f)
+	}
 	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	if size == 0 {
-		return nil, fmt.Errorf("%w: %s is empty", ErrTruncated, path)
-	}
-	if size != int64(int(size)) {
-		return nil, fmt.Errorf("colv1: %s: %d bytes exceeds the addressable size", path, size)
-	}
-	data, unmap, err := mapFile(f, int(size))
-	if err != nil {
-		return nil, fmt.Errorf("colv1: mapping %s: %w", path, err)
-	}
-	cr, err := NewBytesReader(data)
-	if err != nil {
-		if unmap != nil {
-			_ = unmap(data)
-		}
+		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &File{Reader: cr, data: data, unmap: unmap}, nil
+	return &File{Reader: cr, f: f}, nil
 }
 
-// Close releases the mapping and invalidates the Reader.
+// readTotal reads the trailer and the fixed part of the footer of f
+// without moving the stream, validates them, and records the footer's
+// instruction total. The streaming footer check later holds the footer
+// it meets to this total.
+func (cr *Reader) readTotal(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := st.Size()
+	if size < headerSize+16+trailerSize {
+		return fmt.Errorf("%w: %d bytes is smaller than an empty trace", ErrTruncated, size)
+	}
+	var buf [16]byte
+	if _, err := f.ReadAt(buf[:trailerSize], size-trailerSize); err != nil {
+		return fmt.Errorf("colv1: reading trailer: %w", err)
+	}
+	if string(buf[8:12]) != trailerMagic {
+		return fmt.Errorf("%w: missing trailer magic", ErrTruncated)
+	}
+	footOff := int64(binary.LittleEndian.Uint64(buf[0:8]))
+	if footOff < headerSize || footOff > size-trailerSize-16 {
+		return fmt.Errorf("%w: footer offset %d out of range", ErrCorrupt, footOff)
+	}
+	if _, err := f.ReadAt(buf[:], footOff); err != nil {
+		return fmt.Errorf("colv1: reading footer: %w", err)
+	}
+	if binary.LittleEndian.Uint32(buf[0:4]) != 0 {
+		return fmt.Errorf("%w: footer marker is not zero", ErrCorrupt)
+	}
+	total := int64(binary.LittleEndian.Uint64(buf[4:12]))
+	if total < 0 {
+		return fmt.Errorf("%w: negative instruction count", ErrCorrupt)
+	}
+	cr.total = total
+	return nil
+}
+
+// Close invalidates the Reader and closes the file.
 func (cf *File) Close() error {
 	if cf.closed {
 		return nil
 	}
 	cf.closed = true
 	cf.Reader.fail(fmt.Errorf("colv1: reader used after Close"))
-	cf.Reader.data = nil
-	if cf.unmap != nil {
-		return cf.unmap(cf.data)
-	}
-	return nil
+	return cf.f.Close()
 }

@@ -5,56 +5,41 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"storemlp/internal/isa"
 )
 
-// Reader decodes a columnar trace. It implements the trace package's
-// Source, BatchSource and Sized contracts (structurally — this package
-// only imports isa), so every trace consumer reads it directly.
+// Reader decodes a columnar trace sequentially from an io.Reader. It
+// implements the trace package's Source and Sized contracts
+// (structurally — this package only imports isa), so every trace
+// consumer reads it directly.
 //
-// A Reader has one of two backends:
-//
-//   - streaming (NewReader): blocks are read sequentially from an
-//     io.Reader into one reusable buffer; no seeking, suitable for
-//     pipes. End of stream without a footer reports ErrTruncated.
-//   - random-access (NewBytesReader): the whole file is available as a
-//     byte slice (typically an mmap via Open); block payloads are
-//     sliced in place with zero copying, and Seek jumps to any
-//     instruction through the footer index.
-//
-// Decode work happens lazily per ReadBatch call: the hot loop reads
-// straight out of the block buffer into the caller's batch, allocating
-// nothing per instruction.
+// Blocks are read one at a time into one reusable buffer, so no
+// seeking is needed and pipes work. Decode work happens lazily per
+// ReadBatch call: the hot loop reads straight out of the block buffer
+// into the caller's batch, allocating nothing per instruction. The
+// stream ends at the footer, which the reader holds to account against
+// the blocks it saw; end of input without a footer reports
+// ErrTruncated.
 type Reader struct {
-	// Exactly one of br (streaming) / data (random-access) is set.
-	br   *bufio.Reader
-	data []byte
+	br *bufio.Reader
 
-	blockLen int
-	total    int64 // total instructions (footer); -1 while unknown (streaming)
-	instPos  int64 // stream index of the next instruction to decode
+	blockLen  int
+	total     int64 // total instructions (footer); -1 while unknown
+	instPos   int64 // stream index of the next instruction to decode
+	streamOff int64 // bytes consumed so far
 
-	// Seek index: parsed eagerly from the footer (random-access), or
-	// accumulated block by block for the footer cross-check
-	// (streaming).
-	index     []blockIndexEnt
-	nextBlk   int   // next index entry to load (random-access)
-	footOff   int64 // offset of the footer marker (random-access)
-	streamOff int64 // bytes consumed so far (streaming)
-	seenFoot  bool  // streaming: footer reached
+	// index accumulates what the footer's seek index must claim about
+	// each block, for the footer cross-check.
+	index []blockIndexEnt
 
-	blockBuf []byte // streaming: reusable payload buffer
+	blockBuf []byte // reusable payload buffer
 	dec      blockDecoder
 	done     bool
 	err      error
-	one      [1]isa.Inst
-	skip     [256]isa.Inst // Seek decode-discard scratch
-	// scratch backs the fixed-size io.ReadFull reads of the streaming
-	// backend (header, block length prefix, footer fixed part, index
-	// entries):
-	// a stack array passed through the io.Reader interface escapes, so
+	// scratch backs the fixed-size io.ReadFull reads (header, block
+	// length prefix, footer fixed part, index entries, trailer): a
+	// stack array passed through the io.Reader interface escapes, so
 	// one heap allocation per block; a struct field costs nothing.
 	scratch [16]byte
 }
@@ -79,27 +64,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return cr, nil
 }
 
-// NewBytesReader returns a random-access Reader over a complete
-// columnar trace held (or mapped) in memory. The footer and trailer
-// are validated eagerly; block payloads are referenced in place and
-// only touched when decoded.
-func NewBytesReader(data []byte) (*Reader, error) {
-	if err := checkMagic(data); err != nil {
-		return nil, err
-	}
-	if len(data) < headerSize+16+trailerSize {
-		return nil, fmt.Errorf("%w: %d bytes is smaller than an empty trace", ErrTruncated, len(data))
-	}
-	cr := &Reader{data: data}
-	if err := cr.parseHeader(data[:headerSize]); err != nil {
-		return nil, err
-	}
-	if err := cr.parseFooter(); err != nil {
-		return nil, err
-	}
-	return cr, nil
-}
-
 func (cr *Reader) parseHeader(hdr []byte) error {
 	if err := checkMagic(hdr); err != nil {
 		return err
@@ -115,94 +79,18 @@ func (cr *Reader) parseHeader(hdr []byte) error {
 	return nil
 }
 
-// parseFooter locates and validates the footer through the trailer,
-// building the seek index (random-access backend only).
-func (cr *Reader) parseFooter() error {
-	size := int64(len(cr.data))
-	trailer := cr.data[size-trailerSize:]
-	if string(trailer[8:12]) != trailerMagic {
-		return fmt.Errorf("%w: missing trailer magic", ErrTruncated)
-	}
-	footOff := int64(binary.LittleEndian.Uint64(trailer[0:8]))
-	if footOff < headerSize || footOff > size-trailerSize-16 {
-		return fmt.Errorf("%w: footer offset %d out of range", ErrCorrupt, footOff)
-	}
-	foot := cr.data[footOff : size-trailerSize]
-	if binary.LittleEndian.Uint32(foot[0:4]) != 0 {
-		return fmt.Errorf("%w: footer marker is not zero", ErrCorrupt)
-	}
-	total := int64(binary.LittleEndian.Uint64(foot[4:12]))
-	nBlocks := int64(binary.LittleEndian.Uint32(foot[12:16]))
-	if total < 0 {
-		return fmt.Errorf("%w: negative instruction count", ErrCorrupt)
-	}
-	if int64(len(foot)) != 16+16*nBlocks {
-		return fmt.Errorf("%w: footer length %d does not match %d blocks", ErrCorrupt, len(foot), nBlocks)
-	}
-	if nBlocks == 0 && total != 0 {
-		return fmt.Errorf("%w: %d instructions but no blocks", ErrCorrupt, total)
-	}
-	index := make([]blockIndexEnt, nBlocks)
-	for i := range index {
-		off := int64(binary.LittleEndian.Uint64(foot[16+16*i:]))
-		start := int64(binary.LittleEndian.Uint64(foot[24+16*i:]))
-		index[i] = blockIndexEnt{offset: off, startInst: start}
-		if i == 0 {
-			if off != headerSize || start != 0 {
-				return fmt.Errorf("%w: first block at offset %d / inst %d", ErrCorrupt, off, start)
-			}
-		} else if off <= index[i-1].offset || start <= index[i-1].startInst {
-			return fmt.Errorf("%w: seek index not strictly increasing at block %d", ErrCorrupt, i)
-		}
-		if off+4+payloadFixed > footOff {
-			return fmt.Errorf("%w: block %d offset %d beyond footer", ErrCorrupt, i, off)
-		}
-		if start >= total {
-			return fmt.Errorf("%w: block %d starts at inst %d of %d", ErrCorrupt, i, start, total)
-		}
-	}
-	cr.total = total
-	cr.index = index
-	cr.footOff = footOff
-	return nil
-}
-
-// blockInsts returns how many instructions block i must contain
-// according to the seek index — the index is authoritative, and any
-// block whose own nInsts disagrees is corrupt.
-func (cr *Reader) blockInsts(i int) int64 {
-	end := cr.total
-	if i+1 < len(cr.index) {
-		end = cr.index[i+1].startInst
-	}
-	return end - cr.index[i].startInst
-}
-
 // Err returns the first error encountered, if any. End of a complete
 // trace is not an error.
 func (cr *Reader) Err() error { return cr.err }
 
-// SizeHint reports the remaining instruction count when known (always,
-// for the random-access backend; never, for the streaming backend —
-// the count lives in the footer, which a sequential reader has not
-// seen yet).
+// SizeHint reports the remaining instruction count when known: from
+// the start for a trace opened with Open, which reads the total from
+// the footer up front, and otherwise only once the footer is reached.
 func (cr *Reader) SizeHint() int64 {
 	if cr.total < 0 {
 		return -1
 	}
 	return cr.total - cr.instPos
-}
-
-// NumInsts returns the total instruction count, or -1 when unknown
-// (streaming backend before the footer).
-func (cr *Reader) NumInsts() int64 { return cr.total }
-
-// Next implements the per-instruction Source contract.
-func (cr *Reader) Next() (isa.Inst, bool) {
-	if cr.ReadBatch(cr.one[:]) == 0 {
-		return isa.Inst{}, false
-	}
-	return cr.one[0], true
 }
 
 // ReadBatch decodes up to len(dst) instructions into dst and returns
@@ -245,38 +133,6 @@ func (cr *Reader) fail(err error) {
 // nextBlock loads the next block into the decoder. It returns false at
 // end of stream or on error.
 func (cr *Reader) nextBlock() bool {
-	if cr.data != nil {
-		return cr.nextBlockBytes()
-	}
-	return cr.nextBlockStream()
-}
-
-func (cr *Reader) nextBlockBytes() bool {
-	if cr.nextBlk >= len(cr.index) {
-		cr.done = true
-		return false
-	}
-	i := cr.nextBlk
-	off := cr.index[i].offset
-	payloadLen := int64(binary.LittleEndian.Uint32(cr.data[off : off+4]))
-	if payloadLen < payloadFixed || off+4+payloadLen > cr.footOff {
-		cr.fail(fmt.Errorf("%w: block %d payload length %d out of range", ErrCorrupt, i, payloadLen))
-		return false
-	}
-	payload := cr.data[off+4 : off+4+payloadLen]
-	if err := cr.dec.load(payload, cr.blockLen); err != nil {
-		cr.fail(fmt.Errorf("block %d: %w", i, err))
-		return false
-	}
-	if int64(cr.dec.n) != cr.blockInsts(i) {
-		cr.fail(fmt.Errorf("%w: block %d holds %d insts, seek index says %d", ErrCorrupt, i, cr.dec.n, cr.blockInsts(i)))
-		return false
-	}
-	cr.nextBlk++
-	return true
-}
-
-func (cr *Reader) nextBlockStream() bool {
 	lenBuf := cr.scratch[:4]
 	if _, err := io.ReadFull(cr.br, lenBuf); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -292,7 +148,7 @@ func (cr *Reader) nextBlockStream() bool {
 	if payloadLen == 0 {
 		// Footer marker: validate totals, swallow the index, check the
 		// trailer, and finish.
-		cr.readFooterStream()
+		cr.readFooter(blockOff)
 		return false
 	}
 	if payloadLen < payloadFixed || payloadLen > maxPayload(cr.blockLen) {
@@ -313,8 +169,8 @@ func (cr *Reader) nextBlockStream() bool {
 		return false
 	}
 	// Record what the footer's seek index must later claim about this
-	// block; readFooterStream cross-checks entry by entry. Sized up
-	// front so a long stream grows the index a few times, not per block.
+	// block; readFooter cross-checks entry by entry. Sized up front so
+	// a long stream grows the index a few times, not per block.
 	if cr.index == nil {
 		cr.index = make([]blockIndexEnt, 0, 64)
 	}
@@ -322,10 +178,12 @@ func (cr *Reader) nextBlockStream() bool {
 	return true
 }
 
-// readFooterStream consumes the footer and trailer of a sequential
-// stream, cross-checking the declared instruction total against what
-// was actually decoded.
-func (cr *Reader) readFooterStream() {
+// readFooter consumes the footer and trailer whose zero marker sat at
+// stream offset footOff, holding every field to what the stream
+// actually held: the instruction total, each seek index entry, the
+// trailer's footer offset, and the end of input right after the
+// trailer.
+func (cr *Reader) readFooter(footOff int64) {
 	fixed := cr.scratch[:12]
 	if _, err := io.ReadFull(cr.br, fixed); err != nil {
 		cr.fail(fmt.Errorf("%w: cut short in footer: %v", ErrTruncated, err))
@@ -337,10 +195,10 @@ func (cr *Reader) readFooterStream() {
 		cr.fail(fmt.Errorf("%w: footer declares %d instructions, stream held %d", ErrCorrupt, total, cr.instPos))
 		return
 	}
-	// The seek index is for random access, but a sequential reader saw
-	// every block go by and can hold the footer to account: each entry
-	// must name exactly the offset and first-instruction index the
-	// block actually had.
+	if cr.total >= 0 && total != cr.total {
+		cr.fail(fmt.Errorf("%w: footer declares %d instructions, trailer's footer said %d", ErrCorrupt, total, cr.total))
+		return
+	}
 	if nBlocks != int64(len(cr.index)) {
 		cr.fail(fmt.Errorf("%w: footer indexes %d blocks, stream held %d", ErrCorrupt, nBlocks, len(cr.index)))
 		return
@@ -368,56 +226,21 @@ func (cr *Reader) readFooterStream() {
 		cr.fail(fmt.Errorf("%w: bad trailer magic", ErrCorrupt))
 		return
 	}
+	if off := int64(binary.LittleEndian.Uint64(trailer[0:8])); off != footOff {
+		cr.fail(fmt.Errorf("%w: trailer points at offset %d, footer is at %d", ErrCorrupt, off, footOff))
+		return
+	}
+	switch _, err := cr.br.ReadByte(); err {
+	case io.EOF:
+	case nil:
+		cr.fail(fmt.Errorf("%w: trailing bytes after the trailer", ErrCorrupt))
+		return
+	default:
+		cr.fail(fmt.Errorf("colv1: reading past the trailer: %w", err))
+		return
+	}
 	cr.total = total
-	cr.seenFoot = true
 	cr.done = true
-}
-
-// SeekInst positions the reader at instruction index inst (0-based), using
-// the footer seek index to touch only the containing block. It is
-// available on the random-access backend only. Seeking to NumInsts()
-// positions at end of stream; anything outside [0, NumInsts()] is an
-// error.
-func (cr *Reader) SeekInst(inst int64) error {
-	if cr.data == nil {
-		return fmt.Errorf("colv1: SeekInst requires a random-access reader (NewBytesReader or Open)")
-	}
-	if cr.err != nil {
-		return cr.err
-	}
-	if inst < 0 || inst > cr.total {
-		return fmt.Errorf("colv1: seek to %d outside trace of %d instructions", inst, cr.total)
-	}
-	cr.dec = blockDecoder{}
-	cr.done = false
-	if inst == cr.total {
-		cr.instPos = inst
-		cr.nextBlk = len(cr.index)
-		cr.done = true
-		return nil
-	}
-	// Last block whose startInst <= inst.
-	b := sort.Search(len(cr.index), func(i int) bool { return cr.index[i].startInst > inst }) - 1
-	cr.nextBlk = b
-	cr.instPos = cr.index[b].startInst
-	if !cr.nextBlockBytes() {
-		return cr.err
-	}
-	// Decode-and-discard up to the target: delta and RLE cursors only
-	// move forward, so a skip is a decode into scratch.
-	for cr.instPos < inst {
-		want := inst - cr.instPos
-		if want > int64(len(cr.skip)) {
-			want = int64(len(cr.skip))
-		}
-		k, ok := cr.dec.decode(cr.skip[:want])
-		if !ok || k == 0 {
-			cr.fail(fmt.Errorf("%w: malformed column data while seeking to inst %d", ErrCorrupt, inst))
-			return cr.err
-		}
-		cr.instPos += int64(k)
-	}
-	return nil
 }
 
 // blockDecoder holds the incremental decode state of one block: a

@@ -9,22 +9,21 @@ import (
 
 // Traces on disk have one format, the columnar "SMLC" block codec of
 // internal/trace/colv1: WriteAll writes it, colv1.NewReader streams it
-// from any io.Reader, and OpenFile maps a file for random access.
+// from any io.Reader, and OpenFile streams it from a file.
 
-// FileSource is what a trace reader hands back: a batch-capable
-// instruction source with a terminal-error accessor — decoding
-// problems end the stream, and Err distinguishes a clean end from a
-// corrupt or truncated one.
+// FileSource is what a trace reader hands back: an instruction source
+// with a terminal-error accessor — decoding problems end the stream,
+// and Err distinguishes a clean end from a corrupt or truncated one.
 type FileSource interface {
-	BatchSource
+	Source
 	Sized
 	Err() error
 }
 
-// OpenFile opens path as a trace through the random-access mmap
-// backend, so arbitrarily large traces cost no up-front read. The
-// returned closer releases the mapping and must be closed after the
-// source is drained.
+// OpenFile opens path as a trace. The file is read sequentially, one
+// block at a time, and its instruction count is known before the first
+// read. The returned closer closes the file and must be closed after
+// the source is drained.
 func OpenFile(path string) (FileSource, io.Closer, error) {
 	cf, err := colv1.Open(path)
 	if err != nil {
@@ -34,8 +33,8 @@ func OpenFile(path string) (FileSource, io.Closer, error) {
 }
 
 // WriteAll writes every instruction from src into w as a trace and
-// returns the count written. It pulls whole blocks through the batch
-// interface, so encoding costs O(blocks) allocations.
+// returns the count written. It pulls whole blocks through Fill, so
+// encoding costs O(blocks) allocations.
 func WriteAll(w io.Writer, src Source) (int64, error) {
 	cw, err := colv1.NewWriter(w)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"storemlp/internal/isa"
 	"storemlp/internal/trace/colv1"
 	"storemlp/internal/workload"
 )
@@ -23,18 +22,19 @@ func genStream(n int64) Source {
 	return Limit(workload.NewGenerator(workload.TPCW(7)), n)
 }
 
-// collect drains a source into a slice.
-func collect(t *testing.T, src Source) []isa.Inst {
+// openBytes writes data to a temporary file and opens it with
+// OpenFile, closing it again on success; it returns OpenFile's error.
+func openBytes(t *testing.T, data []byte) error {
 	t.Helper()
-	var out []isa.Inst
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, in)
+	path := filepath.Join(t.TempDir(), "t.trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	_, closer, err := OpenFile(path)
+	if err == nil {
+		closer.Close()
+	}
+	return err
 }
 
 // encode writes n generated instructions through WriteAll.
@@ -58,12 +58,12 @@ func isLegacyErr(err error) bool {
 }
 
 // TestOpenFileBothFormats opens a file of each format ever written: a
-// columnar trace round-trips through the mmap-backed reader with its
-// count known up front, and a legacy trace fails with the removal
-// error instead of decoding.
+// columnar trace round-trips through OpenFile with its count known up
+// front, and a legacy trace fails with the removal error instead of
+// decoding.
 func TestOpenFileBothFormats(t *testing.T) {
 	const n = 8_192
-	want := collect(t, genStream(n))
+	want := Collect(genStream(n)).Insts
 	dir := t.TempDir()
 	path := filepath.Join(dir, "columnar.trace")
 	if err := os.WriteFile(path, encode(t, n), 0o644); err != nil {
@@ -73,12 +73,12 @@ func TestOpenFileBothFormats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	// The random-access backend reads the footer eagerly, so the count
-	// is exact before a single instruction decodes.
+	// OpenFile reads the total through the trailer, so the count is
+	// exact before a single instruction decodes.
 	if hint := src.SizeHint(); hint != n {
 		t.Errorf("SizeHint = %d, want %d", hint, n)
 	}
-	got := collect(t, src)
+	got := Collect(src).Insts
 	if err := src.Err(); err != nil {
 		t.Fatalf("Err after drain: %v", err)
 	}

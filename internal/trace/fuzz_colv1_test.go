@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"storemlp/internal/isa"
@@ -38,11 +40,21 @@ func instsFromFuzz(data []byte) []isa.Inst {
 	return out
 }
 
+// tempTrace writes data to a fresh temporary file and returns its path.
+func tempTrace(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fuzz.trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // FuzzTraceRoundTrip exercises this package's write path from both
 // ends: the fuzz input, decoded as an instruction sequence, must
 // survive WriteAll and a read back through Fill exactly; and the input
-// behind a legacy "SMLT" magic must be refused by both reader backends
-// with the legacy-format-removed error, never decoded.
+// behind a legacy "SMLT" magic must be refused by the streaming reader
+// and OpenFile with the legacy-format-removed error, never decoded.
 func FuzzTraceRoundTrip(f *testing.F) {
 	// Corpus seeds: a real generated workload trace (what cmd/tracegen
 	// emits), an empty trace, legacy header prefixes, and noise.
@@ -101,14 +113,14 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Direction 2: fuzz bytes behind a legacy magic; no backend may
+		// Direction 2: fuzz bytes behind a legacy magic; no reader may
 		// decode them.
 		legacy := append([]byte("SMLT"), data...)
 		if _, err := colv1.NewReader(bytes.NewReader(legacy)); !isLegacyErr(err) {
 			t.Fatalf("stream reader on a legacy trace: err = %v", err)
 		}
-		if _, err := colv1.NewBytesReader(legacy); !isLegacyErr(err) {
-			t.Fatalf("bytes reader on a legacy trace: err = %v", err)
+		if _, _, err := OpenFile(tempTrace(t, legacy)); !isLegacyErr(err) {
+			t.Fatalf("OpenFile on a legacy trace: err = %v", err)
 		}
 	})
 }
@@ -117,7 +129,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // become an instruction sequence that must survive
 // encode->decode exactly, and double as a hostile byte stream the
 // reader must reject with an error — never a panic — whether it is
-// fed sequentially or through the random-access backend.
+// fed from an io.Reader or opened as a file.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	// Corpus seeds: a real workload trace, an empty trace, adversarial
 	// header prefixes, raw varint noise, and a legacy-format header.
@@ -157,28 +169,29 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		if cw.Count() != int64(len(insts)) {
 			t.Fatalf("writer count %d, want %d", cw.Count(), len(insts))
 		}
-		cr, err := colv1.NewBytesReader(buf.Bytes())
+		cf, err := colv1.Open(tempTrace(t, buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reading back own output: %v", err)
 		}
-		for i, want := range insts {
-			got, ok := cr.Next()
-			if !ok {
-				t.Fatalf("record %d: stream ended early (err %v)", i, cr.Err())
-			}
-			if got != want {
-				t.Fatalf("record %d: round trip %+v -> %+v", i, want, got)
-			}
+		if got := cf.SizeHint(); got != int64(len(insts)) {
+			t.Fatalf("SizeHint = %d before the first read, want %d", got, len(insts))
 		}
-		if _, ok := cr.Next(); ok {
-			t.Fatal("reader yielded more records than written")
-		}
-		if err := cr.Err(); err != nil {
+		got := Collect(cf).Insts
+		if err := cf.Err(); err != nil {
 			t.Fatalf("clean trace ended with error: %v", err)
 		}
+		cf.Close()
+		if len(got) != len(insts) {
+			t.Fatalf("read back %d records, want %d", len(got), len(insts))
+		}
+		for i, want := range insts {
+			if got[i] != want {
+				t.Fatalf("record %d: round trip %+v -> %+v", i, want, got[i])
+			}
+		}
 
-		// Direction 2: fuzz bytes as a hostile stream against both
-		// backends. Any failure must surface as ErrBadMagic /
+		// Direction 2: fuzz bytes as a hostile stream and as a hostile
+		// file. Any failure must surface as ErrBadMagic /
 		// ErrBadVersion / ErrTruncated / ErrCorrupt, never a panic.
 		checkErr := func(err error) {
 			if err == nil {
@@ -189,23 +202,35 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
 		}
+		path := tempTrace(t, data)
 		for _, open := range []func() (*colv1.Reader, error){
 			func() (*colv1.Reader, error) { return colv1.NewReader(bytes.NewReader(data)) },
-			func() (*colv1.Reader, error) { return colv1.NewBytesReader(data) },
+			func() (*colv1.Reader, error) {
+				cf, err := colv1.Open(path)
+				if err != nil {
+					return nil, err
+				}
+				t.Cleanup(func() { cf.Close() })
+				return cf.Reader, nil
+			},
 		} {
 			hr, err := open()
 			if err != nil {
 				checkErr(err)
 				continue
 			}
-			for n := 0; n < 1<<20; n++ {
-				in, ok := hr.Next()
-				if !ok {
+			batch := make([]isa.Inst, 333)
+			for n := 0; n < 1<<20; {
+				k := hr.ReadBatch(batch)
+				if k == 0 {
 					break
 				}
-				if !in.Op.Valid() {
-					t.Fatalf("reader emitted invalid opcode %d", in.Op)
+				for _, in := range batch[:k] {
+					if !in.Op.Valid() {
+						t.Fatalf("reader emitted invalid opcode %d", in.Op)
+					}
 				}
+				n += k
 			}
 			checkErr(hr.Err())
 		}

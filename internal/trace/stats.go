@@ -59,14 +59,16 @@ func (s *Stats) Add(in isa.Inst) {
 // Gather drains src, accumulating statistics.
 func Gather(src Source) Stats {
 	var s Stats
+	var buf [1024]isa.Inst
 	for {
-		in, ok := src.Next()
-		if !ok {
-			break
+		n := Fill(src, buf[:])
+		if n == 0 {
+			return s
 		}
-		s.Add(in)
+		for _, in := range buf[:n] {
+			s.Add(in)
+		}
 	}
-	return s
 }
 
 // String renders a one-line-per-class summary.

@@ -1,7 +1,7 @@
 // Package trace provides the dynamic instruction stream abstraction the
 // epoch MLP engine consumes, reading and writing trace files in the
 // columnar format of internal/trace/colv1, and stream transforms
-// (limit, concat, replay, statistics).
+// (limit, map, statistics).
 //
 // The paper's MLPsim "reads in an instruction trace and a set of
 // microarchitecture parameters as inputs"; Source is that trace input.
@@ -9,35 +9,21 @@
 // (internal/workload), from files written by cmd/tracegen, or from
 // in-memory slices in tests.
 //
-// Sources come in two speeds. Next hands over one instruction per
-// interface call; BatchSource fills a caller-owned block of
-// instructions per call, amortizing interface dispatch, bounds checks
-// and cancellation polls across thousands of instructions. The epoch
-// engine always pulls through Fill, which uses ReadBatch when the
-// source provides it and degrades to a Next loop otherwise, so the two
-// speeds are interchangeable everywhere.
+// A Source hands over a caller-owned block of instructions per call,
+// amortizing interface dispatch, bounds checks and cancellation polls
+// across thousands of instructions. Consumers pull through Fill, which
+// absorbs short reads.
 package trace
 
 import (
 	"storemlp/internal/isa"
 )
 
-// Source is a stream of dynamic instructions. Next returns the next
-// instruction and true, or a zero Inst and false at end of stream.
-// Sources are single-use; use a Replayable source to run the same stream
-// through multiple simulator configurations.
+// Source is a stream of dynamic instructions. ReadBatch writes up to
+// len(dst) instructions into dst and returns the number written; it
+// returns 0 only at end of stream (a short non-zero read does NOT imply
+// the stream is exhausted). Sources are single-use.
 type Source interface {
-	Next() (isa.Inst, bool)
-}
-
-// BatchSource is a Source that can fill whole blocks of instructions at
-// a time. ReadBatch writes up to len(dst) instructions into dst and
-// returns the number written; it returns 0 only at end of stream (a
-// short non-zero read does NOT imply the stream is exhausted). Mixing
-// Next and ReadBatch calls on one source is allowed: both consume the
-// same underlying stream in order.
-type BatchSource interface {
-	Source
 	ReadBatch(dst []isa.Inst) int
 }
 
@@ -50,74 +36,42 @@ type Sized interface {
 	SizeHint() int64
 }
 
-// Fill reads up to len(dst) instructions from src into dst, using the
-// batch path when src implements BatchSource and falling back to a Next
-// loop otherwise. It returns the number of instructions written; 0
-// means end of stream (Fill keeps pulling until dst is full or the
-// stream ends, so short reads from underlying batch sources are
-// absorbed here).
+// Fill reads up to len(dst) instructions from src into dst and returns
+// the number written; 0 means end of stream. Fill keeps pulling until
+// dst is full or the stream ends, so short reads from the underlying
+// source are absorbed here.
 //
 //storemlp:noalloc
 func Fill(src Source, dst []isa.Inst) int {
-	if bs, ok := src.(BatchSource); ok {
-		n := 0
-		for n < len(dst) {
-			k := bs.ReadBatch(dst[n:])
-			if k == 0 {
-				break
-			}
-			n += k
-		}
-		return n
-	}
 	n := 0
 	for n < len(dst) {
-		in, ok := src.Next()
-		if !ok {
+		k := src.ReadBatch(dst[n:])
+		if k == 0 {
 			break
 		}
-		dst[n] = in
-		n++
+		n += k
 	}
 	return n
 }
 
-// Replayable is a Source that can be reset to its beginning, so that
-// identical instruction streams can be fed to many configurations — the
-// way every multi-configuration figure in the paper is produced.
-type Replayable interface {
-	Source
-	Reset()
-}
-
-// Slice is an in-memory trace. It implements Replayable, BatchSource
-// and Sized.
+// Slice is an in-memory trace. It implements Source and Sized; Reset
+// rewinds it, so one slice can feed many configurations.
 type Slice struct {
 	Insts []isa.Inst //storemlp:keep (the trace itself; Reset rewinds, it does not erase)
 	pos   int
 }
 
-// NewSlice wraps insts in a replayable source.
+// NewSlice wraps insts in a rewindable source.
 func NewSlice(insts []isa.Inst) *Slice { return &Slice{Insts: insts} }
 
-// Next implements Source.
-func (s *Slice) Next() (isa.Inst, bool) {
-	if s.pos >= len(s.Insts) {
-		return isa.Inst{}, false
-	}
-	in := s.Insts[s.pos]
-	s.pos++
-	return in, true
-}
-
-// ReadBatch implements BatchSource: one copy, no per-instruction work.
+// ReadBatch implements Source: one copy, no per-instruction work.
 func (s *Slice) ReadBatch(dst []isa.Inst) int {
 	n := copy(dst, s.Insts[s.pos:])
 	s.pos += n
 	return n
 }
 
-// Reset implements Replayable.
+// Reset rewinds the slice to its first instruction.
 func (s *Slice) Reset() { s.pos = 0 }
 
 // Len returns the total number of instructions in the trace.
@@ -135,8 +89,7 @@ const collectPreallocCap = 1 << 22
 // Collect drains src into a Slice. It is intended for tests and for
 // materializing generator output before writing it to disk or replaying
 // it across configurations. When src exposes a size hint the backing
-// slice is allocated once up front; the drain itself runs through the
-// batch path.
+// slice is allocated once up front.
 func Collect(src Source) *Slice {
 	var insts []isa.Inst
 	if sz, ok := src.(Sized); ok {
@@ -165,22 +118,10 @@ type limited struct {
 }
 
 // Limit returns a Source that yields at most n instructions from src.
-// The returned source is batch-aware: when src implements BatchSource
-// (the workload generators, slices and the file codec all do), replay
-// through Limit stays on the block path instead of degrading to
-// per-instruction calls.
 func Limit(src Source, n int64) Source { return &limited{src: src, n: n} }
 
-func (l *limited) Next() (isa.Inst, bool) {
-	if l.n <= 0 {
-		return isa.Inst{}, false
-	}
-	l.n--
-	return l.src.Next()
-}
-
-// ReadBatch implements BatchSource by clamping the destination block to
-// the remaining budget.
+// ReadBatch implements Source by clamping the destination block to the
+// remaining budget.
 func (l *limited) ReadBatch(dst []isa.Inst) int {
 	if l.n <= 0 {
 		return 0
@@ -204,65 +145,10 @@ func (l *limited) SizeHint() int64 {
 	return l.n
 }
 
-// concat chains sources end to end.
-type concat struct {
-	srcs []Source
-}
-
-// Concat returns a Source that yields all of the given sources in
-// order. It is batch-aware per underlying source.
-func Concat(srcs ...Source) Source { return &concat{srcs: srcs} }
-
-func (c *concat) Next() (isa.Inst, bool) {
-	for len(c.srcs) > 0 {
-		in, ok := c.srcs[0].Next()
-		if ok {
-			return in, true
-		}
-		c.srcs = c.srcs[1:]
-	}
-	return isa.Inst{}, false
-}
-
-// ReadBatch implements BatchSource.
-func (c *concat) ReadBatch(dst []isa.Inst) int {
-	for len(c.srcs) > 0 {
-		if k := Fill(c.srcs[0], dst); k > 0 {
-			return k
-		}
-		c.srcs = c.srcs[1:]
-	}
-	return 0
-}
-
-// SizeHint implements Sized: the sum of the parts, unknown if any part
-// is unknown.
-func (c *concat) SizeHint() int64 {
-	var total int64
-	for _, s := range c.srcs {
-		sz, ok := s.(Sized)
-		if !ok {
-			return -1
-		}
-		h := sz.SizeHint()
-		if h < 0 {
-			return -1
-		}
-		total += h
-	}
-	return total
-}
-
-// Func adapts a function to the Source interface.
-type Func func() (isa.Inst, bool)
-
-// Next implements Source.
-func (f Func) Next() (isa.Inst, bool) { return f() }
-
-// mapped applies a transform to every instruction of a source. It keeps
-// the batch path alive: input blocks are pulled into a scratch buffer
-// and transformed in place, so a Map over a batch source costs two
-// interface calls per block rather than two per instruction.
+// mapped applies a transform to every instruction of a source: input
+// blocks are pulled into a scratch buffer and transformed in place, so
+// a Map costs two interface calls per block rather than two per
+// instruction.
 type mapped struct {
 	src     Source
 	fn      func(isa.Inst) (isa.Inst, bool)
@@ -275,20 +161,7 @@ func Map(src Source, fn func(isa.Inst) (isa.Inst, bool)) Source {
 	return &mapped{src: src, fn: fn}
 }
 
-// Next implements Source.
-func (m *mapped) Next() (isa.Inst, bool) {
-	for {
-		in, ok := m.src.Next()
-		if !ok {
-			return isa.Inst{}, false
-		}
-		if out, keep := m.fn(in); keep {
-			return out, true
-		}
-	}
-}
-
-// ReadBatch implements BatchSource. A block that the transform entirely
+// ReadBatch implements Source. A block that the transform entirely
 // drops yields another pull, not a premature end of stream.
 func (m *mapped) ReadBatch(dst []isa.Inst) int {
 	if cap(m.scratch) < len(dst) {

@@ -31,55 +31,31 @@ func TestSliceSource(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	for i := 0; i < 3; i++ {
-		in, ok := s.Next()
-		if !ok {
-			t.Fatalf("Next() ended early at %d", i)
-		}
-		if in != insts[i] {
-			t.Errorf("inst %d = %v, want %v", i, in, insts[i])
-		}
+	buf := make([]isa.Inst, 2)
+	if k := s.ReadBatch(buf); k != 2 || buf[0] != insts[0] || buf[1] != insts[1] {
+		t.Fatalf("first ReadBatch = %d %v, want the first two insts", k, buf[:k])
 	}
-	if _, ok := s.Next(); ok {
-		t.Error("Next() should be exhausted")
+	if k := s.ReadBatch(buf); k != 1 || buf[0] != insts[2] {
+		t.Fatalf("second ReadBatch = %d %v, want the last inst", k, buf[:k])
+	}
+	if k := s.ReadBatch(buf); k != 0 {
+		t.Errorf("ReadBatch after the end = %d, want 0", k)
 	}
 	s.Reset()
-	if in, ok := s.Next(); !ok || in != insts[0] {
+	if k := s.ReadBatch(buf[:1]); k != 1 || buf[0] != insts[0] {
 		t.Error("Reset did not rewind")
 	}
 }
 
 func TestLimit(t *testing.T) {
 	s := NewSlice([]isa.Inst{mkInst(0), mkInst(1), mkInst(2), mkInst(3)})
-	l := Limit(s, 2)
-	n := 0
-	for {
-		_, ok := l.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
+	if n := Collect(Limit(s, 2)).Len(); n != 2 {
 		t.Errorf("Limit yielded %d, want 2", n)
 	}
 	// Limit longer than source just drains it.
 	s.Reset()
 	if got := Collect(Limit(s, 100)).Len(); got != 4 {
 		t.Errorf("over-limit yielded %d, want 4", got)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewSlice([]isa.Inst{mkInst(0), mkInst(1)})
-	b := NewSlice(nil)
-	c := NewSlice([]isa.Inst{mkInst(2)})
-	got := Collect(Concat(a, b, c))
-	if got.Len() != 3 {
-		t.Fatalf("Concat yielded %d, want 3", got.Len())
-	}
-	if got.Insts[2] != mkInst(2) {
-		t.Errorf("last inst = %v", got.Insts[2])
 	}
 }
 
@@ -132,13 +108,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecBadMagic: both backends reject a foreign magic, and reject
-// a legacy trace with the error that names the remedy.
+// TestCodecBadMagic: the streaming reader and OpenFile reject a
+// foreign magic, and reject a legacy trace with the error that names
+// the remedy.
 func TestCodecBadMagic(t *testing.T) {
 	garbage := []byte("NOPE" + strings.Repeat(".", 60))
 	for name, open := range map[string]func([]byte) error{
 		"stream": func(b []byte) error { _, err := colv1.NewReader(bytes.NewReader(b)); return err },
-		"bytes":  func(b []byte) error { _, err := colv1.NewBytesReader(b); return err },
+		"file":   func(b []byte) error { return openBytes(t, b) },
 	} {
 		if err := open(garbage); !errors.Is(err, colv1.ErrBadMagic) || isLegacyErr(err) {
 			t.Errorf("%s: garbage err = %v, want plain ErrBadMagic", name, err)
@@ -175,8 +152,8 @@ func TestCodecInvalidOpcode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Next(); ok {
-		t.Error("invalid opcode should end the stream")
+	if got := Collect(r); got.Len() != 0 {
+		t.Errorf("invalid opcode should end the stream, got %d insts", got.Len())
 	}
 	if !errors.Is(r.Err(), colv1.ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", r.Err())

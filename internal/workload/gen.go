@@ -8,7 +8,7 @@ import (
 )
 
 // Generator synthesizes an infinite, deterministic instruction stream
-// for one workload. It implements trace.Replayable: Reset rewinds to the
+// for one workload. It implements trace.Source; Reset rewinds to the
 // beginning of the identical stream, which is how every
 // multi-configuration figure feeds the same trace to each configuration.
 type Generator struct {
@@ -204,9 +204,9 @@ func (g *Generator) churnLine(base uint64, size int64) uint64 {
 	return g.p.AddrOffset + base + uint64(g.rng.Int63n(size/lineBytes))*lineBytes
 }
 
-// Next implements trace.Source. The stream is infinite; wrap with
-// trace.Limit.
-func (g *Generator) Next() (isa.Inst, bool) {
+// next produces the stream one instruction at a time; ReadBatch takes
+// it at queue drains and event boundaries. The stream is infinite.
+func (g *Generator) next() isa.Inst {
 	if g.qHead < len(g.queue) {
 		in := g.queue[g.qHead]
 		g.qHead++
@@ -215,19 +215,19 @@ func (g *Generator) Next() (isa.Inst, bool) {
 			g.qHead = 0
 		}
 		g.tick()
-		return in, true
+		return in
 	}
 
 	// Scheduled multi-instruction events.
 	if g.nextLock == 0 {
 		g.nextLock = g.interval(g.p.LocksPer1000)
 		g.emitCriticalSection()
-		return g.Next()
+		return g.next()
 	}
 	if g.nextMembar == 0 {
 		g.nextMembar = g.interval(g.p.MembarPer1000)
 		g.push(isa.Inst{Op: isa.OpMembar, PC: g.nextPC()})
-		return g.Next()
+		return g.next()
 	}
 	if g.nextMispred == 0 {
 		g.nextMispred = g.interval(g.p.MispredPer1000)
@@ -238,7 +238,7 @@ func (g *Generator) Next() (isa.Inst, bool) {
 			in.Flags |= isa.FlagTaken
 		}
 		g.push(in)
-		return g.Next()
+		return g.next()
 	}
 	if g.nextColdCode == 0 {
 		g.nextColdCode = g.interval(g.p.InstMissPer100 * 10)
@@ -251,11 +251,11 @@ func (g *Generator) Next() (isa.Inst, bool) {
 
 	in := g.emitPlain()
 	g.tick()
-	return in, true
+	return in
 }
 
-// ReadBatch implements trace.BatchSource, producing the exact stream
-// Next produces — same event ordering, same rand draws — with the
+// ReadBatch implements trace.Source, producing the exact stream next
+// produces — same event ordering, same rand draws — with the
 // per-instruction work hoisted: while the emission queue is empty and
 // no scheduled event is due for k instructions, it emits k background
 // instructions straight into dst and retires k from every countdown in
@@ -270,11 +270,7 @@ func (g *Generator) ReadBatch(dst []isa.Inst) int {
 			g.nextMispred == 0 || g.nextColdCode == 0 {
 			// Queue drain or an event boundary: take the general path
 			// one instruction at a time until the stream is plain again.
-			in, ok := g.Next()
-			if !ok {
-				return n
-			}
-			dst[n] = in
+			dst[n] = g.next()
 			n++
 			continue
 		}

@@ -153,11 +153,7 @@ func measureMissRates(t *testing.T, p Params, warm, measure int64) (store, load,
 		src := trace.Limit(g, n)
 		base := h.Stats
 		count := int64(0)
-		for {
-			ins, ok := src.Next()
-			if !ok {
-				break
-			}
+		for _, ins := range trace.Collect(src).Insts {
 			count++
 			h.Fetch(ins.PC)
 			shared := ins.Flags.Has(isa.FlagShared)
@@ -208,11 +204,7 @@ func TestStoreMissClustering(t *testing.T) {
 		src := trace.Limit(g, 500_000)
 		var runs, missStores int
 		inRun := false
-		for {
-			in, ok := src.Next()
-			if !ok {
-				break
-			}
+		for _, in := range trace.Collect(src).Insts {
 			if in.Op != isa.OpStore {
 				continue
 			}
@@ -250,11 +242,7 @@ func TestSharedFlagsAndRegions(t *testing.T) {
 	g := NewGenerator(p)
 	src := trace.Limit(g, 300_000)
 	var sharedStores, churnStores int
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Collect(src).Insts {
 		if in.Op != isa.OpStore {
 			continue
 		}
@@ -326,11 +314,7 @@ func TestMispredictsGenerated(t *testing.T) {
 func TestRegisterBounds(t *testing.T) {
 	g := NewGenerator(Database(23))
 	src := trace.Limit(g, 100_000)
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, in := range trace.Collect(src).Insts {
 		if int(in.Dst) >= isa.RegCount || int(in.Src1) >= isa.RegCount || int(in.Src2) >= isa.RegCount {
 			t.Fatalf("register out of range: %v", in)
 		}

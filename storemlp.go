@@ -223,10 +223,9 @@ func RunTraceContext(ctx context.Context, r io.Reader, cfg Config, warm int64) (
 	return runTraceSource(ctx, tr, cfg, warm)
 }
 
-// RunTraceFile runs the trace stored at path through the
-// memory-mapped random-access backend, so the file is paged in block
-// by block as the engine consumes it and progress knows the planned
-// total. Every trace entry point decodes one 4096-instruction
+// RunTraceFile runs the trace stored at path, streaming the file block
+// by block as the engine consumes it; the instruction total is read
+// from the file's footer first, so progress knows the planned total. Every trace entry point decodes one 4096-instruction
 // batch ahead of the engine on a second goroutine when GOMAXPROCS is
 // above 1 (inline otherwise), with bit-identical statistics; the
 // decoder has stopped before the call returns and the file is closed.
