@@ -374,7 +374,9 @@ func BenchmarkTraceDecodeColumnar(b *testing.B) {
 }
 
 // BenchmarkTraceEncodeColumnar measures generation + encoding into a
-// discarding writer, the tracegen hot path.
+// discarding writer, the tracegen hot path. With a spare core (-cpu 2
+// or more) the generator runs ahead of the encoder on it, so the
+// number is the slower of the two halves, not their sum.
 func BenchmarkTraceEncodeColumnar(b *testing.B) {
 	const n = 200_000
 	b.SetBytes(n)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"storemlp"
@@ -46,6 +47,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-o output file is required")
 	}
 
+	if *n <= 0 {
+		return fmt.Errorf("-n must be positive, got %d", *n)
+	}
 	w, err := storemlp.WorkloadByName(strings.ToLower(*workloadName), *seed)
 	if err != nil {
 		return err
@@ -56,18 +60,42 @@ func run(args []string, stdout io.Writer) error {
 	}
 	cfg.SLE = *sle
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	written, err := storemlp.WriteTrace(f, w, cfg, *n)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	written, err := writeFile(*out, func(f io.Writer) (int64, error) {
+		return storemlp.WriteTrace(f, w, cfg, *n)
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %d instructions (%s, model=%s, sle=%v) to %s\n",
 		written, w.Name, cfg.Model, *sle, *out)
 	return nil
+}
+
+// writeFile writes path through a temporary file in the same directory
+// and renames it over path only once write and Close have succeeded, so
+// a failed run neither truncates an existing trace at path nor leaves a
+// partial one behind: on any failure the temporary file is removed.
+func writeFile(path string, write func(io.Writer) (int64, error)) (int64, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return 0, err
+	}
+	n, err := write(f)
+	if err == nil {
+		// CreateTemp makes the file owner-only; a trace is an ordinary
+		// data file.
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		// Best effort: the write error is what the caller must see.
+		_ = os.Remove(f.Name())
+		return 0, err
+	}
+	return n, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,5 +78,31 @@ func TestTracegenErrors(t *testing.T) {
 	}
 	if err := run([]string{"-o", filepath.Join(t.TempDir(), "nodir", "x")}, &out); err == nil {
 		t.Error("uncreatable file should error")
+	}
+
+	// A failed run leaves an existing trace at -o byte for byte as it
+	// was, and no temporary file beside it.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.trace")
+	if err := run([]string{"-workload", "tpcw", "-n", "5000", "-o", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-workload", "tpcw", "-n", "0", "-o", path},
+		{"-workload", "nope", "-n", "5000", "-o", path},
+	} {
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: want an error", args)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+			t.Errorf("%v: existing trace changed (err %v, %d bytes, want %d)", args, err, len(got), len(good))
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+			t.Errorf("%v: directory holds %v (err %v), want only x.trace", args, ents, err)
+		}
 	}
 }

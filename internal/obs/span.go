@@ -63,9 +63,11 @@ const (
 	// StageMeasureStart marks the warmup→measurement transition
 	// (instant; arg is the instruction index).
 	StageMeasureStart
-	// StageDecode covers a trace-driven run's decode-ahead producer,
-	// from its first trace read to its exit; it overlaps the batch
-	// spans it feeds (arg is the instruction count decoded).
+	// StageDecode covers a run's source-ahead producer — colv1 decode
+	// for a trace-driven run, the workload generator plus its rewrite
+	// chain for a synthetic one — from its first source read to its
+	// exit; it overlaps the batch spans it feeds (arg is the
+	// instruction count produced).
 	StageDecode
 	stageCount
 )
@@ -127,7 +129,7 @@ type ReqSpan struct {
 // Engine-detail spans are further bounded by the trace's detail cap,
 // so a long run's instruction batches cannot crowd the request stages
 // out of the arena. All methods are safe for concurrent use (sweep
-// points and the decode-ahead producer record spans from many
+// points and the source-ahead producer record spans from many
 // goroutines) and
 // nil-safe.
 type ReqTrace struct {

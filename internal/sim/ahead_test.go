@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"storemlp/internal/consistency"
 	"storemlp/internal/epoch"
 	"storemlp/internal/isa"
 	"storemlp/internal/obs"
@@ -23,14 +24,33 @@ import (
 	"storemlp/internal/workload"
 )
 
-// Decode-ahead tests: the pipelined trace path must feed the engine the
-// inline path's exact stream, and its producer must be joined before
-// the run returns on every path.
+// Source-ahead tests: a run whose source (trace decode, or the
+// generator and its rewrite chain) runs ahead on the producer stage
+// must feed the engine the inline path's exact stream, the producer
+// must be joined before the run returns on every path, and the
+// occupancy rule decides which runs get a producer.
 
 const (
 	aheadInsts = 30_000
 	aheadWarm  = 10_000 // 40k instructions: nine full batches and a short one
 )
+
+// pinned returns the stage constructor that runs a test's stream ahead
+// or inline regardless of the occupancy rule.
+func pinned(ahead bool) startStage {
+	if ahead {
+		return startAhead
+	}
+	return startInline
+}
+
+func startAhead(src trace.Source, rt *obs.ReqTrace, parent obs.SpanID) *trace.Stage {
+	return trace.StartPinned(src, true, rt, parent)
+}
+
+func startInline(src trace.Source, rt *obs.ReqTrace, parent obs.SpanID) *trace.Stage {
+	return trace.StartPinned(src, false, rt, parent)
+}
 
 // encodeTrace writes n instructions of w, generated under the default
 // machine, as a trace.
@@ -118,7 +138,7 @@ func TestDecodeAheadExact(t *testing.T) {
 				var got [2]*epoch.Stats
 				for m, ahead := range []bool{false, true} {
 					src, closeSrc := b.open()
-					st, err := p.runTrace(context.Background(), src, cfg, aheadWarm, ahead)
+					st, err := p.runTrace(context.Background(), src, cfg, aheadWarm, pinned(ahead))
 					closeSrc()
 					if err != nil {
 						t.Fatalf("%s setting %d %s ahead=%v: %v", w.Name, si, b.name, ahead, err)
@@ -177,7 +197,7 @@ func (sliceFile) Err() error { return nil }
 func TestDecodeAheadCancel(t *testing.T) {
 	data := encodeTrace(t, workload.TPCW(1), aheadInsts+aheadWarm)
 	cfg := uarch.Default()
-	want, err := NewPool().runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, false)
+	want, err := NewPool().runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, pinned(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +212,7 @@ func TestDecodeAheadCancel(t *testing.T) {
 				cancel()
 			}
 		}}
-		st, err := p.runTrace(ctx, src, cfg, aheadWarm, ahead)
+		st, err := p.runTrace(ctx, src, cfg, aheadWarm, pinned(ahead))
 		src.done.Store(true)
 		if !errors.Is(err, context.Canceled) || st != nil {
 			t.Errorf("ahead=%v: mid-run cancel returned (%v, %v), want (nil, context.Canceled)", ahead, st, err)
@@ -205,14 +225,14 @@ func TestDecodeAheadCancel(t *testing.T) {
 		}
 
 		src = &watchedSource{FileSource: streamReader(t, data), t: t}
-		st, err = p.runTrace(ctx, src, cfg, aheadWarm, ahead)
+		st, err = p.runTrace(ctx, src, cfg, aheadWarm, pinned(ahead))
 		src.done.Store(true)
 		if !errors.Is(err, context.Canceled) || st != nil {
 			t.Errorf("ahead=%v: pre-cancelled run returned (%v, %v), want (nil, context.Canceled)", ahead, st, err)
 		}
 
 		src = &watchedSource{FileSource: streamReader(t, data), t: t}
-		st, err = p.runTrace(context.Background(), src, bad, aheadWarm, ahead)
+		st, err = p.runTrace(context.Background(), src, bad, aheadWarm, pinned(ahead))
 		src.done.Store(true)
 		if err == nil || st != nil {
 			t.Errorf("ahead=%v: invalid config returned (%v, %v), want an error", ahead, st, err)
@@ -221,7 +241,7 @@ func TestDecodeAheadCancel(t *testing.T) {
 			t.Errorf("ahead=%v: failed Reconfigure still read the trace %d times", ahead, n)
 		}
 
-		got, err := p.runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, ahead)
+		got, err := p.runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, pinned(ahead))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,14 +286,14 @@ func TestDecodeAheadDecodeErrors(t *testing.T) {
 		{"columnar corrupt/file", func() trace.FileSource { return openBytes(t, corrupt) }, colv1.ErrCorrupt},
 	}
 	for _, ahead := range []bool{false, true} {
-		if st, err := NewPool().runTrace(context.Background(), nil, uarch.Default(), 0, ahead); err == nil || st != nil {
+		if st, err := NewPool().runTrace(context.Background(), nil, uarch.Default(), 0, pinned(ahead)); err == nil || st != nil {
 			t.Errorf("nil source ahead=%v: got (%v, %v), want an error", ahead, st, err)
 		}
 	}
 	for _, c := range cases {
 		for _, ahead := range []bool{false, true} {
 			src := &watchedSource{FileSource: c.open(), t: t}
-			st, err := NewPool().runTrace(context.Background(), src, uarch.Default(), aheadWarm, ahead)
+			st, err := NewPool().runTrace(context.Background(), src, uarch.Default(), aheadWarm, pinned(ahead))
 			src.done.Store(true)
 			if err == nil || st != nil {
 				t.Errorf("%s ahead=%v: got (%v, %v), want a decode error", c.name, ahead, st, err)
@@ -309,7 +329,7 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 		case 2:
 			src = streamReader(t, corrupt)
 		}
-		st, err := p.runTrace(ctx, src, uarch.Default(), 5_000, true)
+		st, err := p.runTrace(ctx, src, uarch.Default(), 5_000, pinned(true))
 		cancel()
 		if (err == nil) != (i%3 == 0) || (st == nil) == (i%3 == 0) {
 			t.Fatalf("run %d (kind %d): got (%v, %v)", i, i%3, st, err)
@@ -328,8 +348,9 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 
 // TestDecodeAheadAllocs pins the allocation contract of a warmed
 // pool: a steady-state trace run allocates only the returned Stats,
-// and decoding ahead adds nothing — the buffers, channels and the
-// producer's bound method are reused across runs. The trace is a
+// and decoding ahead adds nothing — the stage's buffers, channels and
+// bound producer method come back from the trace package's free list.
+// The trace is a
 // rewindable in-memory slice, so the count is the pool's alone.
 func TestDecodeAheadAllocs(t *testing.T) {
 	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm)
@@ -339,7 +360,7 @@ func TestDecodeAheadAllocs(t *testing.T) {
 	p := NewPool()
 	run := func(ahead bool) {
 		s.Reset()
-		if _, err := p.runTrace(context.Background(), src, cfg, aheadWarm, ahead); err != nil {
+		if _, err := p.runTrace(context.Background(), src, cfg, aheadWarm, pinned(ahead)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +408,7 @@ func TestDecodeAheadProgressTotal(t *testing.T) {
 					}
 				}
 			}}
-			if _, err := NewPool().runTrace(ctx, src, uarch.Default(), aheadWarm, ahead); err != nil {
+			if _, err := NewPool().runTrace(ctx, src, uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
 				t.Fatal(err)
 			}
 			if planned != c.wantTotal {
@@ -418,7 +439,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 	for _, ahead := range []bool{false, true} {
 		rt := obs.NewReqTrace("decode", 512, 384)
 		ctx := obs.WithSpan(context.Background(), rt, rt.Root())
-		if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, ahead); err != nil {
+		if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
 			t.Fatal(err)
 		}
 		spans := rt.Snapshot()
@@ -464,7 +485,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 	// dropped and counted like a batch span.
 	rt := obs.NewReqTrace("capped", 512, 4)
 	ctx := obs.WithSpan(context.Background(), rt, rt.Root())
-	if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, true); err != nil {
+	if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, pinned(true)); err != nil {
 		t.Fatal(err)
 	}
 	kept := 0
@@ -488,11 +509,10 @@ func TestDecodeAheadOneProc(t *testing.T) {
 	var stats [2]*epoch.Stats
 	for i, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		var onProducer atomic.Bool
+		var readAhead atomic.Bool
 		src := &watchedSource{FileSource: streamReader(t, data), t: t, onRead: func(int64) {
-			buf := make([]byte, 16<<10)
-			if strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*decodeAhead).produce") {
-				onProducer.Store(true)
+			if onProducer() {
+				readAhead.Store(true)
 			}
 		}}
 		st, err := p.RunTraceSource(context.Background(), src, uarch.Default(), aheadWarm)
@@ -500,13 +520,160 @@ func TestDecodeAheadOneProc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := onProducer.Load(), procs > 1; got != want {
+		if got, want := readAhead.Load(), procs > 1; got != want {
 			t.Errorf("GOMAXPROCS=%d: trace read on the producer goroutine = %v, want %v", procs, got, want)
 		}
 		stats[i] = st
 	}
 	if *stats[0] != *stats[1] {
 		t.Errorf("GOMAXPROCS 1 and 2 diverge:\n 1: %+v\n 2: %+v", *stats[0], *stats[1])
+	}
+}
+
+// TestDecodeAheadSynthetic: a synthetic run whose generator and
+// rewrite chain run on the producer returns the inline run's statistics
+// field for field, for the four paper workloads under the machine
+// features that read the stream or share the engine goroutine with it:
+// coherence snoops (two nodes), one node, the shared-core co-runner, a
+// 4K-entry SMAC and WC+SLE.
+func TestDecodeAheadSynthetic(t *testing.T) {
+	twoNodes, oneNode, smac, wcsle := uarch.Default(), uarch.Default(), uarch.Default(), uarch.Default()
+	oneNode.Nodes = 1
+	smac.SMACEntries = 4096
+	wcsle.Model, wcsle.SLE = consistency.WC, true
+	cases := []struct {
+		name   string
+		cfg    uarch.Config
+		shared bool
+	}{
+		{"two nodes", twoNodes, false},
+		{"one node", oneNode, false},
+		{"shared core", twoNodes, true},
+		{"SMAC 4K", smac, false},
+		{"WC+SLE", wcsle, false},
+	}
+	p := NewPool()
+	snoops := false
+	for _, w := range workload.All(1) {
+		for _, c := range cases {
+			s := Spec{Workload: w, Uarch: c.cfg, Insts: aheadInsts, Warm: aheadWarm, SharedCore: c.shared}
+			var got [2]*epoch.Stats
+			for m, ahead := range []bool{false, true} {
+				st, err := p.run(context.Background(), s, pinned(ahead))
+				if err != nil {
+					t.Fatalf("%s %s ahead=%v: %v", w.Name, c.name, ahead, err)
+				}
+				got[m] = st
+			}
+			if *got[1] != *got[0] {
+				t.Errorf("%s %s: run with the generator ahead diverged:\n got  %+v\n want %+v",
+					w.Name, c.name, *got[1], *got[0])
+			}
+			snoops = snoops || got[0].Snoops > 0
+		}
+	}
+	if !snoops {
+		t.Error("no run saw coherence snoops; the two-node cases test nothing")
+	}
+}
+
+// onProducer reports whether the calling goroutine is a producer
+// stage's.
+func onProducer() bool {
+	buf := make([]byte, 16<<10)
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "trace.(*Stage).produce")
+}
+
+// stackProbe is a source that records whether any of its reads ran on
+// a producer goroutine.
+type stackProbe struct {
+	trace.Source
+	ahead atomic.Bool
+}
+
+func (p *stackProbe) ReadBatch(dst []isa.Inst) int {
+	if onProducer() {
+		p.ahead.Store(true)
+	}
+	return p.Source.ReadBatch(dst)
+}
+
+// TestDecodeAheadOccupancy pins the occupancy rule. At GOMAXPROCS 2 a
+// lone run takes the spare core and records a decode span; a run that
+// starts while another run holds the spare core runs inline and records
+// none; once the holder returns, the core is free again. At GOMAXPROCS
+// 1 neither a run nor a trace write ever starts a producer.
+func TestDecodeAheadOccupancy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	spec := Spec{Workload: workload.TPCW(1), Uarch: uarch.Default(), Insts: aheadInsts, Warm: aheadWarm}
+	decodeSpans := func() int {
+		t.Helper()
+		rt := obs.NewReqTrace("occupancy", 512, 384)
+		if _, err := RunContext(obs.WithSpan(context.Background(), rt, rt.Root()), spec); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, sp := range rt.Snapshot() {
+			if sp.Stage == obs.StageDecode {
+				n++
+			}
+		}
+		return n
+	}
+	// writeOnProducer writes a short trace and reports whether its
+	// source was read on a producer goroutine.
+	writeOnProducer := func() bool {
+		t.Helper()
+		src := &stackProbe{Source: BuildSource(workload.TPCW(1), uarch.Default(), 20_000)}
+		var buf bytes.Buffer
+		if _, err := trace.WriteAll(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		return src.ahead.Load()
+	}
+
+	runtime.GOMAXPROCS(2)
+	if n := decodeSpans(); n != 1 {
+		t.Errorf("GOMAXPROCS=2 lone run: %d decode spans, want 1", n)
+	}
+	if !writeOnProducer() {
+		t.Error("GOMAXPROCS=2 lone trace write read its source inline, want ahead")
+	}
+	// Hold the spare core with a trace run parked inside its first read.
+	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm)
+	started, resume := make(chan struct{}), make(chan struct{})
+	holder := &watchedSource{FileSource: streamReader(t, data), t: t, onRead: func(call int64) {
+		if call == 1 {
+			close(started)
+			<-resume
+		}
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewPool().RunTraceSource(context.Background(), holder, uarch.Default(), aheadWarm)
+		done <- err
+	}()
+	<-started
+	if n := decodeSpans(); n != 0 {
+		t.Errorf("GOMAXPROCS=2 run beside a run holding the spare core: %d decode spans, want 0", n)
+	}
+	if writeOnProducer() {
+		t.Error("GOMAXPROCS=2 trace write beside a run holding the spare core ran ahead, want inline")
+	}
+	close(resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := decodeSpans(); n != 1 {
+		t.Errorf("GOMAXPROCS=2 run after the holder returned: %d decode spans, want 1", n)
+	}
+
+	runtime.GOMAXPROCS(1)
+	if n := decodeSpans(); n != 0 {
+		t.Errorf("GOMAXPROCS=1 run: %d decode spans, want 0", n)
+	}
+	if writeOnProducer() {
+		t.Error("GOMAXPROCS=1 trace write read its source on a producer, want inline")
 	}
 }
 
@@ -528,7 +695,7 @@ func BenchmarkDecodeAhead(b *testing.B) {
 				p := NewPool()
 				b.SetBytes(total)
 				for i := 0; i < b.N; i++ {
-					if _, err := p.runTrace(context.Background(), streamReader(b, data), cfg, warm, m.ahead); err != nil {
+					if _, err := p.runTrace(context.Background(), streamReader(b, data), cfg, warm, pinned(m.ahead)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -9,7 +9,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 
 	"storemlp/internal/epoch"
@@ -20,9 +19,8 @@ import (
 // Pool recycles epoch engines across simulation runs. The zero value
 // is ready to use; Pool is safe for concurrent use.
 type Pool struct {
-	mu     sync.Mutex
-	free   []*epoch.Engine // guarded by mu
-	aheads []*decodeAhead  // guarded by mu
+	mu   sync.Mutex
+	free []*epoch.Engine // guarded by mu
 }
 
 // NewPool returns an empty engine pool.
@@ -46,24 +44,6 @@ func (p *Pool) put(e *epoch.Engine) {
 	p.mu.Unlock()
 }
 
-func (p *Pool) getAhead() *decodeAhead {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.aheads); n > 0 {
-		d := p.aheads[n-1]
-		p.aheads[n-1] = nil
-		p.aheads = p.aheads[:n-1]
-		return d
-	}
-	return newDecodeAhead()
-}
-
-func (p *Pool) putAhead(d *decodeAhead) {
-	p.mu.Lock()
-	p.aheads = append(p.aheads, d)
-	p.mu.Unlock()
-}
-
 // Idle returns the number of engines currently parked in the pool
 // (for tests and metrics).
 func (p *Pool) Idle() int {
@@ -81,6 +61,11 @@ func (p *Pool) Run(s Spec) (*epoch.Stats, error) {
 // the package-level RunContext: the recycled engine is reconfigured to
 // an observationally fresh state first, so results are identical.
 func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
+	return p.run(ctx, s, trace.Start)
+}
+
+// run is RunContext with the producer stage opened by start.
+func (p *Pool) run(ctx context.Context, s Spec, start startStage) (*epoch.Stats, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +81,7 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		}
 		return BuildSource(s.Workload, cfg, s.Warm+s.Insts), nil
 	}
-	st, err := simulate(ctx, e, setup, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	st, err := simulate(ctx, e, setup, start, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 	if err != nil {
 		return nil, err
 	}
@@ -110,29 +95,23 @@ func (p *Pool) RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 // engine: Reconfigure resets the recycled engine to an observationally
 // fresh state, so the result matches a fresh epoch.New run while
 // steady-state replay reuses the cache hierarchy, the structure rings
-// and the decode batches instead of rebuilding them per trace. With
-// more than one P (runtime.GOMAXPROCS) the trace decodes one batch
-// ahead of the engine on a second goroutine, which is joined before
-// RunTraceSource returns; with one P it decodes inline. The statistics
-// are identical either way.
+// and the producer stage instead of rebuilding them per trace. When the
+// occupancy rule grants a spare core (trace.Start) the trace decodes
+// one batch ahead of the engine on a second goroutine, which is joined
+// before RunTraceSource returns; otherwise it decodes inline. The
+// statistics are identical either way.
 func (p *Pool) RunTraceSource(ctx context.Context, src trace.FileSource, cfg uarch.Config, warm int64) (*epoch.Stats, error) {
-	return p.runTrace(ctx, src, cfg, warm, runtime.GOMAXPROCS(0) > 1)
+	return p.runTrace(ctx, src, cfg, warm, trace.Start)
 }
 
-// runTrace is RunTraceSource with the decode-ahead choice made by the
-// caller.
-func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Config, warm int64, ahead bool) (*epoch.Stats, error) {
+// runTrace is RunTraceSource with the producer stage opened by start.
+func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Config, warm int64, start startStage) (*epoch.Stats, error) {
 	if src == nil {
 		return nil, errors.New("sim: nil trace source")
 	}
 	cfg.WarmInsts = warm
 	e := p.get()
 	defer p.put(e)
-	var d *decodeAhead
-	if ahead {
-		d = p.getAhead()
-		defer p.putAhead(d)
-	}
 	// A trace opened from a file knows its length, so progress gets a
 	// planned total; a trace streamed from an io.Reader has an unknown
 	// length (0).
@@ -146,11 +125,11 @@ func (p *Pool) runTrace(ctx context.Context, src trace.FileSource, cfg uarch.Con
 		}
 		return src, nil
 	}
-	st, err := simulate(ctx, e, setup, d, func() string { return "trace " + cfg.Name() }, total, measured)
+	st, err := simulate(ctx, e, setup, start, func() string { return "trace " + cfg.Name() }, total, measured)
 	if err != nil {
 		return nil, err
 	}
-	// simulate has joined the decode-ahead producer, so the source is
+	// simulate has stopped the producer stage, so the source is
 	// quiescent.
 	if err := src.Err(); err != nil {
 		return nil, err

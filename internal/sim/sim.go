@@ -114,7 +114,7 @@ func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 		}
 		return BuildSource(s.Workload, cfg, s.Warm+s.Insts), nil
 	}
-	return simulate(ctx, eng, setup, nil, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	return simulate(ctx, eng, setup, trace.Start, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
 }
 
 // runLabel names a run the way the paper labels bars: workload plus
@@ -122,6 +122,11 @@ func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 func runLabel(s Spec) string {
 	return s.Workload.Name + " " + s.Uarch.Name()
 }
+
+// startStage opens a run's producer stage over its source: trace.Start
+// applies the occupancy rule; tests pin either path with
+// trace.StartPinned.
+type startStage = func(trace.Source, *obs.ReqTrace, obs.SpanID) *trace.Stage
 
 // simulate runs eng over the source setup returns as one observed
 // engine execution. It opens the run's simulate span (recording arg)
@@ -131,10 +136,12 @@ func runLabel(s Spec) string {
 // detail spans when the trace records them; it registers a progress
 // entry planning total instructions on ctx's board, labelled by label
 // (called only when a board is watching: labels allocate). Both sinks
-// are detached before returning. A non-nil ahead decodes the source one
-// batch ahead of the engine and records its decode span under the
-// simulate span; its producer is joined before simulate returns.
-func simulate(ctx context.Context, eng *epoch.Engine, setup func() (trace.Source, error), ahead *decodeAhead, label func() string, total, arg int64) (*epoch.Stats, error) {
+// are detached before returning. The engine reads the source through
+// the producer stage start opens, which may run it one batch ahead on
+// a second goroutine and then records its decode span under the
+// simulate span; the stage is stopped, and any producer joined, before
+// simulate returns.
+func simulate(ctx context.Context, eng *epoch.Engine, setup func() (trace.Source, error), start startStage, label func() string, total, arg int64) (*epoch.Stats, error) {
 	rt, parent := obs.SpanFrom(ctx)
 	sp := rt.StartSpan(obs.StageSimulate, parent)
 	defer rt.EndSpan(sp, arg)
@@ -152,12 +159,9 @@ func simulate(ctx context.Context, eng *epoch.Engine, setup func() (trace.Source
 		p = board.Start(label(), total)
 	}
 	eng.SetObs(detail, sp, p)
-	if ahead != nil {
-		ahead.start(src, detail, sp)
-		defer ahead.stop()
-		src = ahead
-	}
-	st, err := eng.RunContext(ctx, src)
+	stage := start(src, detail, sp)
+	defer stage.Stop()
+	st, err := eng.RunContext(ctx, stage)
 	eng.SetObs(nil, obs.NoSpan, nil)
 	board.Finish(p)
 	return st, err

@@ -52,9 +52,9 @@ func genInsts(n int, seed int64) []isa.Inst {
 	return out
 }
 
-// encode writes insts through a Writer (in randomly sized batches, to
-// exercise the pending-block boundary logic) and returns the file
-// bytes.
+// encode writes insts through a Writer (in randomly sized batches, a
+// quarter of them single instructions, to exercise the pending-block
+// boundary logic) and returns the file bytes.
 func encode(t testing.TB, insts []isa.Inst) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -69,8 +69,8 @@ func encode(t testing.TB, insts []isa.Inst) []byte {
 			n = len(insts) - pos
 		}
 		if rng.Intn(4) == 0 {
-			for _, in := range insts[pos : pos+n] {
-				if err := cw.Write(in); err != nil {
+			for i := pos; i < pos+n; i++ {
+				if err := cw.WriteBatch(insts[i : i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -468,10 +468,10 @@ func TestWriteAfterClose(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Write(isa.Inst{}); err == nil {
-		t.Fatal("Write after Close succeeded")
-	}
 	if err := cw.WriteBatch([]isa.Inst{{}}); err == nil {
 		t.Fatal("WriteBatch after Close succeeded")
+	}
+	if err := cw.WriteBatch(nil); err == nil {
+		t.Fatal("empty WriteBatch after Close succeeded")
 	}
 }

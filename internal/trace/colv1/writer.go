@@ -49,26 +49,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return cw, nil
 }
 
-// Write appends one instruction to the trace.
-func (cw *Writer) Write(in isa.Inst) error {
-	if cw.err != nil {
-		return cw.err
-	}
-	if cw.closed {
-		cw.err = fmt.Errorf("colv1: write after Close")
-		return cw.err
-	}
-	cw.pending[cw.npend] = in
-	cw.npend++
-	cw.count++
-	if cw.npend == len(cw.pending) {
-		return cw.flushBlock()
-	}
-	return nil
-}
-
-// WriteBatch appends a batch of instructions; equivalent to calling
-// Write for each element but with the copy amortized per block.
+// WriteBatch appends a batch of instructions, of any length, to the
+// trace; it is the Writer's one entry point.
 func (cw *Writer) WriteBatch(ins []isa.Inst) error {
 	if cw.err != nil {
 		return cw.err
@@ -151,7 +133,11 @@ func (cw *Writer) emit(p []byte) error {
 }
 
 // flushBlock transposes the pending instructions into columns and
-// emits one block.
+// emits one block. One pass over the block writes all eight columns:
+// the delta columns as zigzag varints against the previous record (the
+// chain resets at the block boundary, so blocks decode independently),
+// the run-length columns by closing a { value, uvarint run } pair
+// whenever a field changes, and the register columns byte by byte.
 func (cw *Writer) flushBlock() error {
 	ins := cw.pending[:cw.npend]
 	cw.index = append(cw.index, blockIndexEnt{
@@ -159,32 +145,40 @@ func (cw *Writer) flushBlock() error {
 		startInst: cw.count - int64(len(ins)),
 	})
 
-	for i := range cw.cols {
-		cw.cols[i] = cw.cols[i][:0]
-	}
-	var varintBuf [binary.MaxVarintLen64]byte
+	n := len(ins) // > 0: a block is flushed only when it holds instructions
+	pc, addr := cw.cols[0][:0], cw.cols[1][:0]
+	op, size, flags := cw.cols[2][:0], cw.cols[3][:0], cw.cols[4][:0]
+	dst, src1, src2 := resize(cw.cols[5], n), resize(cw.cols[6], n), resize(cw.cols[7], n)
 	var prevPC, prevAddr uint64
-	// Delta columns: signed varints against the previous record, with
-	// the chain reset at the block boundary so blocks decode
-	// independently.
-	for _, in := range ins {
-		n := binary.PutVarint(varintBuf[:], int64(in.PC-prevPC))
-		cw.cols[0] = append(cw.cols[0], varintBuf[:n]...)
-		prevPC = in.PC
-		n = binary.PutVarint(varintBuf[:], int64(in.Addr-prevAddr))
-		cw.cols[1] = append(cw.cols[1], varintBuf[:n]...)
-		prevAddr = in.Addr
+	opV, sizeV, flagsV := ins[0].Op, ins[0].Size, ins[0].Flags
+	var opRun, sizeRun, flagsRun uint64
+	for i := range ins {
+		in := &ins[i]
+		pc = binary.AppendVarint(pc, int64(in.PC-prevPC))
+		addr = binary.AppendVarint(addr, int64(in.Addr-prevAddr))
+		prevPC, prevAddr = in.PC, in.Addr
+		if in.Op != opV {
+			op = appendRun(op, byte(opV), opRun)
+			opV, opRun = in.Op, 0
+		}
+		opRun++
+		if in.Size != sizeV {
+			size = appendRun(size, sizeV, sizeRun)
+			sizeV, sizeRun = in.Size, 0
+		}
+		sizeRun++
+		if in.Flags != flagsV {
+			flags = appendRun(flags, byte(flagsV), flagsRun)
+			flagsV, flagsRun = in.Flags, 0
+		}
+		flagsRun++
+		dst[i], src1[i], src2[i] = byte(in.Dst), byte(in.Src1), byte(in.Src2)
 	}
-	// Run-length columns.
-	cw.cols[2] = appendRLE(cw.cols[2], ins, func(in isa.Inst) byte { return byte(in.Op) })
-	cw.cols[3] = appendRLE(cw.cols[3], ins, func(in isa.Inst) byte { return in.Size })
-	cw.cols[4] = appendRLE(cw.cols[4], ins, func(in isa.Inst) byte { return byte(in.Flags) })
-	// Raw byte columns.
-	for _, in := range ins {
-		cw.cols[5] = append(cw.cols[5], byte(in.Dst))
-		cw.cols[6] = append(cw.cols[6], byte(in.Src1))
-		cw.cols[7] = append(cw.cols[7], byte(in.Src2))
-	}
+	cw.cols = [numCols][]byte{pc, addr,
+		appendRun(op, byte(opV), opRun),
+		appendRun(size, sizeV, sizeRun),
+		appendRun(flags, byte(flagsV), flagsRun),
+		dst, src1, src2}
 
 	payload := payloadFixed
 	for _, c := range cw.cols {
@@ -207,21 +201,17 @@ func (cw *Writer) flushBlock() error {
 	return nil
 }
 
-// appendRLE appends { value, uvarint runLen } pairs for the byte
-// column extracted by get.
-func appendRLE(dst []byte, ins []isa.Inst, get func(isa.Inst) byte) []byte {
-	var varintBuf [binary.MaxVarintLen64]byte
-	i := 0
-	for i < len(ins) {
-		v := get(ins[i])
-		j := i + 1
-		for j < len(ins) && get(ins[j]) == v {
-			j++
-		}
-		dst = append(dst, v)
-		n := binary.PutUvarint(varintBuf[:], uint64(j-i))
-		dst = append(dst, varintBuf[:n]...)
-		i = j
+// appendRun appends one run-length pair: the value byte, then the run
+// length as a uvarint.
+func appendRun(dst []byte, v byte, run uint64) []byte {
+	return binary.AppendUvarint(append(dst, v), run)
+}
+
+// resize returns b with length n, reallocating only when it is too
+// small.
+func resize(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
 	}
-	return dst
+	return b[:n]
 }

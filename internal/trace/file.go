@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"storemlp/internal/isa"
+	"storemlp/internal/obs"
 	"storemlp/internal/trace/colv1"
 )
 
@@ -34,15 +35,20 @@ func OpenFile(path string) (FileSource, io.Closer, error) {
 
 // WriteAll writes every instruction from src into w as a trace and
 // returns the count written. It pulls whole blocks through Fill, so
-// encoding costs O(blocks) allocations.
+// encoding costs O(blocks) allocations, and reads src through the
+// producer stage (Start): with a spare core the source runs one block
+// ahead of the encoder. The stage is stopped before WriteAll returns on
+// every path, so src is not touched afterwards.
 func WriteAll(w io.Writer, src Source) (int64, error) {
 	cw, err := colv1.NewWriter(w)
 	if err != nil {
 		return 0, err
 	}
+	st := Start(src, nil, obs.NoSpan)
+	defer st.Stop()
 	buf := make([]isa.Inst, colv1.DefaultBlockLen)
 	for {
-		n := Fill(src, buf)
+		n := Fill(st, buf)
 		if n == 0 {
 			break
 		}

@@ -3,7 +3,8 @@
 #
 #  1. Engine microbenchmarks: BenchmarkEngine + BenchmarkEngineTraced +
 #     BenchmarkEngineReplay + BenchmarkEngineTraceDriven +
-#     BenchmarkTraceDecodeColumnar + BenchmarkStatsMerge via
+#     BenchmarkTraceDecodeColumnar + BenchmarkTraceEncodeColumnar +
+#     BenchmarkStatsMerge via
 #     `go test -bench`, best-of-N, written to
 #     BENCH_engine.json in the repo root. The engine section carries the
 #     delta against the committed pre-optimization baseline, the
@@ -12,7 +13,9 @@
 #     trace-driven vs synthetic-generator ratio, the Stats merge cost
 #     and the host CPU count (num_cpu); the trace_codec
 #     section measures the columnar decoder against the removed legacy
-#     decoder's recorded cost (BENCH_COUNT overrides N, default 3).
+#     decoder's recorded cost, plus trace writing (generator + encoder,
+#     the tracegen path) as encode_* (BENCH_COUNT overrides N, default
+#     3).
 #  2. Serving-layer benchmark: start a local mlpsimd, replay the
 #     repeated Figure-2-style 64-point grid with mlpload, and write the
 #     measurements (cold vs warm throughput, tail latencies, speedup)
@@ -40,7 +43,7 @@ trap bench_cleanup EXIT
 
 echo '>> engine microbenchmarks (best of '"${BENCH_COUNT:-3}"')'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
     -benchmem -count "${BENCH_COUNT:-3}" . | tee "$tmpdir/bench.out"
 
 NUM_CPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)

@@ -101,20 +101,20 @@ esac
 echo '>> go test -race ./...'
 go test -race "$@" ./...
 
-echo '>> go test -race -cpu 1,2,4 -short (decode-ahead, merge algebra, span trees)'
-# A trace-driven run hands decoded batches from its decode-ahead
-# producer goroutine to the engine, and every request's span tree is
+echo '>> go test -race -cpu 1,2,4 -short (source-ahead, merge algebra, span trees)'
+# Engine runs and trace writes hand batches from their source-ahead
+# producer goroutine to the consumer, and every request's span tree is
 # written from concurrent sweep points and that producer; re-run their
 # tests (plus the Stats merge algebra the experiment summary relies on)
 # at several GOMAXPROCS values so real interleavings, not just the
 # single-P schedule, pass the race detector.
 go test -race -short -cpu 1,2,4 \
-    -run 'TestMerge|TestSpan|TestDecodeAhead' \
-    ./internal/sim/ ./internal/server/ .
+    -run 'TestMerge|TestSpan|TestDecodeAhead|TestWriteAll' \
+    ./internal/sim/ ./internal/server/ ./internal/trace/ .
 
 echo '>> benchmark smoke (1 iteration) + benchdiff report'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
     -benchtime 1x -benchmem . | tee "$tmpdir/smokebench.out"
 # Shape the 1-iteration numbers with the shared awk and diff them
 # against the committed baseline. Report mode only: single-iteration

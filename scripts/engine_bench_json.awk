@@ -26,9 +26,10 @@ $1 ~ /^BenchmarkEngineTraced(-[0-9]+)?$/          { if (trc_ns == 0 || $3 < trc_
 $1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_ns) { rep_ns = $3; rep_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
+$1 ~ /^BenchmarkTraceEncodeColumnar(-[0-9]+)?$/   { if (enc_ns == 0 || $3 < enc_ns) { enc_ns = $3; enc_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkStatsMerge(-[0-9]+)?$/            { if (mrg_ns == 0 || $3 < mrg_ns) { mrg_ns = $3 } }
 END {
-    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || mrg_ns == 0) {
+    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || enc_ns == 0 || mrg_ns == 0) {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000
@@ -50,6 +51,8 @@ END {
     printf "    \"ns_per_op\": %d,\n    \"insts_per_op\": %d,\n", col_ns, cod_insts
     printf "    \"insts_per_sec\": %.0f,\n    \"allocs_per_op\": %d,\n", cod_insts * 1e9 / col_ns, col_allocs
     printf "    \"baseline_ns_per_op\": %d,\n    \"baseline_allocs_per_op\": %d,\n", leg_ns, leg_allocs
-    printf "    \"speedup_vs_baseline\": %.3f\n  }\n", leg_ns / col_ns
+    printf "    \"speedup_vs_baseline\": %.3f,\n", leg_ns / col_ns
+    printf "    \"encode_ns_per_op\": %d,\n    \"encode_allocs_per_op\": %d,\n", enc_ns, enc_allocs
+    printf "    \"encode_insts_per_sec\": %.0f\n  }\n", cod_insts * 1e9 / enc_ns
     printf "}\n"
 }

@@ -165,7 +165,11 @@ func ConfigDigest(s RunSpec) string {
 
 // WriteTrace generates n instructions of the workload — transformed for
 // the configuration's consistency model and SLE setting — into w as a
-// columnar trace. It returns the number of instructions written.
+// columnar trace. It returns the number of instructions written. When
+// a spare core is free (the occupancy rule of DESIGN.md §14.5) the
+// generator runs one block ahead of the encoder on a second goroutine,
+// which has stopped before WriteTrace returns; the bytes are the same
+// either way.
 func WriteTrace(w io.Writer, wk Workload, cfg Config, n int64) (int64, error) {
 	if err := wk.Validate(); err != nil {
 		return 0, err
@@ -225,10 +229,13 @@ func RunTraceContext(ctx context.Context, r io.Reader, cfg Config, warm int64) (
 
 // RunTraceFile runs the trace stored at path, streaming the file block
 // by block as the engine consumes it; the instruction total is read
-// from the file's footer first, so progress knows the planned total. Every trace entry point decodes one 4096-instruction
-// batch ahead of the engine on a second goroutine when GOMAXPROCS is
-// above 1 (inline otherwise), with bit-identical statistics; the
-// decoder has stopped before the call returns and the file is closed.
+// from the file's footer first, so progress knows the planned total.
+// Every run, trace-driven or synthetic, reads its source through one
+// producer stage: when the occupancy rule grants a spare core (DESIGN.md
+// §14.5) the trace decodes one 4096-instruction batch ahead of the
+// engine on a second goroutine, and inline otherwise, with
+// bit-identical statistics; the decoder has stopped before the call
+// returns and the file is closed.
 func RunTraceFile(path string, cfg Config, warm int64) (*Stats, error) {
 	return RunTraceFileContext(context.Background(), path, cfg, warm)
 }
