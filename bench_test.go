@@ -309,33 +309,6 @@ func BenchmarkEngineTraceDriven(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsMerge isolates the cost of folding whole-run Stats:
-// one op merges four independent runs' Stats into an accumulator, the
-// fold the experiment summary performs for its "all" row. Merge cost
-// per run is this number, independent of instruction count.
-func BenchmarkStatsMerge(b *testing.B) {
-	const n = 40_000
-	parts := make([]*Stats, 4)
-	for i := range parts {
-		s, err := Run(RunSpec{Workload: workload.Database(int64(i + 1)), Config: DefaultConfig(), Insts: n, Warm: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		parts[i] = s
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var acc Stats
-		for _, p := range parts {
-			acc.Merge(p)
-		}
-		if acc.Insts != 4*n {
-			b.Fatalf("merged %d insts, want %d", acc.Insts, 4*n)
-		}
-	}
-}
-
 // BenchmarkTraceDecodeColumnar measures pure decode throughput: a
 // pre-encoded 200k-instruction TPC-W trace pulled through ReadBatch
 // into the engine's 4096-inst batch buffer, exactly the shape RunTrace

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,7 +50,7 @@ type rule struct {
 var rules = []rule{
 	{"errors", +1, 0},             // any new benchmark error gates
 	{"allocs_per_op", +1, 0.01},   // allocation counts are near-deterministic
-	{"ns_per_op", +1, 0.10},       // includes merge_ns_per_op, traced_ns_per_op
+	{"ns_per_op", +1, 0.10},       // includes traced_ns_per_op, replay_ns_per_op
 	{"insts_per_sec", -1, 0.10},   // throughput: down is a regression
 	{"throughput_rps", -1, 0.25},  // serving throughput is noisier
 	{"speedup", -1, 0.10},         // speedup_vs_baseline, speedup_vs_serial, speedup
@@ -138,7 +139,9 @@ func diff(base, fresh map[string]float64, slack float64, verbose bool, tag strin
 		}
 		var drift float64
 		if b > 0 || b < 0 {
-			drift = r.worse * (f - b) / b
+			// Relative to |b|, so a negative baseline (a traced run
+			// faster than the untraced one) keeps the rule's direction.
+			drift = r.worse * (f - b) / math.Abs(b)
 		} else {
 			// Zero baseline (errors): anything nonzero is an infinite
 			// relative drift in the worse direction, a clean

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,26 @@ func TestZeroBaselineErrorsGate(t *testing.T) {
 	var out bytes.Buffer
 	if regs := diff(base, fresh, 1, false, "serve", &out); len(regs) != 1 {
 		t.Fatalf("errors 0->1 findings = %d, want 1\n%s", len(regs), out.String())
+	}
+}
+
+// A negative baseline keeps the rule's direction: tracer_overhead going
+// from -0.0209 to -0.039 is an improvement, and to -0.005 a 76% rise
+// past the 50% tolerance.
+func TestNegativeBaselineDirection(t *testing.T) {
+	base := map[string]float64{"engine.tracer_overhead": -0.0209}
+	var out bytes.Buffer
+	better := map[string]float64{"engine.tracer_overhead": -0.039}
+	if regs := diff(base, better, 1, false, "engine", &out); len(regs) != 0 {
+		t.Errorf("-0.0209 -> -0.039 flagged as a regression:\n%s", out.String())
+	}
+	worse := map[string]float64{"engine.tracer_overhead": -0.005}
+	regs := diff(base, worse, 1, false, "engine", &out)
+	if len(regs) != 1 {
+		t.Fatalf("-0.0209 -> -0.005 findings = %d, want 1\n%s", len(regs), out.String())
+	}
+	if want := (0.0209 - 0.005) / 0.0209; math.Abs(regs[0].drift-want) > 1e-9 {
+		t.Errorf("drift = %v, want %v", regs[0].drift, want)
 	}
 }
 

@@ -2,7 +2,7 @@
 // over the module: exhaustive-enum, validate-coverage, stats-drift,
 // floatcmp, ctxmut, resetcomplete, guardedby, hotpath, ctxpoll,
 // lockorder, atomicfield, goleak, digestcover, lockbalance,
-// sharedcapture, mergecomplete and closeall (see DESIGN.md, "Static
+// sharedcapture and closeall (see DESIGN.md, "Static
 // analysis", "Invariant analyzers", "Concurrency and digest-integrity
 // analyzers" and "Flow-sensitive dataflow core").
 //

@@ -41,7 +41,6 @@ func DefaultAnalyzers() []Analyzer {
 		StatsDrift{
 			StructPkg:   "storemlp/internal/epoch",
 			StructName:  "Stats",
-			MergeMethod: "Merge",
 			ConsumerPkg: "storemlp/internal/experiments",
 		},
 		FloatCmp{},
@@ -66,7 +65,6 @@ func DefaultAnalyzers() []Analyzer {
 		},
 		LockBalance{},
 		SharedCapture{},
-		MergeComplete{Roots: []string{"storemlp/internal/epoch.Stats.Merge"}},
 		CloseAll{},
 	}
 }

@@ -33,7 +33,6 @@ func analyzersFor(mod string) []Analyzer {
 		StatsDrift{
 			StructPkg:   "example.com/" + mod + "/stats",
 			StructName:  "Stats",
-			MergeMethod: "Merge",
 			ConsumerPkg: "example.com/" + mod + "/consumer",
 		},
 		FloatCmp{},
@@ -81,7 +80,6 @@ func TestBadModuleFindings(t *testing.T) {
 			"config/config.go:11: [validate-coverage] field Config.Rate is not checked by Validate (add a check or a // storemlpvet:novalidate comment)",
 		}},
 		{"stats-drift", []string{
-			"stats/stats.go:7: [stats-drift] numeric field Stats.NotMerged is not folded by Merge",
 			"stats/stats.go:8: [stats-drift] numeric field Stats.Dead is never read by example.com/bad/consumer (dead counter or missing metric)",
 		}},
 		{"floatcmp", []string{
@@ -119,19 +117,6 @@ func TestBadModuleFindings(t *testing.T) {
 	if len(all) != total {
 		t.Errorf("total findings = %d, want %d:\n%s",
 			len(all), total, strings.Join(render(t, m, all), "\n"))
-	}
-}
-
-func TestStatsDriftMissingMerge(t *testing.T) {
-	m := loadTestModule(t, "good")
-	diags := StatsDrift{
-		StructPkg:   "example.com/good/stats",
-		StructName:  "Stats",
-		MergeMethod: "Fold",
-		ConsumerPkg: "example.com/good/consumer",
-	}.Run(m)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "has no Fold method") {
-		t.Errorf("want single missing-merge diagnostic, got %+v", diags)
 	}
 }
 

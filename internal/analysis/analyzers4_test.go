@@ -23,15 +23,6 @@ func TestSharedCaptureFindings(t *testing.T) {
 	})
 }
 
-func TestMergeCompleteFindings(t *testing.T) {
-	m := loadTestModule(t, "mergebad")
-	diags := Run(m, []Analyzer{MergeComplete{Roots: []string{"example.com/mergebad/stats.Stats.Merge"}}})
-	checkDiags(t, m, diags, []string{
-		"stats/stats.go:25: [mergecomplete] field Hist.Overflow is not folded by Add on the parallel merge path (merge it, or annotate //storemlp:nomerge)",
-		"stats/stats.go:36: [mergecomplete] field Stats.Aborts is not folded by Merge on the parallel merge path (merge it, or annotate //storemlp:nomerge)",
-	})
-}
-
 func TestCloseAllFindings(t *testing.T) {
 	m := loadTestModule(t, "closebad")
 	diags := Run(m, []Analyzer{CloseAll{}})
@@ -41,14 +32,13 @@ func TestCloseAllFindings(t *testing.T) {
 }
 
 // TestParallelAnalyzersCleanOnGood pins the false-positive side: the
-// good module has balanced locks, no go statements writing captures,
-// no merge roots configured, and no Close-able constructors.
+// good module has balanced locks, no go statements writing captures
+// and no Close-able constructors.
 func TestParallelAnalyzersCleanOnGood(t *testing.T) {
 	m := loadTestModule(t, "good")
 	diags := Run(m, []Analyzer{
 		LockBalance{},
 		SharedCapture{},
-		MergeComplete{},
 		CloseAll{},
 	})
 	if len(diags) != 0 {

@@ -38,7 +38,6 @@ var directiveTakesArgs = map[string]bool{
 	"locked":    false, // guardedby/lockbalance: lock held by caller / handed off
 	"lockafter": true,  // lockorder: declared acquisition order
 	"owned":     false, // sharedcapture: goroutine owns the captured variable
-	"nomerge":   false, // mergecomplete: field deliberately unmerged
 	"noclose":   false, // closeall: value deliberately left open
 }
 

@@ -24,6 +24,9 @@ func TestParseDirectives(t *testing.T) {
 		{text: "//storemlp:lockafter(a.mu, b.mu)",
 			want: []Directive{{Name: "lockafter", Args: []string{"a.mu", "b.mu"}}}},
 		{text: "//storemlp:noaloc", wantErr: "unknown directive"},
+		// A retired directive is unknown: a stale annotation must fail
+		// loudly, not go silent.
+		{text: "//storemlp:nomerge", wantErr: "unknown directive"},
 		{text: "//storemlp:", wantErr: "unknown directive"},
 		{text: "//storemlp:lockafter", wantErr: "requires arguments"},
 		{text: "//storemlp:lockafter()", wantErr: "empty argument"},
@@ -87,11 +90,11 @@ func FuzzDirectiveParse(f *testing.F) {
 		"//storemlp:noalloc",
 		"//storemlp:noclose",
 		"//storemlp:nodigest",
-		"//storemlp:nomerge",
 		"//storemlp:owned",
 		"//storemlp:noalloc //storemlp:inline",
 		"// keep this field //storemlp:keep (survives Reset)",
 		"//storemlp:bogus",
+		"//storemlp:nomerge", // retired directive: must be rejected
 		"//storemlp:lockafter",
 		"//storemlp:lockafter()",
 		"//storemlp:keep(arg)",

@@ -7,22 +7,18 @@ import (
 )
 
 // StatsDrift checks that the statistics struct and its consumers stay
-// in sync: every numeric field (scalars and fixed-size numeric arrays)
-// must be folded by the struct's merge method, and every exported
-// numeric field must be read somewhere in the consumer package that
-// renders the CSVs, tables and figures.
+// in sync: every exported numeric field (scalars and fixed-size numeric
+// arrays) must be read somewhere in the consumer package that renders
+// the CSVs, tables and figures.
 //
-// The invariant: a counter the engine accumulates but the merge skips
-// silently vanishes from sharded runs; a counter the emitters never
-// read is either dead weight or a metric the paper's figures are
-// missing. Either way the drift is invisible to the compiler.
+// The invariant: a counter the emitters never read is either dead
+// weight or a metric the paper's figures are missing, and the drift is
+// invisible to the compiler.
 type StatsDrift struct {
 	// StructPkg is the import path declaring the statistics struct.
 	StructPkg string
 	// StructName is the struct type name, e.g. "Stats".
 	StructName string
-	// MergeMethod is the method that folds one struct into another.
-	MergeMethod string
 	// ConsumerPkg is the import path whose code must read every
 	// exported numeric field.
 	ConsumerPkg string
@@ -33,8 +29,8 @@ func (StatsDrift) Name() string { return "stats-drift" }
 
 // Doc implements Analyzer.
 func (a StatsDrift) Doc() string {
-	return fmt.Sprintf("every numeric field of %s.%s must flow through %s and the %s emitters",
-		a.StructPkg, a.StructName, a.MergeMethod, a.ConsumerPkg)
+	return fmt.Sprintf("every exported numeric field of %s.%s must be read by the %s emitters",
+		a.StructPkg, a.StructName, a.ConsumerPkg)
 }
 
 // Run implements Analyzer.
@@ -65,17 +61,6 @@ func (a StatsDrift) Run(m *Module) []Diagnostic {
 		}}
 	}
 
-	mergeBody := findMethodBody(spkg, named, a.MergeMethod)
-	if mergeBody == nil {
-		return []Diagnostic{{
-			Pos:  m.Fset.Position(obj.Pos()),
-			Rule: a.Name(),
-			Message: fmt.Sprintf("%s.%s has no %s method (sharded runs cannot fold their statistics)",
-				a.StructPkg, a.StructName, a.MergeMethod),
-		}}
-	}
-	mergedFields := fieldsReferenced(spkg, named, mergeBody)
-
 	consumer := m.Lookup(a.ConsumerPkg)
 	consumedFields := map[string]bool{}
 	if consumer != nil {
@@ -89,25 +74,15 @@ func (a StatsDrift) Run(m *Module) []Diagnostic {
 	var out []Diagnostic
 	for i := 0; i < st.NumFields(); i++ {
 		fld := st.Field(i)
-		if !numericStatField(fld.Type()) {
+		if !fld.Exported() || !numericStatField(fld.Type()) || consumedFields[fld.Name()] {
 			continue
 		}
-		if !mergedFields[fld.Name()] {
-			out = append(out, Diagnostic{
-				Pos:  m.Fset.Position(fld.Pos()),
-				Rule: a.Name(),
-				Message: fmt.Sprintf("numeric field %s.%s is not folded by %s",
-					a.StructName, fld.Name(), a.MergeMethod),
-			})
-		}
-		if fld.Exported() && !consumedFields[fld.Name()] {
-			out = append(out, Diagnostic{
-				Pos:  m.Fset.Position(fld.Pos()),
-				Rule: a.Name(),
-				Message: fmt.Sprintf("numeric field %s.%s is never read by %s (dead counter or missing metric)",
-					a.StructName, fld.Name(), a.ConsumerPkg),
-			})
-		}
+		out = append(out, Diagnostic{
+			Pos:  m.Fset.Position(fld.Pos()),
+			Rule: a.Name(),
+			Message: fmt.Sprintf("numeric field %s.%s is never read by %s (dead counter or missing metric)",
+				a.StructName, fld.Name(), a.ConsumerPkg),
+		})
 	}
 	return out
 }
@@ -123,23 +98,6 @@ func numericStatField(t types.Type) bool {
 		t = arr.Elem()
 	}
 	return isNumeric(t)
-}
-
-// findMethodBody returns the body of the named method of the type, or
-// nil.
-func findMethodBody(pkg *Package, named *types.Named, method string) *ast.BlockStmt {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Name.Name != method {
-				continue
-			}
-			if recvBaseType(fn, pkg.Info) == named {
-				return fn.Body
-			}
-		}
-	}
-	return nil
 }
 
 // fieldsReferenced collects names of the named struct's fields selected

@@ -1,7 +1,7 @@
-// Package consumer reads Merged and NotMerged but never Dead.
+// Package consumer reads Hits and Misses but never Dead.
 package consumer
 
 import "example.com/bad/stats"
 
 // Total is the report body.
-func Total(s *stats.Stats) int64 { return s.Merged + s.NotMerged }
+func Total(s *stats.Stats) int64 { return s.Hits + s.Misses }

@@ -1,15 +1,9 @@
-// Package stats holds a Stats whose Merge and consumers have drifted.
+// Package stats holds a Stats whose consumers have drifted.
 package stats
 
 // Stats counts simulated events.
 type Stats struct {
-	Merged    int64
-	NotMerged int64
-	Dead      int64
-}
-
-// Merge folds Merged and Dead but forgets NotMerged.
-func (s *Stats) Merge(o *Stats) {
-	s.Merged += o.Merged
-	s.Dead += o.Dead
+	Hits   int64
+	Misses int64
+	Dead   int64
 }

@@ -58,23 +58,6 @@ type HierarchyStats struct {
 	L2PrefetchReqs int64 // additional prefetch-for-write / scout requests
 }
 
-// Add returns the counter-wise sum of s and o, for folding statistics
-// from sharded runs.
-func (s HierarchyStats) Add(o HierarchyStats) HierarchyStats {
-	return HierarchyStats{
-		Fetches:        s.Fetches + o.Fetches,
-		FetchOffChip:   s.FetchOffChip + o.FetchOffChip,
-		Loads:          s.Loads + o.Loads,
-		LoadOffChip:    s.LoadOffChip + o.LoadOffChip,
-		Stores:         s.Stores + o.Stores,
-		StoreOffChip:   s.StoreOffChip + o.StoreOffChip,
-		StoreUpgrades:  s.StoreUpgrades + o.StoreUpgrades,
-		TLBMisses:      s.TLBMisses + o.TLBMisses,
-		L2StoreTraffic: s.L2StoreTraffic + o.L2StoreTraffic,
-		L2PrefetchReqs: s.L2PrefetchReqs + o.L2PrefetchReqs,
-	}
-}
-
 // Config sizes a hierarchy.
 type Config struct {
 	L1I, L1D, L2 Params

@@ -170,39 +170,6 @@ func (s *Stats) LoadInstMLP() float64 {
 	return float64(s.loadInstMLPSum) / float64(s.epochsWithAny)
 }
 
-// Merge folds o into s so that statistics from sharded runs (e.g. the
-// same workload simulated with different seeds, or split across
-// instruction ranges) aggregate into one Stats whose derived metrics
-// (EPI, MLP, StoreMLP, LoadInstMLP, fractions) are computed over the
-// union. Every counter — including the unexported MLP sums and the
-// substrate statistics — must be folded here; the stats-drift analyzer
-// enforces this.
-func (s *Stats) Merge(o *Stats) {
-	s.Insts += o.Insts
-	s.Epochs += o.Epochs
-	s.StoreMisses += o.StoreMisses
-	s.LoadMisses += o.LoadMisses
-	s.InstMisses += o.InstMisses
-	s.OverlappedStores += o.OverlappedStores
-	s.ExposedStores += o.ExposedStores
-	s.SMACAccelerated += o.SMACAccelerated
-	s.EpochsWithStore += o.EpochsWithStore
-	for i := range s.TermCounts {
-		s.TermCounts[i] += o.TermCounts[i]
-	}
-	for i := range s.MLPJoint {
-		for j := range s.MLPJoint[i] {
-			s.MLPJoint[i][j] += o.MLPJoint[i][j]
-		}
-	}
-	s.storeMLPSum += o.storeMLPSum
-	s.loadInstMLPSum += o.loadInstMLPSum
-	s.epochsWithAny += o.epochsWithAny
-	s.Hierarchy = s.Hierarchy.Add(o.Hierarchy)
-	s.SMAC = s.SMAC.Add(o.SMAC)
-	s.Snoops += o.Snoops
-}
-
 // OffChipCPI translates EPI into off-chip cycles per instruction for a
 // given miss penalty: the product of epochs-per-instruction and the
 // penalty (§3.4).

@@ -81,6 +81,32 @@ func TestConfigNorm(t *testing.T) {
 	}
 }
 
+// TestSummaryRows pins the summary's shape: one row per configured
+// workload, in order, each covering exactly the measured instructions
+// of that workload's run, and no cross-workload aggregate row.
+func TestSummaryRows(t *testing.T) {
+	c := Config{Seed: 1, Insts: 20_000, Warm: 10_000}
+	rows, err := Summary(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := workload.All(c.Seed)
+	if len(rows) != len(ws) {
+		t.Fatalf("rows = %d, want one per workload (%d)", len(rows), len(ws))
+	}
+	for i, r := range rows {
+		if r.Workload == "all" {
+			t.Errorf("row %d is a cross-workload aggregate", i)
+		}
+		if r.Workload != ws[i].Name {
+			t.Errorf("row %d workload %q, want %q", i, r.Workload, ws[i].Name)
+		}
+		if r.Insts != c.Insts {
+			t.Errorf("%s: Insts = %d, want %d", r.Workload, r.Insts, c.Insts)
+		}
+	}
+}
+
 func TestTable1Shapes(t *testing.T) {
 	rows, err := Table1(small())
 	if err != nil {

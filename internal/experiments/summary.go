@@ -9,9 +9,9 @@ import (
 
 // SummaryRow condenses one default-configuration run into the counters
 // and derived metrics behind every figure: raw miss mix, overlap split,
-// epoch population and the dominant termination condition. The "all" row
-// folds the per-workload statistics with Stats.Merge, so its derived
-// metrics are computed over the union of the runs rather than averaged.
+// epoch population and the dominant termination condition. Like every
+// statistic the paper reports, a row covers one workload; nothing is
+// summed across workloads.
 type SummaryRow struct {
 	Workload         string
 	Insts            int64
@@ -36,11 +36,10 @@ type SummaryRow struct {
 }
 
 // Summary runs the default configuration once per workload and reports
-// the full counter set, plus an aggregate "all" row merged across the
-// workloads.
+// the full counter set, one row per workload in configuration order.
 func Summary(c Config) ([]SummaryRow, error) {
 	c = c.norm()
-	stats := make([]*epoch.Stats, len(c.Workloads))
+	rows := make([]SummaryRow, len(c.Workloads))
 	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
 		s, err := c.run(sim.Spec{
 			Workload: c.Workloads[i], Uarch: uarch.Default(),
@@ -49,19 +48,12 @@ func Summary(c Config) ([]SummaryRow, error) {
 		if err != nil {
 			return err
 		}
-		stats[i] = s
+		rows[i] = summaryRow(c.Workloads[i].Name, s)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]SummaryRow, 0, len(c.Workloads)+1)
-	var total epoch.Stats
-	for i, s := range stats {
-		rows = append(rows, summaryRow(c.Workloads[i].Name, s))
-		total.Merge(s)
-	}
-	rows = append(rows, summaryRow("all", &total))
 	return rows, nil
 }
 
@@ -103,8 +95,7 @@ func summaryRow(name string, s *epoch.Stats) SummaryRow {
 	}
 }
 
-// RenderSummary prints the run-summary counters, one row per workload
-// plus the merged "all" row.
+// RenderSummary prints the run-summary counters, one row per workload.
 func RenderSummary(rows []SummaryRow) string {
 	t := metrics.NewTable("Run summary: default configuration, all counters",
 		"workload", "insts", "epochs", "EPI", "MLP", "storeMLP", "ldInstMLP",

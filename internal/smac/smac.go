@@ -86,20 +86,6 @@ type Stats struct {
 	EntryEvictions       int64 // SMAC tags displaced by capacity
 }
 
-// Add returns the counter-wise sum of s and o, for folding statistics
-// from sharded runs.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Evictions:            s.Evictions + o.Evictions,
-		Probes:               s.Probes + o.Probes,
-		Hits:                 s.Hits + o.Hits,
-		HitInvalidated:       s.HitInvalidated + o.HitInvalidated,
-		Misses:               s.Misses + o.Misses,
-		CoherenceInvalidates: s.CoherenceInvalidates + o.CoherenceInvalidates,
-		EntryEvictions:       s.EntryEvictions + o.EntryEvictions,
-	}
-}
-
 // SMAC is the store-miss accelerator structure. A nil *SMAC behaves as
 // "no SMAC": probes always miss and recording is a no-op, so the epoch
 // engine can hold one unconditionally.

@@ -3,15 +3,14 @@
 #
 #  1. Engine microbenchmarks: BenchmarkEngine + BenchmarkEngineTraced +
 #     BenchmarkEngineReplay + BenchmarkEngineTraceDriven +
-#     BenchmarkTraceDecodeColumnar + BenchmarkTraceEncodeColumnar +
-#     BenchmarkStatsMerge via
+#     BenchmarkTraceDecodeColumnar + BenchmarkTraceEncodeColumnar via
 #     `go test -bench`, best-of-N, written to
 #     BENCH_engine.json in the repo root. The engine section carries the
 #     delta against the committed pre-optimization baseline, the
 #     tracer-enabled overhead, the engine core alone over a
 #     pre-materialized trace (replay: no generator, no decode), and the
-#     trace-driven vs synthetic-generator ratio, the Stats merge cost
-#     and the host CPU count (num_cpu); the trace_codec
+#     trace-driven vs synthetic-generator ratio and the host CPU count
+#     (num_cpu); the trace_codec
 #     section measures the columnar decoder against the removed legacy
 #     decoder's recorded cost, plus trace writing (generator + encoder,
 #     the tracegen path) as encode_* (BENCH_COUNT overrides N, default
@@ -43,7 +42,7 @@ trap bench_cleanup EXIT
 
 echo '>> engine microbenchmarks (best of '"${BENCH_COUNT:-3}"')'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
     -benchmem -count "${BENCH_COUNT:-3}" . | tee "$tmpdir/bench.out"
 
 NUM_CPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)

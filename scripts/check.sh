@@ -44,7 +44,7 @@ go build -o "$tmpdir/storemlpvet" ./cmd/storemlpvet || {
     exit 3
 }
 
-echo '>> storemlpvet -list (seventeen rules)'
+echo '>> storemlpvet -list (sixteen rules)'
 # The -list smoke proves every analyzer is actually wired into the
 # default suite — a rule dropped from DefaultAnalyzers would otherwise
 # pass the clean-tree check by silently not running. The count check
@@ -55,15 +55,15 @@ echo "$vet_rules"
 for rule in exhaustive-enum validate-coverage stats-drift floatcmp ctxmut \
     resetcomplete guardedby hotpath ctxpoll \
     lockorder atomicfield goleak digestcover \
-    lockbalance sharedcapture mergecomplete closeall; do
+    lockbalance sharedcapture closeall; do
     echo "$vet_rules" | grep -q "^$rule " || {
         echo "storemlpvet: rule $rule missing from -list (not wired into DefaultAnalyzers?)"
         exit 1
     }
 done
 rule_count=$(echo "$vet_rules" | wc -l)
-[ "$rule_count" -eq 17 ] || {
-    echo "storemlpvet: -list reports $rule_count rules, want 17 (update scripts/check.sh when adding rules)"
+[ "$rule_count" -eq 16 ] || {
+    echo "storemlpvet: -list reports $rule_count rules, want 16 (update scripts/check.sh when adding rules)"
     exit 1
 }
 
@@ -101,20 +101,19 @@ esac
 echo '>> go test -race ./...'
 go test -race "$@" ./...
 
-echo '>> go test -race -cpu 1,2,4 -short (source-ahead, merge algebra, span trees)'
+echo '>> go test -race -cpu 1,2,4 -short (source-ahead, span trees)'
 # Engine runs and trace writes hand batches from their source-ahead
 # producer goroutine to the consumer, and every request's span tree is
 # written from concurrent sweep points and that producer; re-run their
-# tests (plus the Stats merge algebra the experiment summary relies on)
-# at several GOMAXPROCS values so real interleavings, not just the
-# single-P schedule, pass the race detector.
+# tests at several GOMAXPROCS values so real interleavings, not just
+# the single-P schedule, pass the race detector.
 go test -race -short -cpu 1,2,4 \
-    -run 'TestMerge|TestSpan|TestDecodeAhead|TestWriteAll' \
+    -run 'TestSpan|TestDecodeAhead|TestWriteAll' \
     ./internal/sim/ ./internal/server/ ./internal/trace/ .
 
 echo '>> benchmark smoke (1 iteration) + benchdiff report'
 go test -run '^$' \
-    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkStatsMerge|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
+    -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
     -benchtime 1x -benchmem . | tee "$tmpdir/smokebench.out"
 # Shape the 1-iteration numbers with the shared awk and diff them
 # against the committed baseline. Report mode only: single-iteration

@@ -27,9 +27,8 @@ $1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_
 $1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceEncodeColumnar(-[0-9]+)?$/   { if (enc_ns == 0 || $3 < enc_ns) { enc_ns = $3; enc_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkStatsMerge(-[0-9]+)?$/            { if (mrg_ns == 0 || $3 < mrg_ns) { mrg_ns = $3 } }
 END {
-    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || enc_ns == 0 || mrg_ns == 0) {
+    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || enc_ns == 0) {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000
@@ -46,7 +45,7 @@ END {
     printf "    \"trace_driven_ns_per_op\": %d,\n    \"trace_driven_allocs_per_op\": %d,\n", td_ns, td_allocs
     printf "    \"trace_driven_insts_per_sec\": %.0f,\n", eng_insts * 1e9 / td_ns
     printf "    \"trace_driven_vs_synthetic\": %.3f,\n", td_ns / eng_ns
-    printf "    \"merge_ns_per_op\": %d,\n    \"num_cpu\": %d\n  },\n", mrg_ns, num_cpu
+    printf "    \"num_cpu\": %d\n  },\n", num_cpu
     printf "  \"trace_codec\": {\n"
     printf "    \"ns_per_op\": %d,\n    \"insts_per_op\": %d,\n", col_ns, cod_insts
     printf "    \"insts_per_sec\": %.0f,\n    \"allocs_per_op\": %d,\n", cod_insts * 1e9 / col_ns, col_allocs
