@@ -240,18 +240,18 @@ func BenchmarkEngine(b *testing.B) {
 // BenchmarkEngineTraced is BenchmarkEngine with the observability
 // sinks attached exactly as mlpsimd attaches them: a request trace with
 // the default engine-detail cap (batch and fold spans nested under the
-// run's simulate span) and a progress board. The delta against
-// BenchmarkEngine is the cost of *enabled* tracing; a disabled (nil)
-// trace costs only a nil check and is proven allocation-free by
-// TestStepZeroAllocTracerDisabled in internal/epoch.
+// run's simulate span) whose runs report to a progress board. The
+// delta against BenchmarkEngine is the cost of *enabled* tracing; a
+// disabled (nil) trace costs only a nil check and is proven
+// allocation-free by TestStepZeroAllocTracerDisabled in internal/epoch.
 func BenchmarkEngineTraced(b *testing.B) {
 	const n = 500_000
 	w := workload.Database(1)
-	ctx := obs.NewContext(context.Background(), obs.NewBoard())
+	board := obs.NewBoard()
 	b.SetBytes(n)
 	for i := 0; i < b.N; i++ {
-		rt := obs.NewReqTrace("bench", 512, 384)
-		if _, err := RunContext(obs.WithSpan(ctx, rt, rt.Root()), RunSpec{Workload: w, Config: DefaultConfig(), Insts: n, Warm: 0}); err != nil {
+		rt := board.NewReqTrace("bench", 512, 384)
+		if _, err := RunContext(obs.WithSpan(context.Background(), rt, rt.Root()), RunSpec{Workload: w, Config: DefaultConfig(), Insts: n, Warm: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,10 +15,10 @@ func TestFlattenPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"engine.ns_per_op":                       40000000,
-		"parallel.merge_ns_per_op":               300,
-		"parallel.segments[1].ns_per_op":         22000000,
-		"parallel.segments[1].speedup_vs_serial": 1.8,
+		"engine.ns_per_op":                 40000000,
+		"engine.traced_allocs_per_op":      58,
+		"trace_codec.encode_ns_per_op":     10000000,
+		"trace_codec.encode_insts_per_sec": 20000000,
 	}
 	for p, v := range want {
 		if got, ok := m[p]; !ok || got != v {
@@ -26,6 +28,18 @@ func TestFlattenPaths(t *testing.T) {
 	if _, ok := m["bench"]; ok {
 		t.Error("string leaf should not flatten to a metric")
 	}
+
+	// No committed benchmark emits an array today; flatten still
+	// indexes one so a future list-shaped section diffs per element.
+	var v interface{}
+	if err := json.Unmarshal([]byte(`{"bench":"x","runs":[{"ns_per_op":1},{"ns_per_op":2,"ok":true}]}`), &v); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	flatten("", v, got)
+	if want := map[string]float64{"runs[0].ns_per_op": 1, "runs[1].ns_per_op": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("array flatten = %v, want %v", got, want)
+	}
 }
 
 func TestRuleDirections(t *testing.T) {
@@ -34,9 +48,11 @@ func TestRuleDirections(t *testing.T) {
 		worse float64 // 0 = informational (no rule)
 	}{
 		{"engine.ns_per_op", +1},
-		{"parallel.merge_ns_per_op", +1},
+		{"trace_codec.encode_ns_per_op", +1},
 		{"engine.allocs_per_op", +1},
+		{"engine.traced_allocs_per_op", +1},
 		{"engine.insts_per_sec", -1},
+		{"trace_codec.encode_insts_per_sec", -1},
 		{"engine.speedup_vs_baseline", -1},
 		{"speedup", -1},
 		{"cold.p99_ms", +1},
@@ -44,7 +60,7 @@ func TestRuleDirections(t *testing.T) {
 		{"cold.errors", +1},
 		{"engine.tracer_overhead", +1},
 		{"engine.insts_per_op", 0}, // workload size, not a measurement
-		{"parallel.num_cpu", 0},
+		{"engine.num_cpu", 0},
 		{"grid_points", 0},
 	}
 	for _, c := range cases {
@@ -61,8 +77,9 @@ func TestRuleDirections(t *testing.T) {
 }
 
 // The acceptance fixture: a 20% ns_per_op regression (tolerance 10%)
-// must trip the gate, and the matching throughput/speedup drops ride
-// along. Report mode sees the same findings but exits 0.
+// in each section must trip the gate, and the matching
+// throughput/speedup drops ride along. Report mode sees the same
+// findings but exits 0.
 func TestGateOnRegressionFixture(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{"-mode", "gate", "testdata/engine_base.json", "testdata/engine_regress.json"}, &out, &errw)
@@ -73,16 +90,19 @@ func TestGateOnRegressionFixture(t *testing.T) {
 		"REGRESS engine_base.engine.ns_per_op",
 		"REGRESS engine_base.engine.insts_per_sec",
 		"REGRESS engine_base.engine.speedup_vs_baseline",
-		"REGRESS engine_base.parallel.segments[0].ns_per_op",
+		"REGRESS engine_base.trace_codec.encode_ns_per_op",
+		"REGRESS engine_base.trace_codec.encode_insts_per_sec",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	// Within-tolerance drift must stay quiet: merge 300->301,
-	// segments[1] 22.0ms->22.1ms, speedup_vs_serial up.
-	if strings.Contains(out.String(), "segments[1]") {
-		t.Errorf("within-tolerance metric flagged:\n%s", out.String())
+	// Within-tolerance drift must stay quiet: traced 41.0ms->41.1ms,
+	// trace_codec 6.00ms->6.05ms, its throughput up.
+	for _, quiet := range []string{"traced_ns_per_op", "trace_codec.ns_per_op", "trace_codec.insts_per_sec"} {
+		if strings.Contains(out.String(), quiet) {
+			t.Errorf("within-tolerance metric %s flagged:\n%s", quiet, out.String())
+		}
 	}
 
 	out.Reset()

@@ -130,12 +130,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	if *progress {
-		// Every sweep run inherits Config.Ctx, so one board observes the
-		// whole harness: the ticker shows the active run set live.
-		board := obs.NewBoard()
-		ctx = obs.NewContext(ctx, board)
-		stopTicker := obs.StartTicker(stderr, board, 250*time.Millisecond)
-		defer stopTicker()
+		// Every run inherits Config.Ctx, so one root trace (no room for
+		// spans past the root) sums the harness's live counters.
+		rt := obs.NewReqTrace("experiments", 1, 0)
+		ctx = obs.WithSpan(ctx, rt, rt.Root())
+		defer obs.StartTicker(stderr, rt, 250*time.Millisecond)()
 	}
 
 	cfg := experiments.Config{Seed: *seed, Insts: *insts, Warm: *warm, Parallelism: *parallel, Ctx: ctx}

@@ -62,7 +62,7 @@ func TestCSVExport(t *testing.T) {
 }
 
 func TestRunProgressTicker(t *testing.T) {
-	// -progress attaches one board to the whole harness via the context;
+	// -progress attaches one root trace to the whole harness via the context;
 	// the run must succeed unchanged with the ticker active.
 	var out, errBuf strings.Builder
 	old := stderr

@@ -93,12 +93,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	if *progress {
-		// The engine publishes live counters into the board via the
-		// context; the ticker rewrites one stderr line from them.
-		board := obs.NewBoard()
-		ctx = obs.NewContext(ctx, board)
-		stopTicker := obs.StartTicker(stderr, board, 250*time.Millisecond)
-		defer stopTicker()
+		// The run adds its live counters to a root trace with no room
+		// for spans past the root; the ticker renders them on stderr.
+		rt := obs.NewReqTrace("mlpsim", 1, 0)
+		ctx = obs.WithSpan(ctx, rt, rt.Root())
+		defer obs.StartTicker(stderr, rt, 250*time.Millisecond)()
 	}
 
 	cfg := storemlp.DefaultConfig()

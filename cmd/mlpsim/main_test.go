@@ -165,7 +165,8 @@ func TestRunProgressTicker(t *testing.T) {
 
 func TestRunProgressTraceFile(t *testing.T) {
 	// The -trace path goes through RunTraceContext, which attaches the
-	// board carried by the context: -progress must not perturb the run.
+	// root trace carried by the context: -progress must not perturb the
+	// run.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.trace")
 	f, err := os.Create(path)

@@ -10,9 +10,9 @@ import "strconv"
 // Spec is handed to the reflective encoder.
 type Spec struct {
 	Name   string
-	seed   int64 // silently skipped by the encoder: finding
+	seed   int64  // silently skipped by the encoder: finding
 	Notify func() // panics the encoder at run time: finding
-	Debug  bool //storemlp:nodigest
+	Debug  bool   //storemlp:nodigest
 	Sub    Nested
 }
 

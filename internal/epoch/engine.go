@@ -130,15 +130,15 @@ type Engine struct {
 	smacBase  smac.Stats
 	snoopBase int64
 
-	// Observability sinks attached for the duration of one run: the
-	// request trace records batch/fold spans and window_grow/
-	// measure_start instants under rtParent (the run's simulate span),
-	// and the progress publisher receives live counters once per batch.
-	// Both are nil when disabled — the hot paths pay one pointer check.
-	// Reconfigure detaches them; SetObs re-attaches per run.
+	// Observability sink attached for the duration of one run: the
+	// request trace receives the live counters once per batch and, when
+	// it records engine detail, batch/fold spans and window_grow/
+	// measure_start instants under rtParent (the run's simulate span).
+	// rtParent is NoSpan when the trace records no detail, so the hot
+	// paths pay one comparison and never read the clock. Reconfigure
+	// detaches the trace; SetObs re-attaches it per run.
 	rt       *obs.ReqTrace
 	rtParent obs.SpanID
-	prog     *obs.Progress
 
 	stats Stats
 }
@@ -251,7 +251,7 @@ func (e *Engine) Reconfigure(cfg uarch.Config, opts ...Option) error {
 	e.hierBase = cache.HierarchyStats{}
 	e.smacBase = smac.Stats{}
 	e.snoopBase = 0
-	e.rt, e.rtParent, e.prog = nil, obs.NoSpan, nil
+	e.rt, e.rtParent = nil, obs.NoSpan
 	e.stats = Stats{}
 
 	if cfg.ModelBranchPredictor {
@@ -357,12 +357,13 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source) (*Stats, erro
 	if e.batch == nil {
 		e.batch = make([]isa.Inst, batchLen)
 	}
+	var published obs.Counters // what this run has added to e.rt so far
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var batchStart int64
-		if e.rt != nil {
+		if e.rtParent != obs.NoSpan {
 			batchStart = obs.Now()
 		}
 		n := trace.Fill(src, e.batch)
@@ -372,45 +373,45 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source) (*Stats, erro
 		for i := 0; i < n; i++ {
 			e.step(e.batch[i])
 		}
-		if e.rt != nil {
+		if e.rtParent != obs.NoSpan {
 			e.rt.Complete(obs.StageBatch, e.rtParent, batchStart, int64(n))
 		}
-		e.publishProgress()
+		e.publishProgress(&published)
 	}
 	var foldStart int64
-	if e.rt != nil {
+	if e.rtParent != obs.NoSpan {
 		foldStart = obs.Now()
 	}
 	e.finalize()
-	e.publishProgress()
-	if e.rt != nil {
+	e.publishProgress(&published)
+	if e.rtParent != obs.NoSpan {
 		e.rt.Complete(obs.StageFold, e.rtParent, foldStart, e.stats.Epochs)
 	}
 	return &e.stats, nil
 }
 
-// SetObs attaches observability sinks for the next run: engine-detail
-// spans (batches, fold, window_grow, measure_start) are recorded on rt
-// under parent — the simulate span the caller opened around the run —
-// and live counters flow to prog once per instruction batch. Either
-// sink may be nil to disable it; Reconfigure detaches everything.
-func (e *Engine) SetObs(rt *obs.ReqTrace, parent obs.SpanID, prog *obs.Progress) {
-	e.rt, e.rtParent, e.prog = rt, parent, prog
+// SetObs attaches rt for the next run. The trace always receives the
+// live counters; engine-detail spans (batches, fold, window_grow,
+// measure_start) are recorded under parent — the simulate span the
+// caller opened around the run — only when rt records detail and
+// parent exists. A nil rt detaches; so does Reconfigure.
+func (e *Engine) SetObs(rt *obs.ReqTrace, parent obs.SpanID) {
+	if !rt.Detailed() {
+		parent = obs.NoSpan
+	}
+	e.rt, e.rtParent = rt, parent
 }
 
-// publishProgress pushes the live counters to the attached progress
-// sink: instructions stepped, measured instructions, and the epochs
-// and misses folded out of the window so far. Called once per batch
-// and once after finalize, so the cost amortizes to noise — and to
-// exactly one branch when no sink is attached.
+// publishProgress adds the change in the live counters since *published
+// to the attached trace: instructions stepped, measured instructions,
+// and the epochs and misses folded out of the window so far. Called
+// once per batch and once after finalize, so the cost amortizes to
+// noise — and to one branch in Publish when no trace is attached.
 //
 //storemlp:noalloc
-func (e *Engine) publishProgress() {
-	if e.prog == nil {
-		return
-	}
-	e.prog.Publish(e.idx, e.stats.Insts, e.stats.Epochs,
-		e.stats.LoadMisses+e.stats.InstMisses, e.stats.StoreMisses)
+func (e *Engine) publishProgress(published *obs.Counters) {
+	e.rt.Publish(obs.Counters{Insts: e.idx, Measured: e.stats.Insts, Epochs: e.stats.Epochs,
+		LoadInstMisses: e.stats.LoadMisses + e.stats.InstMisses, StoreMisses: e.stats.StoreMisses}, published)
 }
 
 func maxi(a, b int64) int64 {
@@ -483,7 +484,7 @@ func (e *Engine) growWin() {
 	}
 	e.win = next
 	e.winMask = mask
-	if e.rt != nil {
+	if e.rtParent != obs.NoSpan {
 		e.rt.Instant(obs.StageWindowGrow, e.rtParent, int64(len(e.win)))
 	}
 }
@@ -948,7 +949,7 @@ func (e *Engine) snapshotBaselines() {
 	if e.traf != nil {
 		e.snoopBase = e.traf.Delivered
 	}
-	if e.rt != nil {
+	if e.rtParent != obs.NoSpan {
 		e.rt.Instant(obs.StageMeasureStart, e.rtParent, e.idx)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestStepZeroAllocTracerDisabled is the observability half of the
-// allocation contract: with no tracer or progress sink attached (the
+// allocation contract: with no request trace attached (the
 // default), the steady-state step loop allocates nothing at all — the
 // nil checks on the obs fast path are free. Unlike the budgeted
 // TestRunContextAllocationFree, this reuses the trace source, so the
@@ -50,11 +50,11 @@ func TestStepZeroAllocTracerDisabled(t *testing.T) {
 	}
 }
 
-// TestRunObsEquivalence checks that attaching a request trace and a
-// progress sink perturbs nothing: statistics are bit-identical to an
-// untraced run, the engine-detail spans (batches, one fold, one
-// measure_start instant) all nest under the parent span the caller
-// passed, and the progress snapshot ends at the run's true totals.
+// TestRunObsEquivalence checks that attaching a request trace perturbs
+// nothing: statistics are bit-identical to an untraced run, the
+// engine-detail spans (batches, one fold, one measure_start instant)
+// all nest under the parent span the caller passed, and the trace's
+// live counters end at the run's true totals.
 func TestRunObsEquivalence(t *testing.T) {
 	cfg := exCfg()
 	cfg.WarmInsts = 5_000
@@ -71,18 +71,15 @@ func TestRunObsEquivalence(t *testing.T) {
 
 	rt := obs.NewReqTrace("obs", 64, 32)
 	sim := rt.StartSpan(obs.StageSimulate, rt.Root())
-	board := obs.NewBoard()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	p := board.Start("obs test", int64(len(insts)))
-	e.SetObs(rt, sim, p)
+	e.SetObs(rt, sim)
 	got, err := e.Run(trace.NewSlice(insts))
 	if err != nil {
 		t.Fatalf("traced Run: %v", err)
 	}
-	board.Finish(p)
 	rt.EndSpan(sim, got.Insts)
 
 	if !reflect.DeepEqual(want, got) {
@@ -115,17 +112,44 @@ func TestRunObsEquivalence(t *testing.T) {
 		t.Errorf("Dropped = %d inside the detail cap", rt.Dropped())
 	}
 
-	s := p.Snapshot()
-	if s.Insts != int64(len(insts)) {
-		t.Errorf("progress insts = %d, want %d", s.Insts, len(insts))
+	checkLive(t, rt, int64(len(insts)), got)
+}
+
+// checkLive asserts that rt's live counters hold exactly one run's
+// totals: insts stepped and the measured, epoch and miss counts of st.
+func checkLive(t *testing.T, rt *obs.ReqTrace, insts int64, st *Stats) {
+	t.Helper()
+	s := rt.Live()
+	want := obs.Snapshot{Insts: insts, Measured: st.Insts, Epochs: st.Epochs,
+		LoadInstMisses: st.LoadMisses + st.InstMisses, StoreMisses: st.StoreMisses}
+	got := obs.Snapshot{Insts: s.Insts, Measured: s.Measured, Epochs: s.Epochs,
+		LoadInstMisses: s.LoadInstMisses, StoreMisses: s.StoreMisses}
+	if got != want {
+		t.Errorf("live counters %+v, want %+v", got, want)
 	}
-	if s.Measured != got.Insts || s.Epochs != got.Epochs {
-		t.Errorf("progress (measured %d, epochs %d) != stats (%d, %d)",
-			s.Measured, s.Epochs, got.Insts, got.Epochs)
+}
+
+// TestRunObsCountersWithoutDetail: a trace with detail cap 0 (the CLIs'
+// root trace) still receives the live counters, but the engine records
+// no detail spans on it.
+func TestRunObsCountersWithoutDetail(t *testing.T) {
+	cfg := exCfg()
+	cfg.WarmInsts = 5_000
+	insts := mixTrace(23, 30_000)
+	rt := obs.NewReqTrace("counters", 64, 0)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	if !s.Done {
-		t.Error("finished run not marked done")
+	e.SetObs(rt, rt.Root())
+	got, err := e.Run(trace.NewSlice(insts))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
+	if n := len(rt.Snapshot()); n != 1 || rt.Dropped() != 0 {
+		t.Errorf("detail-free trace holds %d spans (%d dropped), want the root alone", n, rt.Dropped())
+	}
+	checkLive(t, rt, int64(len(insts)), got)
 }
 
 // TestReconfigureDetachesObs: recycled engines must never leak a
@@ -139,11 +163,11 @@ func TestReconfigureDetachesObs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	e.SetObs(rt, rt.Root(), nil)
+	e.SetObs(rt, rt.Root())
 	if _, err := e.Run(trace.NewSlice(insts)); err != nil {
 		t.Fatalf("traced Run: %v", err)
 	}
-	before := len(rt.Snapshot())
+	before, counted := len(rt.Snapshot()), rt.Live().Insts
 	if before == 1 {
 		t.Fatal("traced run recorded no spans")
 	}
@@ -156,5 +180,8 @@ func TestReconfigureDetachesObs(t *testing.T) {
 	}
 	if after := len(rt.Snapshot()); after != before {
 		t.Errorf("reconfigured engine still traced: %d new spans", after-before)
+	}
+	if n := rt.Live().Insts; n != counted {
+		t.Errorf("reconfigured engine still counted: %d new insts", n-counted)
 	}
 }

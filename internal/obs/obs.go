@@ -1,7 +1,8 @@
 // Package obs is the repository's unified observability layer: a
 // metrics registry rendered in the Prometheus text exposition format
-// and as expvar-style JSON, request-scoped span trees exportable as
-// Chrome trace_event JSON, and live per-run progress snapshots.
+// and as expvar-style JSON, and request-scoped span trees that double
+// as the live-progress record of the engine runs under them,
+// exportable as Chrome trace_event JSON.
 //
 // The paper's whole evidentiary chain is instrumentation — EPI, MLP
 // and the termination-condition distributions are MLPsim's outputs —
@@ -13,39 +14,16 @@
 // in one span tree a browser can open.
 //
 // Everything here is stdlib-only (the module pins zero external
-// dependencies) and nil-safe: a nil *ReqTrace, *Board or *Progress
-// accepts every call as a no-op, so instrumented code needs exactly
-// one pointer check on its hot path and no configuration plumbing.
-// The engine-facing fast paths (ReqTrace.Complete/Instant,
-// Progress.Publish) are annotated //storemlp:noalloc and gated by the
-// hotpath analyzer, so "tracing off costs nothing" is a CI invariant,
-// not a benchmark observation.
+// dependencies) and nil-safe: a nil *ReqTrace or *Board accepts every
+// call as a no-op, so instrumented code needs exactly one pointer
+// check on its hot path and no configuration plumbing. The
+// engine-facing fast paths (ReqTrace.Complete/Instant/Publish) are
+// annotated //storemlp:noalloc and gated by the hotpath analyzer, so
+// "tracing off costs nothing" is a CI invariant, not a benchmark
+// observation.
 package obs
 
-import (
-	"context"
-	"time"
-)
-
-// boardKey is the private context key for a *Board.
-type boardKey struct{}
-
-// NewContext returns a context carrying the live-run board b. Runs
-// started under the returned context (through sim.RunContext, the
-// pool, or the serving layer) publish their progress snapshots to b.
-func NewContext(ctx context.Context, b *Board) context.Context {
-	return context.WithValue(ctx, boardKey{}, b)
-}
-
-// BoardFrom returns the *Board carried by ctx, or nil when the context
-// carries none (progress publishing disabled).
-func BoardFrom(ctx context.Context) *Board {
-	if ctx == nil {
-		return nil
-	}
-	b, _ := ctx.Value(boardKey{}).(*Board)
-	return b
-}
+import "time"
 
 // Now returns the current time in nanoseconds since the Unix epoch —
 // the shared timebase for spans and progress snapshots.

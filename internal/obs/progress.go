@@ -9,42 +9,104 @@ import (
 	"time"
 )
 
-// Progress is the live state of one engine run, published by the
-// engine once per instruction batch through atomic stores and read by
-// tickers and HTTP handlers without any coordination with the run.
-// A nil *Progress accepts every call as a no-op.
-type Progress struct {
-	label string // immutable after Start
-	total int64  // immutable; planned instructions incl. warmup, 0 when unknown
-	start int64  // immutable; Now() at Start
-
-	insts    atomic.Int64 // instructions stepped, incl. warmup
-	measured atomic.Int64 // measured (post-warmup) instructions folded into stats
-	epochs   atomic.Int64 // epochs closed (folded out of the window)
-	loadInst atomic.Int64 // load + ifetch misses folded
-	stores   atomic.Int64 // store misses folded
-	done     atomic.Bool
+// Counters are one run's live engine counters, the unit the engine
+// publishes in.
+type Counters struct {
+	Insts          int64 // instructions stepped, incl. warmup
+	Measured       int64 // measured (post-warmup) instructions folded into stats
+	Epochs         int64 // epochs closed (folded out of the window)
+	LoadInstMisses int64 // load + ifetch misses folded
+	StoreMisses    int64 // store misses folded
 }
 
-// Publish replaces the live counters. The engine calls this once per
-// 4096-instruction batch, so the cost is five atomic stores amortized
-// over thousands of steps.
-//
-//storemlp:noalloc
-func (p *Progress) Publish(insts, measured, epochs, loadInst, stores int64) {
-	if p == nil {
+// runCounters sums the live state of every run a ReqTrace has carried;
+// a Board keeps runs started and finished, insts and epochs.
+type runCounters struct {
+	started  atomic.Int64 // runs begun
+	finished atomic.Int64 // runs ended
+	planned  atomic.Int64 // planned instructions incl. warmup (0 when unknown)
+	insts    atomic.Int64
+	measured atomic.Int64
+	epochs   atomic.Int64
+	loadInst atomic.Int64
+	stores   atomic.Int64
+}
+
+// BeginRun records the start of one engine run under t: label names it
+// (the live views show the latest run's label) and planned is its
+// instruction total including warmup, 0 when unknown. A trace made by
+// Board.NewReqTrace joins its board's active set.
+func (t *ReqTrace) BeginRun(label string, planned int64) {
+	if t == nil {
 		return
 	}
-	p.insts.Store(insts)
-	p.measured.Store(measured)
-	p.epochs.Store(epochs)
-	p.loadInst.Store(loadInst)
-	p.stores.Store(stores)
+	t.mu.Lock()
+	t.run = label
+	t.mu.Unlock()
+	t.live.planned.Add(planned)
+	t.live.started.Add(1)
+	if b := t.board; b != nil {
+		b.live.started.Add(1)
+		b.mu.Lock()
+		b.active[t] = struct{}{}
+		b.mu.Unlock()
+	}
 }
 
-// Snapshot is a consistent-enough view of one run for display: the
-// counters are read individually (each atomically), which is exact at
-// batch boundaries and at most one batch stale between them.
+// EndRun records the end, successful or not, of a run begun with
+// BeginRun. When no run of t is left in flight t leaves its board; the
+// check runs under the board's lock, so a run begun concurrently
+// either keeps t in the set or re-adds it after.
+func (t *ReqTrace) EndRun() {
+	if t == nil {
+		return
+	}
+	t.live.finished.Add(1)
+	if b := t.board; b != nil {
+		b.live.finished.Add(1)
+		b.mu.Lock()
+		if t.live.active() == 0 {
+			delete(b.active, t)
+		}
+		b.mu.Unlock()
+	}
+}
+
+// Publish adds the change from *last to cur to the live counters of t
+// and its board, and sets *last = cur. The engine calls this once per
+// 4096-instruction batch with last local to the run: adding deltas
+// keeps the sums exact when many runs share one trace (a sweep's
+// points, the experiments harness), and costs a handful of atomic adds
+// amortized over thousands of steps.
+//
+//storemlp:noalloc
+func (t *ReqTrace) Publish(cur Counters, last *Counters) {
+	if t == nil {
+		return
+	}
+	t.live.insts.Add(cur.Insts - last.Insts)
+	t.live.measured.Add(cur.Measured - last.Measured)
+	t.live.epochs.Add(cur.Epochs - last.Epochs)
+	t.live.loadInst.Add(cur.LoadInstMisses - last.LoadInstMisses)
+	t.live.stores.Add(cur.StoreMisses - last.StoreMisses)
+	if b := t.board; b != nil {
+		b.live.insts.Add(cur.Insts - last.Insts)
+		b.live.epochs.Add(cur.Epochs - last.Epochs)
+	}
+	*last = cur
+}
+
+// active reports how many runs c has in flight. It loads finished
+// first, so the count never reads negative.
+func (c *runCounters) active() int64 {
+	finished := c.finished.Load()
+	return c.started.Load() - finished
+}
+
+// Snapshot is a consistent-enough view of one trace's runs for
+// display: the counters are read individually (each atomically), which
+// is exact at batch boundaries and at most one batch stale between
+// them.
 type Snapshot struct {
 	Label          string        `json:"label"`
 	Total          int64         `json:"total_insts"`
@@ -59,23 +121,27 @@ type Snapshot struct {
 	Done           bool          `json:"done"`
 }
 
-// Snapshot reads the current state. MLP is the running mean misses
-// per epoch over the epochs folded so far — the paper's MLP measure,
-// live.
-func (p *Progress) Snapshot() Snapshot {
-	if p == nil {
+// Live reads the current state of t's runs: the latest run's label,
+// counters summed over every run, and the time since the trace began.
+// MLP is the running mean misses per epoch over the epochs folded so
+// far — the paper's MLP measure, live. Done means no run is in flight.
+func (t *ReqTrace) Live() Snapshot {
+	if t == nil {
 		return Snapshot{}
 	}
+	t.mu.Lock()
+	label := t.run
+	t.mu.Unlock()
 	s := Snapshot{
-		Label:          p.label,
-		Total:          p.total,
-		Insts:          p.insts.Load(),
-		Measured:       p.measured.Load(),
-		Epochs:         p.epochs.Load(),
-		LoadInstMisses: p.loadInst.Load(),
-		StoreMisses:    p.stores.Load(),
-		Elapsed:        time.Duration(Now() - p.start),
-		Done:           p.done.Load(),
+		Label:          label,
+		Total:          t.live.planned.Load(),
+		Insts:          t.live.insts.Load(),
+		Measured:       t.live.measured.Load(),
+		Epochs:         t.live.epochs.Load(),
+		LoadInstMisses: t.live.loadInst.Load(),
+		StoreMisses:    t.live.stores.Load(),
+		Elapsed:        time.Duration(Now() - t.start),
+		Done:           t.live.active() == 0,
 	}
 	if s.Epochs > 0 {
 		s.MLP = float64(s.LoadInstMisses+s.StoreMisses) / float64(s.Epochs)
@@ -86,9 +152,9 @@ func (p *Progress) Snapshot() Snapshot {
 	return s
 }
 
-// Totals aggregates a Board: finished-run sums plus the live counters
-// of the still-active runs, so a ticker can show overall throughput
-// while a sweep is mid-flight.
+// Totals aggregates a Board over every run it has seen, with
+// instructions and epochs counted live, so a view shows overall
+// throughput while a sweep is mid-flight.
 type Totals struct {
 	ActiveRuns   int   `json:"active_runs"`
 	FinishedRuns int64 `json:"finished_runs"`
@@ -96,96 +162,62 @@ type Totals struct {
 	Epochs       int64 `json:"epochs"`
 }
 
-// Board tracks every active run plus aggregates of finished ones —
-// the data behind /debug/obs/runs and the -progress tickers. A nil
-// *Board hands out nil *Progress, so disabled introspection costs one
-// pointer check.
+// Runs is the /debug/obs/runs document.
+type Runs struct {
+	Active []Snapshot `json:"active"`
+	Totals Totals     `json:"totals"`
+}
+
+// Board is the set of in-flight traces that have begun a run — the
+// data behind /debug/obs/runs — plus totals over every run of its
+// traces. A trace joins at its first BeginRun and leaves when its last
+// run ends, so requests that never run the engine (cache hits,
+// coalesced followers) never take the board lock. A nil *Board accepts
+// every call as a no-op.
 type Board struct {
+	live runCounters
+
 	mu     sync.Mutex
-	active map[*Progress]struct{} // guarded by mu
-	runs   int64                  // guarded by mu; finished runs
-	insts  int64                  // guarded by mu; instructions in finished runs
-	epochs int64                  // guarded by mu; epochs in finished runs
+	active map[*ReqTrace]struct{} // guarded by mu
 }
 
 // NewBoard returns an empty board.
 func NewBoard() *Board {
-	return &Board{active: make(map[*Progress]struct{})}
+	return &Board{active: make(map[*ReqTrace]struct{})}
 }
 
-// Start registers a new active run and returns its Progress. total is
-// the planned instruction count including warmup (0 when unknown).
-func (b *Board) Start(label string, total int64) *Progress {
-	if b == nil {
-		return nil
-	}
-	p := &Progress{label: label, total: total, start: Now()}
-	b.mu.Lock()
-	b.active[p] = struct{}{}
-	b.mu.Unlock()
-	return p
-}
-
-// Finish marks p done, removes it from the active set and folds its
-// final counters into the board aggregates. Safe on nil p (a run that
-// was never observed) and idempotent enough for defer use.
-func (b *Board) Finish(p *Progress) {
-	if b == nil || p == nil {
-		return
-	}
-	p.done.Store(true)
-	b.mu.Lock()
-	if _, ok := b.active[p]; ok {
-		delete(b.active, p)
-		b.runs++
-		b.insts += p.insts.Load()
-		b.epochs += p.epochs.Load()
-	}
-	b.mu.Unlock()
-}
-
-// Active snapshots the in-flight runs, oldest first.
-func (b *Board) Active() []Snapshot {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	ps := make([]*Progress, 0, len(b.active))
-	for p := range b.active {
-		ps = append(ps, p)
-	}
-	b.mu.Unlock()
-	sort.Slice(ps, func(i, j int) bool { return ps[i].start < ps[j].start })
-	out := make([]Snapshot, len(ps))
-	for i, p := range ps {
-		out[i] = p.Snapshot()
-	}
-	return out
-}
-
-// Totals aggregates finished-run sums plus live active counters.
-func (b *Board) Totals() Totals {
-	if b == nil {
-		return Totals{}
-	}
-	b.mu.Lock()
-	t := Totals{ActiveRuns: len(b.active), FinishedRuns: b.runs, Insts: b.insts, Epochs: b.epochs}
-	ps := make([]*Progress, 0, len(b.active))
-	for p := range b.active {
-		ps = append(ps, p)
-	}
-	b.mu.Unlock()
-	for _, p := range ps {
-		t.Insts += p.insts.Load()
-		t.Epochs += p.epochs.Load()
+// NewReqTrace is the package-level NewReqTrace for a trace whose runs
+// report to b.
+func (b *Board) NewReqTrace(id string, spanCap, detailCap int) *ReqTrace {
+	t := NewReqTrace(id, spanCap, detailCap)
+	if t != nil {
+		t.board = b
 	}
 	return t
 }
 
-// runsJSON is the /debug/obs/runs document.
-type runsJSON struct {
-	Active []Snapshot `json:"active"`
-	Totals Totals     `json:"totals"`
+// Runs snapshots the in-flight traces, oldest first, and the totals.
+func (b *Board) Runs() Runs {
+	if b == nil {
+		return Runs{Active: []Snapshot{}}
+	}
+	b.mu.Lock()
+	ts := make([]*ReqTrace, 0, len(b.active))
+	for t := range b.active {
+		ts = append(ts, t)
+	}
+	b.mu.Unlock()
+	sort.Slice(ts, func(i, j int) bool { return ts[i].start < ts[j].start })
+	doc := Runs{Active: make([]Snapshot, len(ts)), Totals: Totals{
+		ActiveRuns:   int(b.live.active()),
+		FinishedRuns: b.live.finished.Load(),
+		Insts:        b.live.insts.Load(),
+		Epochs:       b.live.epochs.Load(),
+	}}
+	for i, t := range ts {
+		doc.Active[i] = t.Live()
+	}
+	return doc
 }
 
 // Handler serves the board as JSON (the /debug/obs/runs view). A nil
@@ -193,13 +225,9 @@ type runsJSON struct {
 func (b *Board) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		doc := runsJSON{Active: b.Active(), Totals: b.Totals()}
-		if doc.Active == nil {
-			doc.Active = []Snapshot{}
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if err := enc.Encode(b.Runs()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

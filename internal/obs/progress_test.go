@@ -3,19 +3,25 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
 func TestProgressPublishSnapshot(t *testing.T) {
-	b := NewBoard()
-	p := b.Start("database PC", 500000)
-	p.Publish(250000, 150000, 3000, 6000, 1500)
-	s := p.Snapshot()
+	rt := NewReqTrace("live", 1, 0)
+	rt.BeginRun("database PC", 500000)
+	var last Counters
+	rt.Publish(Counters{100000, 0, 1000, 2000, 500}, &last)
+	rt.Publish(Counters{250000, 150000, 3000, 6000, 1500}, &last)
+	if last != (Counters{250000, 150000, 3000, 6000, 1500}) {
+		t.Errorf("Publish left last = %+v, want the published counters", last)
+	}
+	s := rt.Live()
 	if s.Label != "database PC" || s.Total != 500000 {
 		t.Errorf("identity fields = %+v", s)
 	}
 	if s.Insts != 250000 || s.Measured != 150000 || s.Epochs != 3000 {
-		t.Errorf("counters = %+v", s)
+		t.Errorf("counters = %+v, want the latest cumulative values", s)
 	}
 	if want := float64(6000+1500) / 3000; s.MLP != want {
 		t.Errorf("MLP = %v, want %v", s.MLP, want)
@@ -23,65 +29,121 @@ func TestProgressPublishSnapshot(t *testing.T) {
 	if s.Done {
 		t.Error("not finished yet")
 	}
-	b.Finish(p)
-	if !p.Snapshot().Done {
-		t.Error("Finish did not mark the run done")
+	rt.EndRun()
+	if !rt.Live().Done {
+		t.Error("EndRun did not mark the trace done")
+	}
+	if active, finished := rt.live.active(), rt.live.finished.Load(); active != 0 || finished != 1 {
+		t.Errorf("runs = %d active, %d finished, want 0, 1", active, finished)
+	}
+}
+
+// TestTraceSumsConcurrentRuns: runs sharing one trace add deltas, so
+// the trace's counters are the exact sums however the runs interleave.
+func TestTraceSumsConcurrentRuns(t *testing.T) {
+	const runs, batches = 8, 100
+	b := NewBoard()
+	rt := b.NewReqTrace("sweep", 1, 0)
+	var wg sync.WaitGroup
+	for r := 0; r < runs; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.BeginRun("point", 1000)
+			var last Counters
+			for i := int64(1); i <= batches; i++ {
+				rt.Publish(Counters{10 * i, 5 * i, i, 2 * i, i}, &last)
+			}
+			rt.EndRun()
+		}()
+	}
+	wg.Wait()
+	s := rt.Live()
+	if s.Total != runs*1000 || s.Insts != runs*10*batches || s.Measured != runs*5*batches ||
+		s.Epochs != runs*batches || s.LoadInstMisses != runs*2*batches || s.StoreMisses != runs*batches {
+		t.Errorf("summed counters = %+v", s)
+	}
+	doc := b.Runs()
+	if doc.Totals != (Totals{FinishedRuns: runs, Insts: runs * 10 * batches, Epochs: runs * batches}) {
+		t.Errorf("board totals = %+v", doc.Totals)
+	}
+	if len(doc.Active) != 0 {
+		t.Errorf("finished trace still active: %+v", doc.Active)
 	}
 }
 
 func TestBoardActiveAndTotals(t *testing.T) {
 	b := NewBoard()
-	p1 := b.Start("one", 100)
-	p1.Publish(50, 50, 10, 20, 5)
-	p2 := b.Start("two", 200)
-	p2.Publish(80, 40, 4, 8, 2)
+	idle := b.NewReqTrace("cache hit", 1, 0) // never runs: never on the board
+	one := b.NewReqTrace("one", 1, 0)
+	one.BeginRun("one", 100)
+	var l1 Counters
+	one.Publish(Counters{Insts: 50, Epochs: 10}, &l1)
+	two := b.NewReqTrace("two", 1, 0)
+	two.BeginRun("two", 200)
+	var l2 Counters
+	two.Publish(Counters{Insts: 80, Epochs: 4}, &l2)
 
-	if got := len(b.Active()); got != 2 {
-		t.Fatalf("%d active runs, want 2", got)
+	doc := b.Runs()
+	if len(doc.Active) != 2 || doc.Active[0].Label != "one" || doc.Active[1].Label != "two" {
+		t.Fatalf("active = %+v, want one then two", doc.Active)
 	}
-	tot := b.Totals()
-	if tot.ActiveRuns != 2 || tot.FinishedRuns != 0 {
-		t.Errorf("totals = %+v", tot)
-	}
-	if tot.Insts != 130 || tot.Epochs != 14 {
-		t.Errorf("live totals = %+v, want insts 130 epochs 14", tot)
+	if doc.Totals != (Totals{ActiveRuns: 2, Insts: 130, Epochs: 14}) {
+		t.Errorf("totals = %+v", doc.Totals)
 	}
 
-	b.Finish(p1)
-	tot = b.Totals()
-	if tot.ActiveRuns != 1 || tot.FinishedRuns != 1 {
+	one.EndRun()
+	if tot := b.Runs().Totals; tot != (Totals{ActiveRuns: 1, FinishedRuns: 1, Insts: 130, Epochs: 14}) {
 		t.Errorf("after finish: %+v", tot)
 	}
-	if tot.Insts != 130 { // finished 50 + live 80
-		t.Errorf("insts after finish = %d, want 130", tot.Insts)
+	// A second run on a trace that left the board re-enters it and
+	// adds to the same entry.
+	one.BeginRun("one again", 100)
+	if act := b.Runs().Active; len(act) != 2 || act[0].Label != "one again" || act[0].Total != 200 {
+		t.Errorf("re-entered active = %+v", act)
 	}
-	// Double-finish must not double-count.
-	b.Finish(p1)
-	if got := b.Totals().FinishedRuns; got != 1 {
-		t.Errorf("double finish counted twice: %d", got)
+	one.EndRun()
+	two.EndRun()
+	doc = b.Runs()
+	if len(doc.Active) != 0 {
+		t.Errorf("active after every run ended = %+v", doc.Active)
+	}
+	if doc.Totals.FinishedRuns != 3 {
+		t.Errorf("finished runs = %d, want 3", doc.Totals.FinishedRuns)
+	}
+	if s := idle.Live(); !s.Done || s.Insts != 0 {
+		t.Errorf("idle trace = %+v, want no runs and no counters", s)
 	}
 }
 
 func TestBoardNilSafe(t *testing.T) {
 	var b *Board
-	p := b.Start("x", 1)
-	if p != nil {
-		t.Fatal("nil board handed out a progress")
+	rt := b.NewReqTrace("x", 1, 0)
+	rt.BeginRun("x", 1)
+	var last Counters
+	rt.Publish(Counters{Insts: 5}, &last)
+	rt.EndRun()
+	if rt.Live().Insts != 5 {
+		t.Error("a trace without a board should still count")
 	}
-	p.Publish(1, 1, 1, 1, 1) // nil progress: no-op
-	if s := p.Snapshot(); s.Label != "" {
-		t.Errorf("nil snapshot = %+v", s)
+	if doc := b.Runs(); doc.Active == nil || len(doc.Active) != 0 || doc.Totals != (Totals{}) {
+		t.Errorf("nil board reported %+v, want an empty document", doc)
 	}
-	b.Finish(p)
-	if b.Active() != nil || b.Totals() != (Totals{}) {
-		t.Error("nil board should report empty state")
+	var nt *ReqTrace
+	nt.BeginRun("x", 1)
+	nt.Publish(Counters{Insts: 1}, &last)
+	nt.EndRun()
+	if s := nt.Live(); s != (Snapshot{}) {
+		t.Errorf("nil trace snapshot = %+v", s)
 	}
 }
 
 func TestBoardHandler(t *testing.T) {
 	b := NewBoard()
-	p := b.Start("handler run", 1000)
-	p.Publish(500, 100, 2, 4, 1)
+	rt := b.NewReqTrace("req", 1, 0)
+	rt.BeginRun("handler run", 1000)
+	var last Counters
+	rt.Publish(Counters{500, 100, 2, 4, 1}, &last)
 	srv := httptest.NewServer(b.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -89,10 +151,7 @@ func TestBoardHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc struct {
-		Active []Snapshot `json:"active"`
-		Totals Totals     `json:"totals"`
-	}
+	var doc Runs
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}

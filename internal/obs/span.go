@@ -128,13 +128,17 @@ type ReqSpan struct {
 // costs one bounded allocation however many stages it fans out to.
 // Engine-detail spans are further bounded by the trace's detail cap,
 // so a long run's instruction batches cannot crowd the request stages
-// out of the arena. All methods are safe for concurrent use (sweep
-// points and the source-ahead producer record spans from many
-// goroutines) and
-// nil-safe.
+// out of the arena. The trace also carries the live counters of the
+// engine runs under it (progress.go). All methods are safe for
+// concurrent use (sweep points and the source-ahead producer record
+// spans from many goroutines) and nil-safe.
 type ReqTrace struct {
 	id        string // immutable after construction
 	detailCap int    // immutable; engine-detail spans accepted, <= 0 = none
+	board     *Board // immutable after construction; nil = no board
+	start     int64  // immutable; the root span's start
+
+	live runCounters
 
 	mu      sync.Mutex
 	spans   []ReqSpan // guarded by mu; cap fixed at construction
@@ -142,19 +146,21 @@ type ReqTrace struct {
 	dropped int       // guarded by mu; spans rejected by a full arena or detail cap
 	label   string    // guarded by mu; "METHOD /path", set by Finish
 	status  int       // guarded by mu; HTTP status, set by Finish
+	run     string    // guarded by mu; label of the latest run, set by BeginRun
 }
 
 // NewReqTrace starts a request trace with the given ID, span capacity
 // and engine-detail cap; the root span opens immediately. spanCap <= 0
 // returns nil — the disabled trace. detailCap <= 0 keeps the request
-// stages but records no engine detail (Detailed reports false).
+// stages but records no engine detail (Detailed reports false); the
+// live run counters record either way.
 func NewReqTrace(id string, spanCap, detailCap int) *ReqTrace {
 	if spanCap <= 0 {
 		return nil
 	}
-	t := &ReqTrace{id: id, detailCap: detailCap, spans: make([]ReqSpan, 0, spanCap)}
+	t := &ReqTrace{id: id, detailCap: detailCap, start: Now(), spans: make([]ReqSpan, 0, spanCap)}
 	t.mu.Lock()
-	t.spans = append(t.spans, ReqSpan{Stage: StageRequest, Parent: NoSpan, Start: Now()})
+	t.spans = append(t.spans, ReqSpan{Stage: StageRequest, Parent: NoSpan, Start: t.start})
 	t.mu.Unlock()
 	return t
 }

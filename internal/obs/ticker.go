@@ -22,35 +22,34 @@ func fmtCount(n int64) string {
 	return fmt.Sprintf("%d", n)
 }
 
-// tickerLine renders the board's live state as one status line.
-// instsPerSec is the caller's measured overall rate (the board cannot
-// derive a rate without remembering the previous tick).
-func tickerLine(b *Board, instsPerSec float64) string {
-	act := b.Active()
-	tot := b.Totals()
-	switch len(act) {
+// tickerLine renders the trace's live state as one status line; the
+// rate is the trace's overall insts/s since it began.
+func tickerLine(t *ReqTrace) string {
+	s := t.Live()
+	active, finished := t.live.active(), t.live.finished.Load()
+	switch active {
 	case 0:
-		return fmt.Sprintf("progress: %d runs done, %s insts", tot.FinishedRuns, fmtCount(tot.Insts))
+		return fmt.Sprintf("progress: %d runs done, %s insts", finished, fmtCount(s.Insts))
 	case 1:
-		s := act[0]
 		pct := ""
 		if s.Total > 0 {
 			pct = fmt.Sprintf(" (%.0f%%)", 100*float64(s.Insts)/float64(s.Total))
 		}
 		return fmt.Sprintf("progress: %s  %s/%s insts%s  %s insts/s  MLP %.2f",
-			s.Label, fmtCount(s.Insts), fmtCount(s.Total), pct, fmtCount(int64(instsPerSec)), s.MLP)
+			s.Label, fmtCount(s.Insts), fmtCount(s.Total), pct, fmtCount(int64(s.InstsPerSec)), s.MLP)
 	}
 	return fmt.Sprintf("progress: %d active, %d done, %s insts, %s insts/s",
-		len(act), tot.FinishedRuns, fmtCount(tot.Insts), fmtCount(int64(instsPerSec)))
+		active, finished, fmtCount(s.Insts), fmtCount(int64(s.InstsPerSec)))
 }
 
 // StartTicker launches a goroutine that rewrites one status line on w
-// (conventionally stderr) every interval from the board's live state —
-// the -progress flag on the CLIs. The returned stop function (never
-// nil) halts the ticker and blanks the line; it is safe to call once.
-// A nil board or non-positive interval returns a no-op stop.
-func StartTicker(w io.Writer, b *Board, every time.Duration) func() {
-	if b == nil || every <= 0 {
+// (conventionally stderr) every interval from the live state of the
+// runs under t — the -progress flag on the CLIs. The returned stop
+// function (never nil) halts the ticker and blanks the line; it is
+// safe to call once. A nil trace or non-positive interval returns a
+// no-op stop.
+func StartTicker(w io.Writer, t *ReqTrace, every time.Duration) func() {
+	if t == nil || every <= 0 {
 		return func() {}
 	}
 	done := make(chan struct{})
@@ -61,8 +60,6 @@ func StartTicker(w io.Writer, b *Board, every time.Duration) func() {
 		tick := time.NewTicker(every)
 		defer tick.Stop()
 		width := 0
-		lastAt := time.Now()
-		lastInsts := b.Totals().Insts
 		for {
 			select {
 			case <-done:
@@ -72,14 +69,7 @@ func StartTicker(w io.Writer, b *Board, every time.Duration) func() {
 				}
 				return
 			case <-tick.C:
-				now := time.Now()
-				insts := b.Totals().Insts
-				rate := 0.0
-				if dt := now.Sub(lastAt).Seconds(); dt > 0 {
-					rate = float64(insts-lastInsts) / dt
-				}
-				lastAt, lastInsts = now, insts
-				line := tickerLine(b, rate)
+				line := tickerLine(t)
 				pad := ""
 				if n := width - len(line); n > 0 {
 					pad = strings.Repeat(" ", n)

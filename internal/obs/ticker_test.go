@@ -39,36 +39,42 @@ func TestFmtCount(t *testing.T) {
 }
 
 func TestTickerLineShapes(t *testing.T) {
-	b := NewBoard()
-	if got := tickerLine(b, 0); !strings.Contains(got, "0 runs done") {
+	rt := NewReqTrace("cli", 1, 0)
+	if got := tickerLine(rt); !strings.Contains(got, "0 runs done") {
 		t.Errorf("idle line %q", got)
 	}
 
-	p := b.Start("database PC", 2_000_000)
-	p.Publish(500_000, 200_000, 1000, 2000, 500)
-	one := tickerLine(b, 1_000_000)
+	rt.BeginRun("database PC", 2_000_000)
+	var last Counters
+	rt.Publish(Counters{500_000, 200_000, 1000, 2000, 500}, &last)
+	one := tickerLine(rt)
 	for _, want := range []string{"database PC", "500.0k/2.0M", "(25%)", "insts/s", "MLP 2.50"} {
 		if !strings.Contains(one, want) {
 			t.Errorf("single-run line missing %q: %s", want, one)
 		}
 	}
 
-	b.Start("tpcw PC", 1_000_000)
-	multi := tickerLine(b, 0)
-	if !strings.Contains(multi, "2 active") {
+	rt.BeginRun("tpcw PC", 1_000_000)
+	multi := tickerLine(rt)
+	if !strings.Contains(multi, "2 active, 0 done, 500.0k insts") {
 		t.Errorf("multi-run line %q", multi)
 	}
 
-	b.Finish(p)
+	rt.EndRun()
+	rt.EndRun()
+	if got := tickerLine(rt); !strings.Contains(got, "2 runs done, 500.0k insts") {
+		t.Errorf("finished line %q", got)
+	}
 }
 
 func TestStartTickerWritesAndStops(t *testing.T) {
-	b := NewBoard()
-	p := b.Start("database PC", 1_000_000)
-	p.Publish(100_000, 50_000, 100, 300, 100)
+	rt := NewReqTrace("cli", 1, 0)
+	rt.BeginRun("database PC", 1_000_000)
+	var last Counters
+	rt.Publish(Counters{100_000, 50_000, 100, 300, 100}, &last)
 
 	var buf lockedBuffer
-	stop := StartTicker(&buf, b, 5*time.Millisecond)
+	stop := StartTicker(&buf, rt, 5*time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for !strings.Contains(buf.String(), "database PC") {
 		if time.Now().After(deadline) {
@@ -78,7 +84,7 @@ func TestStartTickerWritesAndStops(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
-	b.Finish(p)
+	rt.EndRun()
 
 	if !strings.Contains(buf.String(), "\r") {
 		t.Error("ticker should rewrite in place with carriage returns")
@@ -88,7 +94,7 @@ func TestStartTickerWritesAndStops(t *testing.T) {
 func TestStartTickerDisabled(t *testing.T) {
 	var buf lockedBuffer
 	StartTicker(&buf, nil, time.Millisecond)()
-	StartTicker(&buf, NewBoard(), 0)()
+	StartTicker(&buf, NewReqTrace("cli", 1, 0), 0)()
 	time.Sleep(10 * time.Millisecond)
 	if buf.String() != "" {
 		t.Errorf("disabled ticker wrote %q", buf.String())

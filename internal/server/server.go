@@ -21,8 +21,9 @@
 // cache hit ratio, pool saturation, engine throughput), /debug/obs/vars
 // serves the same registry as JSON, /debug/obs/trace exports the
 // retained slow-request span trees (engine batches and fold included)
-// as Chrome trace_event JSON, /debug/obs/runs lists live engine
-// progress, /healthz serves a liveness summary, and
+// as Chrome trace_event JSON, /debug/obs/runs lists the live progress
+// of the traced requests running the engine (one entry per request, a
+// sweep's points summed), /healthz serves a liveness summary, and
 // every request is logged with a request ID, duration, cache state and
 // outcome. DESIGN.md §9 and §12 have the full inventory.
 package server
@@ -85,7 +86,9 @@ type Config struct {
 	// SlowRequests sizes the slowest-N request ring behind
 	// /debug/obs/slow and /debug/obs/req (default 32; <0 disables
 	// request-scoped span tracing entirely — probe-grade overhead for
-	// every request, and the debug endpoints serve empty/404).
+	// every request, and the debug endpoints serve empty/404). The
+	// request trace also carries its runs' live progress, so with
+	// tracing off /debug/obs/runs stays empty too.
 	SlowRequests int
 }
 
@@ -145,7 +148,6 @@ type Server struct {
 	mEpochs       *Counter
 	mInstsRate    *obs.FloatGauge
 	mEpochsRate   *obs.FloatGauge
-	mRunsActive   *Gauge
 	mUptime       *Gauge
 
 	// Scrape-to-scrape throughput derivation (see scrapeRates).
@@ -279,7 +281,6 @@ func (s *Server) registerMetrics() {
 		"Simulated-instruction throughput over the last scrape interval.")
 	s.mEpochsRate = m.FloatGauge("mlpsimd_engine_epochs_per_second",
 		"Epoch throughput over the last scrape interval.")
-	s.mRunsActive = m.Gauge("mlpsimd_runs_active", "Engine runs currently publishing progress.")
 	s.mUptime = m.Gauge("mlpsimd_uptime_seconds", "Seconds since process start.")
 	m.Info("mlpsimd_build_info", "Build identity of the serving binary.",
 		"go_version", runtime.Version(), "module", "storemlp")
@@ -310,7 +311,6 @@ func (s *Server) registerMetrics() {
 		if s.pool != nil {
 			s.mPoolIdle.Set(int64(s.pool.Idle()))
 		}
-		s.mRunsActive.Set(int64(s.board.Totals().ActiveRuns))
 		s.scrapeRates()
 	})
 }
@@ -336,9 +336,6 @@ func (s *Server) scrapeRates() {
 // request's span tree as Chrome trace_event JSON — for CLIs that dump
 // it at shutdown. Disabled span tracing writes a valid empty trace.
 func (s *Server) WriteTrace(w io.Writer) error { return s.slow.WriteChrome(w) }
-
-// Board exposes the live-run board for progress tickers and tests.
-func (s *Server) Board() *obs.Board { return s.board }
 
 // Close aborts any still-running simulations. Call it after the HTTP
 // server has drained (http.Server.Shutdown), not before.
@@ -591,10 +588,7 @@ func (s *Server) execute(ctx context.Context, spec sim.Spec) (*RunResult, error)
 	s.mInflight.Add(1)
 	s.mExecuted.Inc()
 	defer s.mInflight.Add(-1)
-	// Thread the live-run board into the engine: the default pool
-	// runner picks it up via obs.BoardFrom (and the request span via
-	// obs.SpanFrom).
-	stats, err := s.runner(obs.NewContext(ctx, s.board), spec)
+	stats, err := s.runner(ctx, spec)
 	if err != nil {
 		s.mFailures.Inc()
 		return nil, err
@@ -840,7 +834,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			rs = &reqStats{}
 			ctx := withReqStats(withRequestID(r.Context(), id), rs)
 			if s.slow != nil {
-				rt = obs.NewReqTrace(id, reqSpanCap, s.cfg.TraceEvents)
+				rt = s.board.NewReqTrace(id, reqSpanCap, s.cfg.TraceEvents)
 				ctx = obs.WithSpan(ctx, rt, rt.Root())
 				sw.Header().Set("X-Trace-Id", id)
 			}

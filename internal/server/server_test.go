@@ -19,6 +19,7 @@ import (
 	"storemlp/internal/epoch"
 	"storemlp/internal/obs"
 	"storemlp/internal/sim"
+	"storemlp/internal/uarch"
 )
 
 func quietLogger() *slog.Logger {
@@ -453,10 +454,9 @@ func TestRealEngineSmallRun(t *testing.T) {
 		t.Errorf("config name %q", rr.Result.ConfigName)
 	}
 
-	// The default pool runner picks the obs sinks out of the request
-	// context: the request trace holds the engine's detail spans under
-	// the one simulate span, and the board folded the finished run into
-	// its totals.
+	// The default pool runner picks the request trace out of the
+	// context: the trace holds the engine's detail spans under the one
+	// simulate span, and the runs view counts the finished run.
 	id := resp.Header.Get("X-Trace-Id")
 	waitFor(t, "trace in the slow ring", func() bool { return s.slow.Get(id) != nil })
 	stages := map[obs.Stage]int{}
@@ -472,8 +472,106 @@ func TestRealEngineSmallRun(t *testing.T) {
 	if stages[obs.StageSimulate] != 1 || stages[obs.StageFold] != 1 || stages[obs.StageBatch] == 0 {
 		t.Errorf("real run stages %v, want one simulate, one fold and its batches", stages)
 	}
-	if tot := s.Board().Totals(); tot.FinishedRuns < 1 || tot.Insts < 150_000 {
-		t.Errorf("board totals %+v, want >= 1 finished run of 150000 insts", tot)
+	var runs struct {
+		Totals obs.Totals `json:"totals"`
+	}
+	getJSONTo(t, ts.URL+"/debug/obs/runs", &runs)
+	if tot := runs.Totals; tot.FinishedRuns < 1 || tot.Insts < 150_000 {
+		t.Errorf("runs totals %+v, want >= 1 finished run of 150000 insts", tot)
+	}
+}
+
+// TestRunsViewLive drives /debug/obs/runs while real engine runs are
+// in flight: a /v1/run shows as one entry labelled with its workload
+// and configuration, a sweep as one entry summing its points, and both
+// render the documented JSON keys. With span tracing off there is no
+// trace to carry progress, so the view stays empty.
+func TestRunsViewLive(t *testing.T) {
+	type runsDoc struct {
+		Active []map[string]any `json:"active"`
+		Totals map[string]any   `json:"totals"`
+	}
+	entryKeys := []string{"label", "total_insts", "insts", "measured_insts", "epochs",
+		"load_inst_misses", "store_misses", "mlp", "elapsed_ns", "insts_per_sec", "done"}
+	totalsKeys := []string{"active_runs", "finished_runs", "insts", "epochs"}
+	hasKeys := func(what string, m map[string]any, keys []string) {
+		t.Helper()
+		if len(m) != len(keys) {
+			t.Errorf("%s has %d keys, want %v: %v", what, len(m), keys, m)
+		}
+		for _, k := range keys {
+			if _, ok := m[k]; !ok {
+				t.Errorf("%s missing key %q: %v", what, k, m)
+			}
+		}
+	}
+	// post sends body in the background and returns a cancel that
+	// disconnects the client, which abandons the uncached runs.
+	post := func(url string, body any) (cancel func()) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, stop := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		return func() { stop(); <-done }
+	}
+	long := RunRequest{Workload: "database", Insts: 50_000_000, Warm: 1_000, NoCache: true}
+
+	// Two workers, so both sweep points run at once at any GOMAXPROCS.
+	_, ts := newTestServer(t, Config{Workers: 2})
+	cancel := post(ts.URL+"/v1/run", long)
+	var doc runsDoc
+	waitFor(t, "a live /v1/run entry", func() bool {
+		doc = runsDoc{}
+		getJSONTo(t, ts.URL+"/debug/obs/runs", &doc)
+		return len(doc.Active) == 1 && doc.Active[0]["insts"].(float64) > 0
+	})
+	cancel()
+	hasKeys("active entry", doc.Active[0], entryKeys)
+	hasKeys("totals", doc.Totals, totalsKeys)
+	if want := "database " + uarch.Default().Name(); doc.Active[0]["label"] != want {
+		t.Errorf("run label %q, want %q", doc.Active[0]["label"], want)
+	}
+	if doc.Active[0]["total_insts"].(float64) != float64(long.Insts+long.Warm) {
+		t.Errorf("planned insts %v, want %d", doc.Active[0]["total_insts"], long.Insts+long.Warm)
+	}
+
+	second := long
+	second.Seed = 2
+	cancel = post(ts.URL+"/v1/sweep", SweepRequest{Points: []RunRequest{long, second}})
+	waitFor(t, "one live sweep entry with both points", func() bool {
+		doc = runsDoc{}
+		getJSONTo(t, ts.URL+"/debug/obs/runs", &doc)
+		return len(doc.Active) == 1 && doc.Active[0]["total_insts"].(float64) == float64(2*(long.Insts+long.Warm))
+	})
+	if doc.Totals["active_runs"].(float64) != 2 {
+		t.Errorf("sweep totals %v, want 2 active runs", doc.Totals)
+	}
+	cancel()
+
+	_, off := newTestServer(t, Config{SlowRequests: -1})
+	resp, body := postJSON(t, off.URL+"/v1/run", RunRequest{Workload: "tpcw", Insts: 10_000, Warm: 1_000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("untraced run: status %d: %s", resp.StatusCode, body)
+	}
+	var empty struct {
+		Active []obs.Snapshot `json:"active"`
+		Totals obs.Totals     `json:"totals"`
+	}
+	getJSONTo(t, off.URL+"/debug/obs/runs", &empty)
+	if len(empty.Active) != 0 || empty.Totals != (obs.Totals{}) {
+		t.Errorf("runs view with tracing off = %+v, want empty", empty)
 	}
 }
 
@@ -557,7 +655,7 @@ func TestMetricsExpositionGrammar(t *testing.T) {
 		"mlpsimd_requests_total", "mlpsimd_request_seconds",
 		"mlpsimd_cache_hit_ratio", "mlpsimd_pool_saturation",
 		"mlpsimd_engine_epochs_total", "mlpsimd_engine_insts_per_second",
-		"mlpsimd_engine_epochs_per_second", "mlpsimd_runs_active",
+		"mlpsimd_engine_epochs_per_second",
 		"mlpsimd_build_info", "mlpsimd_config_info",
 	} {
 		if !names[want] {

@@ -380,7 +380,7 @@ func TestDecodeAheadAllocs(t *testing.T) {
 }
 
 // TestDecodeAheadProgressTotal: a trace opened with trace.OpenFile
-// knows its length, so the progress board plans the whole trace and
+// knows its length, so the trace's live progress plans all of it and
 // the simulate span's arg is the measured count; a trace streamed from
 // an io.Reader has an unknown length and both stay 0.
 func TestDecodeAheadProgressTotal(t *testing.T) {
@@ -397,22 +397,19 @@ func TestDecodeAheadProgressTotal(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, ahead := range []bool{false, true} {
-			board := obs.NewBoard()
 			rt := obs.NewReqTrace("progress", 64, 0)
-			ctx := obs.WithSpan(obs.NewContext(context.Background(), board), rt, rt.Root())
+			ctx := obs.WithSpan(context.Background(), rt, rt.Root())
 			planned := int64(-1)
 			src := &watchedSource{FileSource: c.src(), t: t, onRead: func(call int64) {
-				if call == 1 {
-					if act := board.Active(); len(act) == 1 {
-						planned = act[0].Total
-					}
+				if call == 1 && !rt.Live().Done {
+					planned = rt.Live().Total
 				}
 			}}
 			if _, err := NewPool().runTrace(ctx, src, uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
 				t.Fatal(err)
 			}
 			if planned != c.wantTotal {
-				t.Errorf("%s ahead=%v: board planned %d insts, want %d", c.name, ahead, planned, c.wantTotal)
+				t.Errorf("%s ahead=%v: trace planned %d insts, want %d", c.name, ahead, planned, c.wantTotal)
 			}
 			var sim []obs.ReqSpan
 			for _, sp := range rt.Snapshot() {

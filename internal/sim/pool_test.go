@@ -2,9 +2,12 @@ package sim
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"storemlp/internal/consistency"
+	"storemlp/internal/epoch"
+	"storemlp/internal/obs"
 	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
@@ -74,5 +77,70 @@ func TestPoolRecyclesAfterCancel(t *testing.T) {
 	}
 	if *got != *want {
 		t.Errorf("post-cancel pooled run diverged:\n got  %+v\n want %+v", *got, *want)
+	}
+}
+
+// TestConcurrentRunsShareTrace runs several specs at once under one
+// request trace, as experiments -parallel and /v1/sweep do. Each run
+// adds its counter deltas, so once they finish the trace and its board
+// hold exactly the sums of the runs' Stats. The trace's detail cap is
+// 0, so it records the simulate spans but no engine detail.
+func TestConcurrentRunsShareTrace(t *testing.T) {
+	wc := uarch.Default()
+	wc.Model = consistency.WC
+	specs := []Spec{
+		{Workload: workload.Database(1), Uarch: uarch.Default(), Insts: 40_000, Warm: 20_000},
+		{Workload: workload.TPCW(2), Uarch: wc, Insts: 30_000, Warm: 10_000},
+		{Workload: workload.SPECjbb(3), Uarch: uarch.Default(), Insts: 50_000, Warm: 5_000},
+		{Workload: workload.SPECweb(4), Uarch: wc, Insts: 20_000, Warm: 20_000},
+	}
+	board := obs.NewBoard()
+	rt := board.NewReqTrace("sweep", 64, 0)
+	ctx := obs.WithSpan(context.Background(), rt, rt.Root())
+	p := NewPool()
+	stats := make([]*epoch.Stats, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stats[i], errs[i] = p.RunContext(ctx, specs[i])
+		}(i)
+	}
+	wg.Wait()
+
+	var want obs.Snapshot
+	for i, st := range stats {
+		if errs[i] != nil {
+			t.Fatalf("spec %d: %v", i, errs[i])
+		}
+		want.Total += specs[i].Warm + specs[i].Insts
+		want.Insts += specs[i].Warm + specs[i].Insts
+		want.Measured += st.Insts
+		want.Epochs += st.Epochs
+		want.LoadInstMisses += st.LoadMisses + st.InstMisses
+		want.StoreMisses += st.StoreMisses
+	}
+	s := rt.Live()
+	got := obs.Snapshot{Total: s.Total, Insts: s.Insts, Measured: s.Measured, Epochs: s.Epochs,
+		LoadInstMisses: s.LoadInstMisses, StoreMisses: s.StoreMisses}
+	if got != want {
+		t.Errorf("live counters %+v, want the runs' sums %+v", got, want)
+	}
+	if !s.Done {
+		t.Error("trace reports runs in flight after every run returned")
+	}
+	runs := board.Runs()
+	if tot := runs.Totals; tot != (obs.Totals{FinishedRuns: int64(len(specs)), Insts: want.Insts, Epochs: want.Epochs}) {
+		t.Errorf("board totals %+v, want %d finished runs, 0 active", tot, len(specs))
+	}
+	if len(runs.Active) != 0 {
+		t.Errorf("board still lists %d traces", len(runs.Active))
+	}
+	for _, sp := range rt.Snapshot() {
+		if sp.Stage.Detail() {
+			t.Errorf("detail-free trace recorded a %s span", sp.Stage)
+		}
 	}
 }

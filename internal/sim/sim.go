@@ -99,9 +99,8 @@ func prepare(s Spec) (uarch.Config, []epoch.Option) {
 // RunContext is Run with cancellation: the epoch engine polls ctx and
 // abandons the simulation once it is done, returning ctx's error.
 // When ctx carries a request span (obs.WithSpan) the run records its
-// simulate span and the engine's detail spans on that trace, and when
-// it carries a board (obs.NewContext) the run publishes live progress
-// snapshots to it.
+// simulate span on that trace, the engine's detail spans when the trace
+// records them, and its live progress counters.
 func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -132,11 +131,11 @@ type startStage = func(trace.Source, *obs.ReqTrace, obs.SpanID) *trace.Stage
 // engine execution. It opens the run's simulate span (recording arg)
 // under the request span ctx carries before calling setup, so the span
 // covers configuring the engine and building its source as well as the
-// run, and attaches it to the engine as the parent of the engine's
-// detail spans when the trace records them; it registers a progress
-// entry planning total instructions on ctx's board, labelled by label
-// (called only when a board is watching: labels allocate). Both sinks
-// are detached before returning. The engine reads the source through
+// run, and attaches the trace to the engine with the span as the parent
+// of the engine's detail spans. It records the run on the trace as
+// planning total instructions, labelled by label (called only when a
+// trace is watching: labels allocate), and detaches the trace from the
+// engine before returning. The engine reads the source through
 // the producer stage start opens, which may run it one batch ahead on
 // a second goroutine and then records its decode span under the
 // simulate span; the stage is stopped, and any producer joined, before
@@ -149,20 +148,18 @@ func simulate(ctx context.Context, eng *epoch.Engine, setup func() (trace.Source
 	if err != nil {
 		return nil, err
 	}
+	if rt != nil {
+		rt.BeginRun(label(), total)
+	}
 	detail := rt
 	if sp == obs.NoSpan || !rt.Detailed() {
 		detail = nil
 	}
-	var p *obs.Progress
-	board := obs.BoardFrom(ctx)
-	if board != nil {
-		p = board.Start(label(), total)
-	}
-	eng.SetObs(detail, sp, p)
+	eng.SetObs(rt, sp)
 	stage := start(src, detail, sp)
 	defer stage.Stop()
 	st, err := eng.RunContext(ctx, stage)
-	eng.SetObs(nil, obs.NoSpan, nil)
-	board.Finish(p)
+	eng.SetObs(nil, obs.NoSpan)
+	rt.EndRun()
 	return st, err
 }

@@ -20,6 +20,15 @@ GOOS=windows go build ./...
 echo '>> go vet ./...'
 go vet ./...
 
+# gofmt covers every Go file in the tree, analyzer fixtures included.
+echo '>> gofmt -l .'
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo 'gofmt: the files above are not gofmt-formatted (run gofmt -w on them)'
+    exit 1
+fi
+
 tmpdir=$(mktemp -d)
 smoke_cleanup() {
     [ -n "${smoke_pid:-}" ] && kill "$smoke_pid" 2>/dev/null || true

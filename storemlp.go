@@ -215,10 +215,10 @@ func RunTrace(r io.Reader, cfg Config, warm int64) (*Stats, error) {
 }
 
 // RunTraceContext is RunTrace with cancellation. Like RunContext, it
-// records its simulate span and the engine's detail spans when ctx
-// carries a request span (obs.WithSpan), and publishes live progress
-// when ctx carries a board (obs.NewContext); the planned total is
-// unknown for a streamed trace, so progress reports instructions only.
+// records its simulate span, the engine's detail spans and live
+// progress when ctx carries a request span (obs.WithSpan); the planned
+// total is unknown for a streamed trace, so progress reports
+// instructions only.
 func RunTraceContext(ctx context.Context, r io.Reader, cfg Config, warm int64) (*Stats, error) {
 	tr, err := colv1.NewReader(r)
 	if err != nil {
