@@ -57,12 +57,7 @@ func DefaultAnalyzers() []Analyzer {
 		LockOrder{},
 		AtomicField{},
 		GoLeak{},
-		DigestCover{
-			Roots: []string{"storemlp/internal/sim.Spec"},
-			Funcs: map[string]string{
-				"storemlp.ConfigDigest": "storemlp.RunSpec",
-			},
-		},
+		DigestCover{Roots: []string{"storemlp/internal/sim.Spec"}},
 		LockBalance{},
 		SharedCapture{},
 		CloseAll{},

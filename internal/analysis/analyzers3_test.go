@@ -36,22 +36,18 @@ func TestGoLeakFindings(t *testing.T) {
 
 func TestDigestCoverFindings(t *testing.T) {
 	m := loadTestModule(t, "digestbad")
-	diags := Run(m, []Analyzer{DigestCover{
-		Roots: []string{"example.com/digestbad/cfg.Spec"},
-		Funcs: map[string]string{"example.com/digestbad/cfg.Key": "example.com/digestbad/cfg.Req"},
-	}})
+	diags := Run(m, []Analyzer{DigestCover{Roots: []string{"example.com/digestbad/cfg.Spec"}}})
 	checkDiags(t, m, diags, []string{
-		"cfg/cfg.go:13: [digestcover] unexported field cfg.Spec.seed is silently skipped by the reflective digest (export it, or annotate //storemlp:nodigest)",
-		"cfg/cfg.go:14: [digestcover] field cfg.Spec.Notify contains a function value, which the reflective digest cannot encode (it panics at run time)",
-		"cfg/cfg.go:22: [digestcover] unexported field cfg.Nested.cache is silently skipped by the reflective digest (export it, or annotate //storemlp:nodigest)",
-		"cfg/cfg.go:29: [digestcover] exported field cfg.Req.Trace is not consumed by cfg.Key (hash it there, or annotate //storemlp:nodigest)",
+		"cfg/cfg.go:10: [digestcover] unexported field cfg.Spec.seed is silently skipped by the reflective digest (export it, or annotate //storemlp:nodigest)",
+		"cfg/cfg.go:11: [digestcover] field cfg.Spec.Notify contains a function value, which the reflective digest cannot encode (it panics at run time)",
+		"cfg/cfg.go:19: [digestcover] unexported field cfg.Nested.cache is silently skipped by the reflective digest (export it, or annotate //storemlp:nodigest)",
 	})
 }
 
 // TestConcurrencyAnalyzersCleanOnGood pins the false-positive side: the
 // good module holds no nested locks, no atomic fields, no goroutines in
-// context-taking functions, and DigestCover with no configured roots or
-// functions checks nothing.
+// context-taking functions, and DigestCover with no configured roots
+// checks nothing.
 func TestConcurrencyAnalyzersCleanOnGood(t *testing.T) {
 	m := loadTestModule(t, "good")
 	diags := Run(m, []Analyzer{

@@ -15,17 +15,12 @@ import (
 // is not hashed means two different runs share a digest and the cache
 // silently returns the wrong run's results.
 //
-// Two hashing styles exist in the tree and each fails differently:
-//
-//   - digest.Sum over a struct (digest.Canonical) walks exported
-//     fields reflectively. It silently skips unexported fields, and it
-//     panics at runtime on chan/func/unsafe kinds. Roots lists the
-//     struct types handed to the reflective encoder; every field
-//     reachable from a root must be exported and encodable.
-//   - explicit enumerations like storemlp.ConfigDigest build the
-//     digested value field by field. Funcs maps such a function to the
-//     struct it covers; every exported field of the struct must be
-//     mentioned in the function body.
+// Every digest in the tree is digest.Sum over a struct
+// (digest.Canonical), which walks exported fields reflectively. It
+// silently skips unexported fields, and it panics at runtime on
+// chan/func/unsafe kinds. Roots lists the struct types handed to the
+// reflective encoder; every field reachable from a root must be
+// exported and encodable.
 //
 // A field genuinely excluded from identity — a debug knob, an output
 // sink — carries //storemlp:nodigest to say so in the source.
@@ -34,9 +29,6 @@ type DigestCover struct {
 	// reflective encoder; all fields transitively reachable through
 	// exported fields are checked.
 	Roots []string
-	// Funcs maps a digest function ("pkgpath.Func") to the named struct
-	// type whose exported fields it must consume.
-	Funcs map[string]string
 }
 
 // Name implements Analyzer.
@@ -62,66 +54,6 @@ func (a DigestCover) Run(m *Module) []Diagnostic {
 		w := &digestWalker{m: m, rule: a.Name(), nodigest: nodigest, seen: map[*types.Named]bool{}}
 		w.walkNamed(named)
 		out = append(out, w.out...)
-	}
-
-	funcNames := make([]string, 0, len(a.Funcs))
-	for fn := range a.Funcs {
-		funcNames = append(funcNames, fn)
-	}
-	sort.Strings(funcNames)
-	for _, fn := range funcNames {
-		out = append(out, a.checkFunc(m, fn, a.Funcs[fn], nodigest)...)
-	}
-	return out
-}
-
-// checkFunc verifies that the digest function mentions every exported
-// field of its covered struct.
-func (a DigestCover) checkFunc(m *Module, funcKey, typeKey_ string, nodigest map[token.Pos]bool) []Diagnostic {
-	named := lookupNamedType(m, typeKey_)
-	if named == nil {
-		return nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	body := lookupFuncBody(m, funcKey)
-	if body == nil {
-		return nil
-	}
-
-	// Every s.Field selector in the body whose receiver is the covered
-	// struct counts as consumption, wherever it feeds the hash.
-	pkg := m.Lookup(pkgOfKey(funcKey))
-	consumed := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		selection, ok := pkg.Info.Selections[sel]
-		if !ok || selection.Kind() != types.FieldVal {
-			return true
-		}
-		if recv := namedOf(selection.Recv()); recv != nil && typesIdentical(recv, named) {
-			consumed[sel.Sel.Name] = true
-		}
-		return true
-	})
-
-	var out []Diagnostic
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() || consumed[f.Name()] || nodigest[f.Pos()] {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Pos:  m.Fset.Position(f.Pos()),
-			Rule: a.Name(),
-			Message: fmt.Sprintf("exported field %s.%s is not consumed by %s (hash it there, or annotate //storemlp:nodigest)",
-				shortLock(typeKey_), f.Name(), shortLock(funcKey)),
-		})
 	}
 	return out
 }
@@ -293,44 +225,17 @@ func nodigestFields(m *Module) map[token.Pos]bool {
 
 // lookupNamedType resolves "pkgpath.Name" to the named type, or nil.
 func lookupNamedType(m *Module, key string) *types.Named {
-	pkg := m.Lookup(pkgOfKey(key))
+	i := strings.LastIndex(key, ".")
+	if i < 0 {
+		return nil
+	}
+	pkg := m.Lookup(key[:i])
 	if pkg == nil || pkg.Types == nil {
 		return nil
 	}
-	obj := pkg.Types.Scope().Lookup(key[strings.LastIndex(key, ".")+1:])
+	obj := pkg.Types.Scope().Lookup(key[i+1:])
 	if obj == nil {
 		return nil
 	}
 	return namedOf(obj.Type())
 }
-
-// lookupFuncBody resolves "pkgpath.Func" to the function's AST body.
-func lookupFuncBody(m *Module, key string) *ast.BlockStmt {
-	pkg := m.Lookup(pkgOfKey(key))
-	if pkg == nil {
-		return nil
-	}
-	name := key[strings.LastIndex(key, ".")+1:]
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Recv == nil && fn.Name.Name == name {
-				return fn.Body
-			}
-		}
-	}
-	return nil
-}
-
-// pkgOfKey strips the final ".Name" segment from "pkgpath.Name".
-func pkgOfKey(key string) string {
-	i := strings.LastIndex(key, ".")
-	if i < 0 {
-		return key
-	}
-	return key[:i]
-}
-
-// typesIdentical compares two named types by identity of their
-// type-name objects (robust across instantiations).
-func typesIdentical(a, b *types.Named) bool { return a.Obj() == b.Obj() }

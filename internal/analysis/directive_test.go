@@ -85,7 +85,7 @@ func FuzzDirectiveParse(f *testing.F) {
 		"//storemlp:inline",
 		"//storemlp:keep",
 		"//storemlp:lockafter(P.mu)",
-		"//storemlp:lockafter(sim.Pool.mu, server.Cache.mu)",
+		"//storemlp:lockafter(sim.enginePool.mu, server.Cache.mu)",
 		"//storemlp:locked",
 		"//storemlp:noalloc",
 		"//storemlp:noclose",

@@ -124,7 +124,7 @@ func declaredAfter(after map[string][]string, b, a string) bool {
 }
 
 // shortLock renders a lock identity without its package-path prefix
-// ("storemlp/internal/sim.Pool.mu" -> "sim.Pool.mu").
+// ("storemlp/internal/sim.enginePool.mu" -> "sim.enginePool.mu").
 func shortLock(id string) string {
 	if i := strings.LastIndexByte(id, '/'); i >= 0 {
 		return id[i+1:]

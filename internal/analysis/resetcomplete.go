@@ -14,9 +14,9 @@ import (
 // intentionally preserved (geometry constants, buffers whose contents
 // are overwritten before use).
 //
-// The invariant: sim.Pool and Engine.Reconfigure recycle engines — and
-// through them caches, predictors, SMACs, rings and traffic sources —
-// across simulation runs. A field the reset method forgets is state
+// The invariant: sim's engine free list and Engine.Reconfigure recycle
+// engines — and through them caches, predictors, SMACs, rings and
+// traffic sources — across simulation runs. A field the reset method forgets is state
 // from a previous request leaking into the next one: the stale-state
 // bug class that engine recycling introduced, invisible to the
 // compiler and to any single-run test.

@@ -74,7 +74,7 @@ func AblationCoalescing(c Config) ([]CoalescingCell, error) {
 		cfg := uarch.Default()
 		cfg.CoalesceBytes = cell.CoalesceBytes
 		cfg.StoreQueue = cell.SQ
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}
@@ -125,7 +125,7 @@ func AblationBandwidth(c Config) ([]BandwidthCell, error) {
 			cfg.SMACEntries = 4 << 10
 		}
 		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Uarch: cfg, Insts: insts, Warm: warm})
+		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
 		if err != nil {
 			return err
 		}
@@ -162,7 +162,7 @@ func AblationSharedL2(c Config) ([]SharedL2Cell, error) {
 	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
 		cell := &cells[i]
 		s, err := c.run(sim.Spec{
-			Workload: byName[cell.Workload], Uarch: uarch.Default(),
+			Workload: byName[cell.Workload], Config: uarch.Default(),
 			Insts: c.Insts, Warm: c.Warm, SharedCore: cell.CoRun,
 		})
 		if err != nil {
@@ -206,7 +206,7 @@ func AblationSMACGeometry(c Config) ([]SMACGeometryCell, error) {
 		cfg.SMACEntries = 1 << 10
 		cfg.SMACSuperLineBytes = cell.SuperLineBytes
 		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Uarch: cfg, Insts: insts, Warm: warm})
+		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
 		if err != nil {
 			return err
 		}
@@ -247,7 +247,7 @@ func AblationLockElision(c Config) ([]LockElisionCell, error) {
 		case "TM":
 			cfg.TM = true
 		}
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}
@@ -282,7 +282,7 @@ func AblationScoutReach(c Config) ([]ScoutReachCell, error) {
 		cfg := uarch.Default()
 		cfg.HWS = uarch.HWS2
 		cfg.ScoutReach = cell.Reach
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}

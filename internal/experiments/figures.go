@@ -52,7 +52,7 @@ func Figure2(c Config) ([]Fig2Cell, error) {
 			cfg.StoreBuffer = cell.SB
 			cfg.StoreQueue = cell.SQ
 		}
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}
@@ -89,7 +89,7 @@ func Figure3(c Config) ([]Fig3Row, error) {
 			cfg.SLE = true
 			cfg.PrefetchPastSerializing = true
 		}
-		s, err := c.run(sim.Spec{Workload: byName[row.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[row.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func Figure4(c Config) ([]Fig4Row, error) {
 	rows := make([]Fig4Row, len(c.Workloads))
 	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
 		w := c.Workloads[i]
-		s, err := c.run(sim.Spec{Workload: w, Uarch: uarch.Default(), Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: w, Config: uarch.Default(), Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}
@@ -217,7 +217,7 @@ func Figure5(c Config) ([]Fig5Cell, error) {
 			cfg.SMACEntries = cell.SMACEntries
 		}
 		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Uarch: cfg, Insts: insts, Warm: warm})
+		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
 		if err != nil {
 			return err
 		}
@@ -259,7 +259,7 @@ func Figure6(c Config) ([]Fig6Cell, error) {
 		cfg.SMACEntries = cell.SMACEntries
 		cfg.Nodes = cell.Nodes
 		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Uarch: cfg, Insts: insts, Warm: warm})
+		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
 		if err != nil {
 			return err
 		}
@@ -328,7 +328,7 @@ func Figure7(c Config) ([]Fig7Cell, error) {
 		cfg := fig7Uarch(cell.Config)
 		cfg.StorePrefetch = cell.Prefetch
 		cfg.PerfectStores = cell.Perfect
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}
@@ -368,7 +368,7 @@ func Figure8(c Config) ([]Fig8Cell, error) {
 		cfg.Model = cell.Model
 		cfg.HWS = cell.HWS
 		cfg.PerfectStores = cell.Perfect
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Uarch: cfg, Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func Summary(c Config) ([]SummaryRow, error) {
 	rows := make([]SummaryRow, len(c.Workloads))
 	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
 		s, err := c.run(sim.Spec{
-			Workload: c.Workloads[i], Uarch: uarch.Default(),
+			Workload: c.Workloads[i], Config: uarch.Default(),
 			Insts: c.Insts, Warm: c.Warm,
 		})
 		if err != nil {

@@ -91,7 +91,7 @@ func Table2(c Config) ([]Table2Row, error) {
 	rows := make([]Table2Row, len(c.Workloads))
 	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
 		w := c.Workloads[i]
-		s, err := c.run(sim.Spec{Workload: w, Uarch: uarch.Default(), Insts: c.Insts, Warm: c.Warm})
+		s, err := c.run(sim.Spec{Workload: w, Config: uarch.Default(), Insts: c.Insts, Warm: c.Warm})
 		if err != nil {
 			return err
 		}

@@ -52,8 +52,9 @@ import (
 	"storemlp/internal/workload"
 )
 
-// Runner executes one resolved simulation. The default runner drives
-// the epoch engine via sim.RunContext; tests substitute counters.
+// Runner executes one resolved simulation. The default runner is
+// sim.RunContext, which leases its engine from the process-wide free
+// list; tests substitute counters.
 type Runner func(ctx context.Context, spec sim.Spec) (*epoch.Stats, error)
 
 // Config configures the service.
@@ -68,7 +69,8 @@ type Config struct {
 	// DefaultTimeout bounds each request when the client sends none
 	// (default 120s; <=0 keeps the default).
 	DefaultTimeout time.Duration
-	// Runner substitutes the simulation executor (tests); nil = engine.
+	// Runner substitutes the simulation executor (tests); nil =
+	// sim.RunContext.
 	Runner Runner
 	// Logger receives structured request logs; nil = slog.Default().
 	Logger *slog.Logger
@@ -123,32 +125,31 @@ type Server struct {
 
 	// Metrics is the service registry (internal/obs), exported for
 	// /metrics mounting and for tests.
-	Metrics *Metrics
+	Metrics *obs.Registry
 
 	board *obs.Board
 	slow  *obs.SlowRing // nil when span tracing is disabled
-	pool  *sim.Pool     // behind the default runner; nil with a custom Runner
 
-	mReqs         map[string]map[string]*Counter // endpoint -> class -> counter
-	mLatency      map[string]*Histogram
-	mStage        []*Histogram // indexed by obs.Stage; nil at StageRequest
-	mCacheHits    *Counter
-	mCacheMisses  *Counter
-	mCacheEvicted *Counter
-	mCacheEntries *Gauge
+	mReqs         map[string]map[string]*obs.Counter // endpoint -> class -> counter
+	mLatency      map[string]*obs.Histogram
+	mStage        []*obs.Histogram // indexed by obs.Stage; nil at StageRequest
+	mCacheHits    *obs.Counter
+	mCacheMisses  *obs.Counter
+	mCacheEvicted *obs.Counter
+	mCacheEntries *obs.Gauge
 	mHitRatio     *obs.FloatGauge
-	mCoalesced    *Counter
-	mInflight     *Gauge
-	mQueueDepth   *Gauge
+	mCoalesced    *obs.Counter
+	mInflight     *obs.Gauge
+	mQueueDepth   *obs.Gauge
 	mSaturation   *obs.FloatGauge
-	mPoolIdle     *Gauge
-	mExecuted     *Counter
-	mFailures     *Counter
-	mInsts        *Counter
-	mEpochs       *Counter
+	mPoolIdle     *obs.Gauge
+	mExecuted     *obs.Counter
+	mFailures     *obs.Counter
+	mInsts        *obs.Counter
+	mEpochs       *obs.Counter
 	mInstsRate    *obs.FloatGauge
 	mEpochsRate   *obs.FloatGauge
-	mUptime       *Gauge
+	mUptime       *obs.Gauge
 
 	// Scrape-to-scrape throughput derivation (see scrapeRates).
 	rateMu     sync.Mutex
@@ -156,27 +157,6 @@ type Server struct {
 	rateInsts  int64     // guarded by rateMu
 	rateEpochs int64     // guarded by rateMu
 }
-
-// Metrics, Counter, Gauge and Histogram are aliases into internal/obs:
-// the registry that used to live in this package (promtext.go) moved
-// there so the engine, the CLIs and the daemon share one metrics and
-// tracing layer.
-type (
-	// Metrics is the shared instrument registry type.
-	Metrics = obs.Registry
-	// Counter is a monotonically increasing metric.
-	Counter = obs.Counter
-	// Gauge is an integer metric that can go up and down.
-	Gauge = obs.Gauge
-	// Histogram observes float64 samples into cumulative buckets.
-	Histogram = obs.Histogram
-)
-
-// NewMetrics returns an empty registry (obs.NewRegistry).
-func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// DefBuckets are the default latency bucket bounds (obs.DefBuckets).
-var DefBuckets = obs.DefBuckets
 
 // New builds a Server.
 func New(cfg Config) *Server {
@@ -192,13 +172,8 @@ func New(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 120 * time.Second
 	}
-	var pool *sim.Pool
 	if cfg.Runner == nil {
-		// Recycle engines across requests: with bounded worker
-		// concurrency the pool converges on one engine per worker and
-		// steady-state serving stops allocating simulator substrate.
-		pool = sim.NewPool()
-		cfg.Runner = pool.RunContext
+		cfg.Runner = sim.RunContext
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -219,10 +194,9 @@ func New(cfg Config) *Server {
 		flights: newFlightGroup(ctx),
 		slots:   make(chan struct{}, cfg.Workers),
 		start:   time.Now(),
-		Metrics: NewMetrics(),
+		Metrics: obs.NewRegistry(),
 		board:   obs.NewBoard(),
 		slow:    obs.NewSlowRing(cfg.SlowRequests), // nil when SlowRequests < 0
-		pool:    pool,
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newLRUCache(cfg.CacheEntries)
@@ -233,10 +207,10 @@ func New(cfg Config) *Server {
 
 func (s *Server) registerMetrics() {
 	m := s.Metrics
-	s.mReqs = make(map[string]map[string]*Counter)
-	s.mLatency = make(map[string]*Histogram)
+	s.mReqs = make(map[string]map[string]*obs.Counter)
+	s.mLatency = make(map[string]*obs.Histogram)
 	for _, ep := range []string{"run", "sweep", "healthz", "metrics", "debug"} {
-		byClass := make(map[string]*Counter)
+		byClass := make(map[string]*obs.Counter)
 		for _, class := range []string{"2xx", "4xx", "5xx"} {
 			byClass[class] = m.Counter("mlpsimd_requests_total",
 				"HTTP requests by endpoint and status class.",
@@ -244,20 +218,20 @@ func (s *Server) registerMetrics() {
 		}
 		s.mReqs[ep] = byClass
 		s.mLatency[ep] = m.Histogram("mlpsimd_request_seconds",
-			"Request latency in seconds.", DefBuckets, "endpoint", ep)
+			"Request latency in seconds.", obs.DefBuckets, "endpoint", ep)
 	}
 	// Per-stage decomposition of request latency: each request's span
 	// tree feeds one observation per span, so mlpsimd_request_seconds
 	// splits into queue wait vs cache state vs simulation.
 	stages := obs.Stages()
-	s.mStage = make([]*Histogram, len(stages))
+	s.mStage = make([]*obs.Histogram, len(stages))
 	for _, st := range stages {
 		if st == obs.StageRequest || st.Detail() {
 			continue // the root span IS mlpsimd_request_seconds; engine detail nests inside simulate
 		}
 		s.mStage[st] = m.Histogram("mlpsimd_stage_seconds",
 			"Request latency decomposed by pipeline stage (one observation per request span).",
-			DefBuckets, "stage", st.String())
+			obs.DefBuckets, "stage", st.String())
 	}
 	s.mCacheHits = m.Counter("mlpsimd_cache_hits_total", "Result-cache hits.")
 	s.mCacheMisses = m.Counter("mlpsimd_cache_misses_total", "Result-cache misses.")
@@ -272,7 +246,7 @@ func (s *Server) registerMetrics() {
 	s.mSaturation = m.FloatGauge("mlpsimd_pool_saturation",
 		"Fraction of worker capacity occupied: simulations in flight / workers.")
 	s.mPoolIdle = m.Gauge("mlpsimd_pool_engines_idle",
-		"Recycled engines parked in the pool (0 under a custom runner).")
+		"Recycled engines parked in the process-wide engine free list.")
 	s.mExecuted = m.Counter("mlpsimd_sims_executed_total", "Engine executions started.")
 	s.mFailures = m.Counter("mlpsimd_sim_failures_total", "Engine executions that returned an error.")
 	s.mInsts = m.Counter("mlpsimd_insts_simulated_total", "Instructions simulated (measured + warmup).")
@@ -308,9 +282,7 @@ func (s *Server) registerMetrics() {
 			s.mHitRatio.Set(float64(hits) / float64(hits+misses))
 		}
 		s.mSaturation.Set(float64(s.mInflight.Value()) / float64(s.cfg.Workers))
-		if s.pool != nil {
-			s.mPoolIdle.Set(int64(s.pool.Idle()))
-		}
+		s.mPoolIdle.Set(int64(sim.IdleEngines()))
 		s.scrapeRates()
 	})
 }
@@ -552,7 +524,7 @@ func (s *Server) resolve(req RunRequest) (sim.Spec, string, error) {
 	}
 	spec := sim.Spec{
 		Workload:       w,
-		Uarch:          cfg,
+		Config:         cfg,
 		Insts:          insts,
 		Warm:           warm,
 		DisableTraffic: req.DisableTraffic,
@@ -596,13 +568,13 @@ func (s *Server) execute(ctx context.Context, spec sim.Spec) (*RunResult, error)
 	s.mInsts.Add(spec.Insts + spec.Warm)
 	s.mEpochs.Add(stats.Epochs)
 	return &RunResult{
-		ConfigName:              spec.Uarch.Name(),
+		ConfigName:              spec.Config.Name(),
 		Insts:                   stats.Insts,
 		Epochs:                  stats.Epochs,
 		EPI:                     stats.EPI(),
 		MLP:                     stats.MLP(),
 		StoreMLP:                stats.StoreMLP(),
-		OffChipCPI:              stats.OffChipCPI(spec.Uarch.MissPenalty),
+		OffChipCPI:              stats.OffChipCPI(spec.Config.MissPenalty),
 		OverlappedStoreFraction: stats.OverlappedStoreFraction(),
 		StoreMisses:             stats.StoreMisses,
 		LoadMisses:              stats.LoadMisses,

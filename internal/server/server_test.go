@@ -454,9 +454,9 @@ func TestRealEngineSmallRun(t *testing.T) {
 		t.Errorf("config name %q", rr.Result.ConfigName)
 	}
 
-	// The default pool runner picks the request trace out of the
-	// context: the trace holds the engine's detail spans under the one
-	// simulate span, and the runs view counts the finished run.
+	// The default runner (sim.RunContext) picks the request trace out
+	// of the context: the trace holds the engine's detail spans under
+	// the one simulate span, and the runs view counts the finished run.
 	id := resp.Header.Get("X-Trace-Id")
 	waitFor(t, "trace in the slow ring", func() bool { return s.slow.Get(id) != nil })
 	stages := map[obs.Stage]int{}

@@ -118,7 +118,6 @@ func (w *watchedSource) Err() error {
 // run's statistics field for field, and both inputs agree.
 func TestDecodeAheadExact(t *testing.T) {
 	dir := t.TempDir()
-	p := NewPool()
 	for _, w := range workload.All(1) {
 		col := encodeTrace(t, w, aheadInsts+aheadWarm)
 		colPath := filepath.Join(dir, w.Name+".columnar")
@@ -138,7 +137,7 @@ func TestDecodeAheadExact(t *testing.T) {
 				var got [2]*epoch.Stats
 				for m, ahead := range []bool{false, true} {
 					src, closeSrc := b.open()
-					st, err := p.runTrace(context.Background(), src, cfg, aheadWarm, pinned(ahead))
+					st, err := runTrace(context.Background(), src, cfg, aheadWarm, pinned(ahead))
 					closeSrc()
 					if err != nil {
 						t.Fatalf("%s setting %d %s ahead=%v: %v", w.Name, si, b.name, ahead, err)
@@ -193,18 +192,17 @@ func (sliceFile) Err() error { return nil }
 // TestDecodeAheadCancel: a run cancelled mid-stream, one cancelled
 // before it starts and one whose Reconfigure fails all return an error
 // and no statistics, and none touches its source after returning. The
-// pool's engine and pipeline then serve an exact run.
+// recycled engine and pipeline then serve an exact run.
 func TestDecodeAheadCancel(t *testing.T) {
 	data := encodeTrace(t, workload.TPCW(1), aheadInsts+aheadWarm)
 	cfg := uarch.Default()
-	want, err := NewPool().runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, pinned(false))
+	want, err := runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, pinned(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.StoreBuffer = 0
 	for _, ahead := range []bool{false, true} {
-		p := NewPool()
 
 		ctx, cancel := context.WithCancel(context.Background())
 		src := &watchedSource{FileSource: streamReader(t, data), t: t, onRead: func(call int64) {
@@ -212,7 +210,7 @@ func TestDecodeAheadCancel(t *testing.T) {
 				cancel()
 			}
 		}}
-		st, err := p.runTrace(ctx, src, cfg, aheadWarm, pinned(ahead))
+		st, err := runTrace(ctx, src, cfg, aheadWarm, pinned(ahead))
 		src.done.Store(true)
 		if !errors.Is(err, context.Canceled) || st != nil {
 			t.Errorf("ahead=%v: mid-run cancel returned (%v, %v), want (nil, context.Canceled)", ahead, st, err)
@@ -225,14 +223,14 @@ func TestDecodeAheadCancel(t *testing.T) {
 		}
 
 		src = &watchedSource{FileSource: streamReader(t, data), t: t}
-		st, err = p.runTrace(ctx, src, cfg, aheadWarm, pinned(ahead))
+		st, err = runTrace(ctx, src, cfg, aheadWarm, pinned(ahead))
 		src.done.Store(true)
 		if !errors.Is(err, context.Canceled) || st != nil {
 			t.Errorf("ahead=%v: pre-cancelled run returned (%v, %v), want (nil, context.Canceled)", ahead, st, err)
 		}
 
 		src = &watchedSource{FileSource: streamReader(t, data), t: t}
-		st, err = p.runTrace(context.Background(), src, bad, aheadWarm, pinned(ahead))
+		st, err = runTrace(context.Background(), src, bad, aheadWarm, pinned(ahead))
 		src.done.Store(true)
 		if err == nil || st != nil {
 			t.Errorf("ahead=%v: invalid config returned (%v, %v), want an error", ahead, st, err)
@@ -241,7 +239,7 @@ func TestDecodeAheadCancel(t *testing.T) {
 			t.Errorf("ahead=%v: failed Reconfigure still read the trace %d times", ahead, n)
 		}
 
-		got, err := p.runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, pinned(ahead))
+		got, err := runTrace(context.Background(), streamReader(t, data), cfg, aheadWarm, pinned(ahead))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,14 +284,14 @@ func TestDecodeAheadDecodeErrors(t *testing.T) {
 		{"columnar corrupt/file", func() trace.FileSource { return openBytes(t, corrupt) }, colv1.ErrCorrupt},
 	}
 	for _, ahead := range []bool{false, true} {
-		if st, err := NewPool().runTrace(context.Background(), nil, uarch.Default(), 0, pinned(ahead)); err == nil || st != nil {
+		if st, err := runTrace(context.Background(), nil, uarch.Default(), 0, pinned(ahead)); err == nil || st != nil {
 			t.Errorf("nil source ahead=%v: got (%v, %v), want an error", ahead, st, err)
 		}
 	}
 	for _, c := range cases {
 		for _, ahead := range []bool{false, true} {
 			src := &watchedSource{FileSource: c.open(), t: t}
-			st, err := NewPool().runTrace(context.Background(), src, uarch.Default(), aheadWarm, pinned(ahead))
+			st, err := runTrace(context.Background(), src, uarch.Default(), aheadWarm, pinned(ahead))
 			src.done.Store(true)
 			if err == nil || st != nil {
 				t.Errorf("%s ahead=%v: got (%v, %v), want a decode error", c.name, ahead, st, err)
@@ -312,7 +310,6 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 	data := encodeTrace(t, workload.SPECjbb(1), 20_000)
 	corrupt := bytes.Clone(data)
 	binary.LittleEndian.PutUint32(corrupt[blockOffset(t, data, 2)+4:], 0)
-	p := NewPool()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -329,7 +326,7 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 		case 2:
 			src = streamReader(t, corrupt)
 		}
-		st, err := p.runTrace(ctx, src, uarch.Default(), 5_000, pinned(true))
+		st, err := runTrace(ctx, src, uarch.Default(), 5_000, pinned(true))
 		cancel()
 		if (err == nil) != (i%3 == 0) || (st == nil) == (i%3 == 0) {
 			t.Fatalf("run %d (kind %d): got (%v, %v)", i, i%3, st, err)
@@ -346,21 +343,20 @@ func TestDecodeAheadNoLeak(t *testing.T) {
 	}
 }
 
-// TestDecodeAheadAllocs pins the allocation contract of a warmed
-// pool: a steady-state trace run allocates only the returned Stats,
-// and decoding ahead adds nothing — the stage's buffers, channels and
-// bound producer method come back from the trace package's free list.
-// The trace is a
-// rewindable in-memory slice, so the count is the pool's alone.
+// TestDecodeAheadAllocs pins the allocation contract of a warm engine
+// free list: a steady-state trace run allocates only the returned
+// Stats, and decoding ahead adds nothing — the stage's buffers,
+// channels and bound producer method come back from the trace
+// package's free list. The trace is a rewindable in-memory slice, so
+// the count is the run path's alone.
 func TestDecodeAheadAllocs(t *testing.T) {
 	data := encodeTrace(t, workload.Database(1), aheadInsts+aheadWarm)
 	s := trace.Collect(streamReader(t, data))
 	var src trace.FileSource = sliceFile{s}
 	cfg := uarch.Default()
-	p := NewPool()
 	run := func(ahead bool) {
 		s.Reset()
-		if _, err := p.runTrace(context.Background(), src, cfg, aheadWarm, pinned(ahead)); err != nil {
+		if _, err := runTrace(context.Background(), src, cfg, aheadWarm, pinned(ahead)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,7 +401,7 @@ func TestDecodeAheadProgressTotal(t *testing.T) {
 					planned = rt.Live().Total
 				}
 			}}
-			if _, err := NewPool().runTrace(ctx, src, uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
+			if _, err := runTrace(ctx, src, uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
 				t.Fatal(err)
 			}
 			if planned != c.wantTotal {
@@ -436,7 +432,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 	for _, ahead := range []bool{false, true} {
 		rt := obs.NewReqTrace("decode", 512, 384)
 		ctx := obs.WithSpan(context.Background(), rt, rt.Root())
-		if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
+		if _, err := runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, pinned(ahead)); err != nil {
 			t.Fatal(err)
 		}
 		spans := rt.Snapshot()
@@ -482,7 +478,7 @@ func TestDecodeAheadSpan(t *testing.T) {
 	// dropped and counted like a batch span.
 	rt := obs.NewReqTrace("capped", 512, 4)
 	ctx := obs.WithSpan(context.Background(), rt, rt.Root())
-	if _, err := NewPool().runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, pinned(true)); err != nil {
+	if _, err := runTrace(ctx, streamReader(t, data), uarch.Default(), aheadWarm, pinned(true)); err != nil {
 		t.Fatal(err)
 	}
 	kept := 0
@@ -502,7 +498,6 @@ func TestDecodeAheadSpan(t *testing.T) {
 func TestDecodeAheadOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	data := encodeTrace(t, workload.Database(2), aheadInsts+aheadWarm)
-	p := NewPool()
 	var stats [2]*epoch.Stats
 	for i, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
@@ -512,7 +507,7 @@ func TestDecodeAheadOneProc(t *testing.T) {
 				readAhead.Store(true)
 			}
 		}}
-		st, err := p.RunTraceSource(context.Background(), src, uarch.Default(), aheadWarm)
+		st, err := RunTraceSource(context.Background(), src, uarch.Default(), aheadWarm)
 		src.done.Store(true)
 		if err != nil {
 			t.Fatal(err)
@@ -549,14 +544,13 @@ func TestDecodeAheadSynthetic(t *testing.T) {
 		{"SMAC 4K", smac, false},
 		{"WC+SLE", wcsle, false},
 	}
-	p := NewPool()
 	snoops := false
 	for _, w := range workload.All(1) {
 		for _, c := range cases {
-			s := Spec{Workload: w, Uarch: c.cfg, Insts: aheadInsts, Warm: aheadWarm, SharedCore: c.shared}
+			s := Spec{Workload: w, Config: c.cfg, Insts: aheadInsts, Warm: aheadWarm, SharedCore: c.shared}
 			var got [2]*epoch.Stats
 			for m, ahead := range []bool{false, true} {
-				st, err := p.run(context.Background(), s, pinned(ahead))
+				st, err := run(context.Background(), s, pinned(ahead))
 				if err != nil {
 					t.Fatalf("%s %s ahead=%v: %v", w.Name, c.name, ahead, err)
 				}
@@ -602,7 +596,7 @@ func (p *stackProbe) ReadBatch(dst []isa.Inst) int {
 // 1 neither a run nor a trace write ever starts a producer.
 func TestDecodeAheadOccupancy(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	spec := Spec{Workload: workload.TPCW(1), Uarch: uarch.Default(), Insts: aheadInsts, Warm: aheadWarm}
+	spec := Spec{Workload: workload.TPCW(1), Config: uarch.Default(), Insts: aheadInsts, Warm: aheadWarm}
 	decodeSpans := func() int {
 		t.Helper()
 		rt := obs.NewReqTrace("occupancy", 512, 384)
@@ -647,7 +641,7 @@ func TestDecodeAheadOccupancy(t *testing.T) {
 	}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewPool().RunTraceSource(context.Background(), holder, uarch.Default(), aheadWarm)
+		_, err := RunTraceSource(context.Background(), holder, uarch.Default(), aheadWarm)
 		done <- err
 	}()
 	<-started
@@ -689,10 +683,9 @@ func BenchmarkDecodeAhead(b *testing.B) {
 			ahead bool
 		}{{"inline", false}, {"ahead", true}} {
 			b.Run(w.Name+"/"+m.name, func(b *testing.B) {
-				p := NewPool()
 				b.SetBytes(total)
 				for i := 0; i < b.N; i++ {
-					if _, err := p.runTrace(context.Background(), streamReader(b, data), cfg, warm, pinned(m.ahead)); err != nil {
+					if _, err := runTrace(context.Background(), streamReader(b, data), cfg, warm, pinned(m.ahead)); err != nil {
 						b.Fatal(err)
 					}
 				}

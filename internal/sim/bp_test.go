@@ -16,10 +16,10 @@ func TestModelledBranchPredictor(t *testing.T) {
 		t.Skip("needs full simulation runs")
 	}
 	w := workload.SPECweb(4)
-	flagged := run(t, w, uarch.Default())
+	flagged := mustRun(t, w, uarch.Default())
 	cfg := uarch.Default()
 	cfg.ModelBranchPredictor = true
-	modelled := run(t, w, cfg)
+	modelled := mustRun(t, w, cfg)
 	ratio := modelled.EPI() / flagged.EPI()
 	if ratio < 0.85 || ratio > 1.35 {
 		t.Errorf("modelled-predictor EPI %.3f vs flagged %.3f (ratio %.2f) out of band",

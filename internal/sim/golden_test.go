@@ -46,7 +46,7 @@ func goldenSpecs() []struct {
 		spec Spec
 	}
 	add := func(name string, w workload.Params, cfg uarch.Config, mut func(*Spec)) {
-		s := Spec{Workload: w, Uarch: cfg, Insts: goldenInsts, Warm: goldenWarm}
+		s := Spec{Workload: w, Config: cfg, Insts: goldenInsts, Warm: goldenWarm}
 		if mut != nil {
 			mut(&s)
 		}
@@ -127,7 +127,7 @@ func renderGolden(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, gs := range goldenSpecs() {
-		stats, err := Run(gs.spec)
+		stats, err := runSpec(gs.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", gs.name, err)
 		}

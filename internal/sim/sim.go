@@ -19,15 +19,15 @@ import (
 type Spec struct {
 	// Workload selects and calibrates the trace generator.
 	Workload workload.Params
-	// Uarch is the machine configuration. Spec.Run sets its WarmInsts
+	// Config is the machine configuration. A run sets its WarmInsts
 	// from Warm below.
-	Uarch uarch.Config
+	Config uarch.Config
 	// Insts is the number of measured instructions (after warmup).
 	Insts int64
 	// Warm is the cache warmup prefix, excluded from statistics.
 	Warm int64
 	// DisableTraffic turns off remote coherence snoops even when
-	// Uarch.Nodes > 1 (single-node behaviour).
+	// Config.Nodes > 1 (single-node behaviour).
 	DisableTraffic bool // storemlpvet:novalidate (both states valid)
 	// SharedCore co-schedules a second copy of the workload (different
 	// seed) on the other core of the CMP, sharing the L2 — the paper's
@@ -40,7 +40,7 @@ func (s Spec) Validate() error {
 	if err := s.Workload.Validate(); err != nil {
 		return err
 	}
-	if err := s.Uarch.Validate(); err != nil {
+	if err := s.Config.Validate(); err != nil {
 		return err
 	}
 	if s.Insts <= 0 {
@@ -71,19 +71,13 @@ func BuildSource(w workload.Params, cfg uarch.Config, total int64) trace.Source 
 	return trace.Limit(src, total)
 }
 
-// Run executes the simulation and returns the epoch statistics.
-func Run(s Spec) (*epoch.Stats, error) {
-	return RunContext(context.Background(), s)
-}
-
 // prepare derives the engine configuration and options from a
-// validated spec; it is shared by the one-shot RunContext and the
-// engine Pool.
+// validated spec.
 func prepare(s Spec) (uarch.Config, []epoch.Option) {
-	cfg := s.Uarch
+	cfg := s.Config
 	cfg.WarmInsts = s.Warm
 	var opts []epoch.Option
-	if !s.DisableTraffic && s.Uarch.Nodes > 1 && s.Workload.SnoopsPerKiloInst > 0 {
+	if !s.DisableTraffic && s.Config.Nodes > 1 && s.Workload.SnoopsPerKiloInst > 0 {
 		opts = append(opts, epoch.WithTraffic(s.Workload.Traffic(), s.Workload.Seed+1))
 	}
 	if s.SharedCore {
@@ -96,30 +90,49 @@ func prepare(s Spec) (uarch.Config, []epoch.Option) {
 	return cfg, opts
 }
 
-// RunContext is Run with cancellation: the epoch engine polls ctx and
-// abandons the simulation once it is done, returning ctx's error.
+// RunContext executes the simulation and returns the epoch statistics.
+// The engine polls ctx and abandons the simulation once it is done,
+// returning ctx's error. The run leases its engine from the process-wide
+// free list: Reconfigure resets a recycled engine to an observationally
+// fresh state, so results match a newly built engine bit for bit.
 // When ctx carries a request span (obs.WithSpan) the run records its
 // simulate span on that trace, the engine's detail spans when the trace
 // records them, and its live progress counters.
 func RunContext(ctx context.Context, s Spec) (*epoch.Stats, error) {
+	return run(ctx, s, trace.Start)
+}
+
+// run is RunContext with the producer stage opened by start.
+func run(ctx context.Context, s Spec, start startStage) (*epoch.Stats, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	cfg, opts := prepare(s)
-	eng := new(epoch.Engine)
+	e := engines.get()
+	// A failed Reconfigure (or a cancelled run) leaves mid-run state
+	// behind, but the next Reconfigure discards it, so the engine goes
+	// back to the free list on every path.
+	defer engines.put(e)
 	setup := func() (trace.Source, error) {
-		if err := eng.Reconfigure(cfg, opts...); err != nil {
+		if err := e.Reconfigure(cfg, opts...); err != nil {
 			return nil, err
 		}
 		return BuildSource(s.Workload, cfg, s.Warm+s.Insts), nil
 	}
-	return simulate(ctx, eng, setup, trace.Start, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	st, err := simulate(ctx, e, setup, start, func() string { return runLabel(s) }, s.Warm+s.Insts, s.Insts)
+	if err != nil {
+		return nil, err
+	}
+	// The engine exposes its own stats field; copy before the engine is
+	// handed to the next run.
+	out := *st
+	return &out, nil
 }
 
 // runLabel names a run the way the paper labels bars: workload plus
 // machine configuration.
 func runLabel(s Spec) string {
-	return s.Workload.Name + " " + s.Uarch.Name()
+	return s.Workload.Name + " " + s.Config.Name()
 }
 
 // startStage opens a run's producer stage over its source: trace.Start

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"storemlp/internal/consistency"
@@ -16,17 +17,22 @@ const (
 	testWarm  = 200_000
 )
 
-func run(t *testing.T, w workload.Params, cfg uarch.Config) *epoch.Stats {
+// runSpec runs s to completion on a leased engine.
+func runSpec(s Spec) (*epoch.Stats, error) {
+	return RunContext(context.Background(), s)
+}
+
+func mustRun(t *testing.T, w workload.Params, cfg uarch.Config) *epoch.Stats {
 	t.Helper()
-	s, err := Run(Spec{Workload: w, Uarch: cfg, Insts: testInsts, Warm: testWarm})
+	s, err := runSpec(Spec{Workload: w, Config: cfg, Insts: testInsts, Warm: testWarm})
 	if err != nil {
-		t.Fatalf("Run(%s, %s): %v", w.Name, cfg.Name(), err)
+		t.Fatalf("run(%s, %s): %v", w.Name, cfg.Name(), err)
 	}
 	return s
 }
 
 func TestSpecValidate(t *testing.T) {
-	good := Spec{Workload: workload.TPCW(1), Uarch: uarch.Default(), Insts: 10, Warm: 0}
+	good := Spec{Workload: workload.TPCW(1), Config: uarch.Default(), Insts: 10, Warm: 0}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good spec invalid: %v", err)
 	}
@@ -41,7 +47,7 @@ func TestSpecValidate(t *testing.T) {
 		t.Error("negative warm should be invalid")
 	}
 	bad = good
-	bad.Uarch.ROB = 0
+	bad.Config.ROB = 0
 	if bad.Validate() == nil {
 		t.Error("bad uarch should be invalid")
 	}
@@ -50,8 +56,8 @@ func TestSpecValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("bad workload should be invalid")
 	}
-	if _, err := Run(bad); err == nil {
-		t.Error("Run should propagate validation errors")
+	if _, err := runSpec(bad); err == nil {
+		t.Error("RunContext should propagate validation errors")
 	}
 }
 
@@ -105,11 +111,11 @@ func TestPrefetchOrderingAllWorkloads(t *testing.T) {
 		for _, m := range []uarch.PrefetchMode{uarch.Sp0, uarch.Sp1, uarch.Sp2} {
 			cfg := uarch.Default()
 			cfg.StorePrefetch = m
-			epi[m] = run(t, w, cfg).EPI()
+			epi[m] = mustRun(t, w, cfg).EPI()
 		}
 		perfCfg := uarch.Default()
 		perfCfg.PerfectStores = true
-		perfect := run(t, w, perfCfg).EPI()
+		perfect := mustRun(t, w, perfCfg).EPI()
 
 		if epi[uarch.Sp1] > epi[uarch.Sp0]*1.02 {
 			t.Errorf("%s: Sp1 (%.2f) should not exceed Sp0 (%.2f)", w.Name, epi[uarch.Sp1], epi[uarch.Sp0])
@@ -134,10 +140,10 @@ func TestWCBeatsPC(t *testing.T) {
 		t.Skip("needs full simulation runs")
 	}
 	for _, w := range workload.All(2) {
-		pc := run(t, w, uarch.Default()).EPI()
+		pc := mustRun(t, w, uarch.Default()).EPI()
 		wcCfg := uarch.Default()
 		wcCfg.Model = consistency.WC
-		wc := run(t, w, wcCfg).EPI()
+		wc := mustRun(t, w, wcCfg).EPI()
 		if wc >= pc {
 			t.Errorf("%s: WC EPI (%.2f) should be below PC (%.2f)", w.Name, wc, pc)
 		}
@@ -151,14 +157,14 @@ func TestSLENarrowsGap(t *testing.T) {
 	// For the lock-bound workloads, SLE + prefetch-past-serializing (PC3)
 	// must close most of the PC1-WC1 gap.
 	w := workload.SPECjbb(3)
-	pc1 := run(t, w, uarch.Default()).EPI()
+	pc1 := mustRun(t, w, uarch.Default()).EPI()
 	wcCfg := uarch.Default()
 	wcCfg.Model = consistency.WC
-	wc1 := run(t, w, wcCfg).EPI()
+	wc1 := mustRun(t, w, wcCfg).EPI()
 	pc3Cfg := uarch.Default()
 	pc3Cfg.SLE = true
 	pc3Cfg.PrefetchPastSerializing = true
-	pc3 := run(t, w, pc3Cfg).EPI()
+	pc3 := mustRun(t, w, pc3Cfg).EPI()
 	if pc3 >= pc1 {
 		t.Errorf("PC3 (%.2f) should improve on PC1 (%.2f)", pc3, pc1)
 	}
@@ -166,7 +172,7 @@ func TestSLENarrowsGap(t *testing.T) {
 	wc3Cfg := wcCfg
 	wc3Cfg.SLE = true
 	wc3Cfg.PrefetchPastSerializing = true
-	wc3 := run(t, w, wc3Cfg).EPI()
+	wc3 := mustRun(t, w, wc3Cfg).EPI()
 	gap3 := pc3 - wc3
 	if gap1 <= 0 {
 		t.Fatalf("no PC-WC gap to close (pc1=%.2f wc1=%.2f)", pc1, wc1)
@@ -185,7 +191,7 @@ func TestHWSOrdering(t *testing.T) {
 	for _, m := range []uarch.HWSMode{uarch.NoHWS, uarch.HWS0, uarch.HWS1, uarch.HWS2} {
 		cfg := uarch.Default()
 		cfg.HWS = m
-		epi[m] = run(t, w, cfg).EPI()
+		epi[m] = mustRun(t, w, cfg).EPI()
 	}
 	if epi[uarch.HWS0] > epi[uarch.NoHWS]*1.02 {
 		t.Errorf("HWS0 (%.3f) should not exceed NoHWS (%.3f)", epi[uarch.HWS0], epi[uarch.NoHWS])
@@ -200,7 +206,7 @@ func TestHWSOrdering(t *testing.T) {
 	perfCfg := uarch.Default()
 	perfCfg.PerfectStores = true
 	perfCfg.HWS = uarch.HWS2
-	perfect := run(t, w, perfCfg).EPI()
+	perfect := mustRun(t, w, perfCfg).EPI()
 	if (epi[uarch.HWS2]-perfect)/perfect > 0.35 {
 		t.Errorf("HWS2 (%.3f) should approach perfect stores (%.3f)", epi[uarch.HWS2], perfect)
 	}
@@ -234,7 +240,7 @@ func TestSMACImprovesStores(t *testing.T) {
 		cfg := uarch.Default()
 		cfg.StorePrefetch = uarch.Sp0
 		cfg.SMACEntries = entries
-		s, err := Run(Spec{Workload: w, Uarch: cfg, Insts: 1_200_000, Warm: 1_800_000})
+		s, err := runSpec(Spec{Workload: w, Config: cfg, Insts: 1_200_000, Warm: 1_800_000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,14 +267,14 @@ func TestTrafficAttaches(t *testing.T) {
 	w := workload.TPCW(6)
 	cfg := uarch.Default()
 	cfg.SMACEntries = 32 << 10
-	s, err := Run(Spec{Workload: w, Uarch: cfg, Insts: 200_000, Warm: 100_000})
+	s, err := runSpec(Spec{Workload: w, Config: cfg, Insts: 200_000, Warm: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Snoops == 0 {
 		t.Error("2-node run should deliver snoops")
 	}
-	off, err := Run(Spec{Workload: w, Uarch: cfg, Insts: 200_000, Warm: 100_000, DisableTraffic: true})
+	off, err := runSpec(Spec{Workload: w, Config: cfg, Insts: 200_000, Warm: 100_000, DisableTraffic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +288,11 @@ func TestSharedCoreInterference(t *testing.T) {
 		t.Skip("needs full simulation runs")
 	}
 	w := workload.SPECjbb(8)
-	solo, err := Run(Spec{Workload: w, Uarch: uarch.Default(), Insts: testInsts, Warm: testWarm})
+	solo, err := runSpec(Spec{Workload: w, Config: uarch.Default(), Insts: testInsts, Warm: testWarm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := Run(Spec{Workload: w, Uarch: uarch.Default(), Insts: testInsts, Warm: testWarm, SharedCore: true})
+	co, err := runSpec(Spec{Workload: w, Config: uarch.Default(), Insts: testInsts, Warm: testWarm, SharedCore: true})
 	if err != nil {
 		t.Fatal(err)
 	}

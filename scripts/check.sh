@@ -110,14 +110,16 @@ esac
 echo '>> go test -race ./...'
 go test -race "$@" ./...
 
-echo '>> go test -race -cpu 1,2,4 -short (source-ahead, span trees)'
+echo '>> go test -race -cpu 1,2,4 -short (source-ahead, span trees, engine free list)'
 # Engine runs and trace writes hand batches from their source-ahead
-# producer goroutine to the consumer, and every request's span tree is
-# written from concurrent sweep points and that producer; re-run their
-# tests at several GOMAXPROCS values so real interleavings, not just
-# the single-P schedule, pass the race detector.
+# producer goroutine to the consumer, every request's span tree is
+# written from concurrent sweep points and that producer, and
+# experiments, the server and trace replays all lease engines from one
+# process-wide free list; re-run their tests at several GOMAXPROCS
+# values so real interleavings, not just the single-P schedule, pass
+# the race detector.
 go test -race -short -cpu 1,2,4 \
-    -run 'TestSpan|TestDecodeAhead|TestWriteAll' \
+    -run 'TestSpan|TestDecodeAhead|TestWriteAll|TestPool' \
     ./internal/sim/ ./internal/server/ ./internal/trace/ .
 
 echo '>> benchmark smoke (1 iteration) + benchdiff report'

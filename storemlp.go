@@ -107,21 +107,11 @@ func WorkloadByName(name string, seed int64) (Workload, error) {
 // cycle miss penalty, 2 MB shared L2.
 func DefaultConfig() Config { return uarch.Default() }
 
-// RunSpec describes one simulation run.
-type RunSpec struct {
-	Workload Workload
-	Config   Config
-	// Insts is the number of measured instructions; Warm the cache
-	// warmup prefix excluded from statistics.
-	Insts int64
-	Warm  int64
-	// DisableTraffic suppresses remote-node coherence snoops.
-	DisableTraffic bool
-	// SharedCore co-schedules a second copy of the workload on the other
-	// core of the CMP, sharing the L2 (the paper's two-cores-per-L2
-	// configuration); it exerts cache pressure only.
-	SharedCore bool
-}
+// RunSpec describes one simulation run: the workload (including its
+// seed), the machine configuration, the measured instruction count and
+// the warmup prefix, and the remote-traffic and shared-core switches.
+// It is the spec the service resolves every request into.
+type RunSpec = sim.Spec
 
 // Run executes one simulation: the workload generator's TSO trace is
 // rewritten for WC and/or SLE as the configuration requires, then driven
@@ -133,34 +123,22 @@ func Run(s RunSpec) (*Stats, error) {
 // RunContext is Run with cancellation: the engine polls ctx every few
 // thousand instructions and abandons the simulation — returning ctx's
 // error — once the context is done. Long sweeps become interruptible
-// and service requests can carry deadlines.
+// and service requests can carry deadlines. Every run leases its engine
+// from one process-wide free list (DESIGN.md §10.3).
 func RunContext(ctx context.Context, s RunSpec) (*Stats, error) {
-	return sim.RunContext(ctx, sim.Spec{
-		Workload:       s.Workload,
-		Uarch:          s.Config,
-		Insts:          s.Insts,
-		Warm:           s.Warm,
-		DisableTraffic: s.DisableTraffic,
-		SharedCore:     s.SharedCore,
-	})
+	return sim.RunContext(ctx, s)
 }
 
 // ConfigDigest returns a stable hex digest canonically identifying the
 // run: the workload calibration (including its seed), the full machine
-// configuration, and the instruction budget. Two RunSpecs digest
-// equally iff they describe the same simulation, independent of struct
-// field declaration order or map iteration order, so the digest is a
-// sound coalescing/cache key for the serving layer (any single-field
-// change yields a different digest).
+// configuration, and the instruction budget. It is the digest mlpsimd
+// reports for the same run. Two RunSpecs digest equally iff they
+// describe the same simulation, independent of struct field declaration
+// order or map iteration order, so the digest is a sound
+// coalescing/cache key for the serving layer (any single-field change
+// yields a different digest).
 func ConfigDigest(s RunSpec) string {
-	return digest.Sum(map[string]interface{}{
-		"workload":       s.Workload,
-		"config":         s.Config,
-		"insts":          s.Insts,
-		"warm":           s.Warm,
-		"disableTraffic": s.DisableTraffic,
-		"sharedCore":     s.SharedCore,
-	})
+	return digest.Sum(s)
 }
 
 // WriteTrace generates n instructions of the workload — transformed for
@@ -224,7 +202,7 @@ func RunTraceContext(ctx context.Context, r io.Reader, cfg Config, warm int64) (
 	if err != nil {
 		return nil, err
 	}
-	return runTraceSource(ctx, tr, cfg, warm)
+	return sim.RunTraceSource(ctx, tr, cfg, warm)
 }
 
 // RunTraceFile runs the trace stored at path, streaming the file block
@@ -247,20 +225,7 @@ func RunTraceFileContext(ctx context.Context, path string, cfg Config, warm int6
 		return nil, err
 	}
 	defer closer.Close()
-	return runTraceSource(ctx, tr, cfg, warm)
-}
-
-// tracePool recycles engines across the package-level trace entry
-// points: repeated RunTrace calls (replay sweeps, benchmarks) stop
-// paying the cache-hierarchy and ring construction cost per trace.
-var tracePool = sim.NewPool()
-
-// runTraceSource is the shared tail of the trace-driven entry points:
-// check an engine out of the pool, attach observability, drive the
-// decoded stream through it, and surface any decode error the source
-// hit.
-func runTraceSource(ctx context.Context, tr trace.FileSource, cfg Config, warm int64) (*Stats, error) {
-	return tracePool.RunTraceSource(ctx, tr, cfg, warm)
+	return sim.RunTraceSource(ctx, tr, cfg, warm)
 }
 
 // OverallCPI combines an on-chip CPI, its overlap fraction, and a run's
@@ -286,6 +251,9 @@ func RunCycleLevel(s RunSpec) (*CycleStats, error) {
 
 // RunCycleLevelContext is RunCycleLevel with cancellation.
 func RunCycleLevelContext(ctx context.Context, s RunSpec) (*CycleStats, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	cfg := s.Config
 	cfg.WarmInsts = s.Warm
 	cs, err := cyclesim.New(cfg)

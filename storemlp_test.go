@@ -3,12 +3,21 @@ package storemlp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+
+	"storemlp/internal/server"
 )
 
 func TestRunFacade(t *testing.T) {
@@ -283,6 +292,103 @@ func TestConfigDigestSensitivity(t *testing.T) {
 	})
 	if count < 40 {
 		t.Fatalf("visited only %d leaves; RunSpec traversal is broken", count)
+	}
+}
+
+// TestConfigDigestMatchesService: the facade's digest of a run is the
+// digest /v1/run reports for the same workload, seed, config, insts and
+// warm, so a result from either side traces back to one key.
+func TestConfigDigestMatchesService(t *testing.T) {
+	svc := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	ts := httptest.NewServer(svc.Handler())
+	defer func() {
+		ts.Close()
+		svc.Close()
+	}()
+
+	wc, smac := "wc", 4096
+	tuned := DefaultConfig()
+	tuned.Model, tuned.SMACEntries = WC, smac
+	cases := []struct {
+		req  server.RunRequest
+		spec RunSpec
+	}{
+		{
+			server.RunRequest{Workload: "database", Seed: 1, Insts: 20_000, Warm: 10_000},
+			RunSpec{Workload: Database(1), Config: DefaultConfig(), Insts: 20_000, Warm: 10_000},
+		},
+		{
+			server.RunRequest{Workload: "tpcw", Seed: 3, Insts: 15_000, Warm: 5_000,
+				Config:         &server.ConfigPatch{Model: &wc, SMACEntries: &smac},
+				DisableTraffic: true, SharedCore: true},
+			RunSpec{Workload: TPCW(3), Config: tuned, Insts: 15_000, Warm: 5_000,
+				DisableTraffic: true, SharedCore: true},
+		},
+	}
+	for _, c := range cases {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out server.RunResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/run status %d, decode error %v", c.req.Workload, resp.StatusCode, err)
+		}
+		if got := ConfigDigest(c.spec); got != out.Digest {
+			t.Errorf("%s: ConfigDigest = %s, /v1/run digest = %s", c.req.Workload, got, out.Digest)
+		}
+	}
+}
+
+// TestRunCycleLevelValidates: the cycle-level entry point refuses every
+// spec Run refuses, with an error rather than empty statistics or a
+// panic, and runs a valid one.
+func TestRunCycleLevelValidates(t *testing.T) {
+	good := RunSpec{Workload: SPECjbb(1), Config: DefaultConfig(), Insts: 20_000, Warm: 10_000}
+	cases := []struct {
+		name string
+		mut  func(*RunSpec)
+	}{
+		{"zero insts", func(s *RunSpec) { s.Insts = 0 }},
+		{"negative warm", func(s *RunSpec) { s.Warm = -1 }},
+		{"negative store burst mean", func(s *RunSpec) { s.Workload.StoreBurstMean = -1 }},
+		{"zero ROB", func(s *RunSpec) { s.Config.ROB = 0 }},
+	}
+	// cycleLevel turns a panic into an error so one bad case cannot
+	// take the rest of the table down with it.
+	cycleLevel := func(s RunSpec) (st *CycleStats, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return RunCycleLevel(s)
+	}
+	for _, c := range cases {
+		s := good
+		c.mut(&s)
+		if _, err := Run(s); err == nil {
+			t.Fatalf("%s: Run accepted the spec", c.name)
+		}
+		st, err := cycleLevel(s)
+		if err == nil || st != nil {
+			t.Errorf("%s: RunCycleLevel returned (%+v, %v), want (nil, error)", c.name, st, err)
+		} else if strings.HasPrefix(err.Error(), "panic: ") {
+			t.Errorf("%s: RunCycleLevel %v, want an error", c.name, err)
+		}
+	}
+	st, err := RunCycleLevel(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Insts != good.Insts {
+		t.Errorf("valid spec measured %d insts, want %d", st.Insts, good.Insts)
 	}
 }
 
