@@ -24,7 +24,9 @@ import (
 	"time"
 
 	"storemlp"
+	"storemlp/internal/consistency"
 	"storemlp/internal/obs"
+	"storemlp/internal/uarch"
 )
 
 // stderr receives the -progress ticker; tests substitute a buffer.
@@ -113,35 +115,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.MissPenalty = *penalty
 	cfg.PerfectStores = *perfect
 	cfg.ModelBranchPredictor = *bpred
-	switch strings.ToLower(*model) {
-	case "pc", "tso":
-		cfg.Model = storemlp.PC
-	case "wc", "powerpc":
-		cfg.Model = storemlp.WC
-	default:
-		return fmt.Errorf("unknown model %q (want pc or wc)", *model)
+	var err error
+	if cfg.Model, err = consistency.ParseModel(*model); err != nil {
+		return err
 	}
-	switch *prefetch {
-	case 0:
-		cfg.StorePrefetch = storemlp.Sp0
-	case 1:
-		cfg.StorePrefetch = storemlp.Sp1
-	case 2:
-		cfg.StorePrefetch = storemlp.Sp2
-	default:
-		return fmt.Errorf("unknown prefetch mode %d", *prefetch)
+	if cfg.StorePrefetch, err = uarch.ParsePrefetchMode(*prefetch); err != nil {
+		return err
 	}
-	switch *hws {
-	case -1:
-		cfg.HWS = storemlp.NoHWS
-	case 0:
-		cfg.HWS = storemlp.HWS0
-	case 1:
-		cfg.HWS = storemlp.HWS1
-	case 2:
-		cfg.HWS = storemlp.HWS2
-	default:
-		return fmt.Errorf("unknown hws mode %d", *hws)
+	if cfg.HWS, err = uarch.ParseHWSMode(*hws); err != nil {
+		return err
 	}
 
 	var stats *storemlp.Stats
@@ -151,7 +133,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// The trace file is streamed block by block, so even huge
 		// traces need no full-file read; every instruction after the
 		// warmup is measured.
-		var err error
 		stats, err = storemlp.RunTraceFileContext(ctx, *traceFile, cfg, *warm)
 		if err != nil {
 			return fmt.Errorf("running trace: %w", err)

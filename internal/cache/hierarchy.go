@@ -285,22 +285,6 @@ func (h *Hierarchy) Store(addr uint64, shared bool) Result {
 	return res
 }
 
-// PrefetchLoad installs the line containing addr as a load would,
-// counting it as L2 prefetch traffic. Used by Hardware Scout for missing
-// loads and missing instructions.
-func (h *Hierarchy) PrefetchLoad(addr uint64, shared bool) {
-	h.lastStoreLine = noLast
-	h.Stats.L2PrefetchReqs++
-	if h.L2.Probe(addr) != Invalid {
-		return
-	}
-	st := Exclusive
-	if shared {
-		st = Shared
-	}
-	h.insertL2(addr, st)
-}
-
 // PrefetchStore issues a "prefetch for write": the line containing addr
 // is acquired in Modified state, counting L2 prefetch traffic. Used by
 // store prefetching (at retire or at execute) and by scout-mode store

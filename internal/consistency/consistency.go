@@ -23,6 +23,7 @@ package consistency
 
 import (
 	"fmt"
+	"strings"
 
 	"storemlp/internal/isa"
 	"storemlp/internal/trace"
@@ -51,6 +52,18 @@ func (m Model) String() string {
 
 // Valid reports whether m is a defined model.
 func (m Model) Valid() bool { return m == PC || m == WC }
+
+// ParseModel maps a model name to its Model: "pc" or "tso" for PC, "wc"
+// or "powerpc" for WC, in any case.
+func ParseModel(name string) (Model, error) {
+	switch strings.ToLower(name) {
+	case "pc", "tso":
+		return PC, nil
+	case "wc", "powerpc":
+		return WC, nil
+	}
+	return PC, fmt.Errorf("unknown model %q (want pc or wc)", name)
+}
 
 // InOrderCommit reports whether stores must commit in program order.
 func (m Model) InOrderCommit() bool { return m == PC }

@@ -31,6 +31,14 @@ func TestModelBasics(t *testing.T) {
 	if Validate(PC) != nil || Validate(Model(7)) == nil {
 		t.Error("Validate wrong")
 	}
+	for name, want := range map[string]Model{"pc": PC, "TSO": PC, "wc": WC, "PowerPC": WC} {
+		if got, err := ParseModel(name); got != want || err != nil {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseModel("sc"); err == nil {
+		t.Error("ParseModel accepted an unknown model")
+	}
 }
 
 // criticalSection builds the paper's Example 5 pattern: casa acquire,

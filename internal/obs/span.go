@@ -12,7 +12,7 @@ import (
 // request's milliseconds go". Each HTTP request owns one ReqTrace — a
 // fixed-capacity arena of stage-labelled spans forming a tree rooted
 // at the request itself — propagated down the serving pipeline via
-// context, so the digest lookup, the cache probe, the singleflight
+// context, so the digest lookup, the result-table probe, the coalesce
 // wait, the worker-slot wait, the simulation and the engine's own
 // instruction batches all land as intervals attributable to one trace
 // ID. The completed tree feeds per-stage
@@ -38,7 +38,7 @@ const (
 	StageParse
 	// StageDigest covers spec resolution and canonical digesting.
 	StageDigest
-	// StageCacheProbe covers the result-LRU lookup (arg 1 = hit).
+	// StageCacheProbe covers the result-table lookup (arg 1 = hit).
 	StageCacheProbe
 	// StageCoalesceWait covers a follower waiting on an identical
 	// in-flight execution (the leader's trace carries the real work).

@@ -3,13 +3,15 @@
 //
 // The request path for one sweep point is
 //
-//	digest -> result cache -> singleflight coalescing -> worker pool -> engine
+//	digest -> result table -> worker pool -> engine
 //
 // Every run is identified by the canonical digest of its full
 // specification (workload calibration + machine configuration +
-// instruction budget, see internal/digest). Identical concurrent
-// requests coalesce onto one engine execution; completed results enter
-// a size-bounded LRU cache; the worker pool bounds concurrent
+// instruction budget, see internal/digest). One digest-keyed result
+// table holds both running and finished runs: a request for a digest
+// that is running joins that execution, one for a finished digest is
+// served from the table's size-bounded LRU, and only an absent digest
+// executes. The worker pool bounds concurrent
 // simulations to the configured width (default GOMAXPROCS) so a burst
 // of requests queues instead of thrashing the scheduler. Requests honor
 // client disconnects and per-request deadlines through context
@@ -116,8 +118,7 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
-	cache   *lruCache
-	flights *flightGroup
+	results *resultTable
 	slots   chan struct{}
 
 	start  time.Time
@@ -191,17 +192,14 @@ func New(cfg Config) *Server {
 		runner:  cfg.Runner,
 		baseCtx: ctx,
 		stop:    cancel,
-		flights: newFlightGroup(ctx),
 		slots:   make(chan struct{}, cfg.Workers),
 		start:   time.Now(),
 		Metrics: obs.NewRegistry(),
 		board:   obs.NewBoard(),
 		slow:    obs.NewSlowRing(cfg.SlowRequests), // nil when SlowRequests < 0
 	}
-	if cfg.CacheEntries > 0 {
-		s.cache = newLRUCache(cfg.CacheEntries)
-	}
 	s.registerMetrics()
+	s.results = newResultTable(ctx, max(cfg.CacheEntries, 0), s.mCacheEvicted, s.mCacheEntries)
 	return s
 }
 
@@ -271,13 +269,6 @@ func (s *Server) registerMetrics() {
 			s.cfg.SlowRequests, s.cfg.MaxInsts, s.cfg.DefaultTimeout.Milliseconds()}))
 	m.OnScrape(func() {
 		s.mUptime.Set(int64(time.Since(s.start).Seconds()))
-		if s.cache != nil {
-			s.mCacheEntries.Set(int64(s.cache.len()))
-			// Evictions live in the cache; mirror them into the counter.
-			if d := s.cache.evicted() - s.mCacheEvicted.Value(); d > 0 {
-				s.mCacheEvicted.Add(d)
-			}
-		}
 		if hits, misses := s.mCacheHits.Value(), s.mCacheMisses.Value(); hits+misses > 0 {
 			s.mHitRatio.Set(float64(hits) / float64(hits+misses))
 		}
@@ -340,40 +331,20 @@ func (p *ConfigPatch) apply(cfg uarch.Config) (uarch.Config, error) {
 	if p == nil {
 		return cfg, nil
 	}
+	var err error
 	if p.Model != nil {
-		switch strings.ToLower(*p.Model) {
-		case "pc", "tso":
-			cfg.Model = consistency.PC
-		case "wc", "powerpc":
-			cfg.Model = consistency.WC
-		default:
-			return cfg, fmt.Errorf("unknown model %q (want pc or wc)", *p.Model)
+		if cfg.Model, err = consistency.ParseModel(*p.Model); err != nil {
+			return cfg, err
 		}
 	}
 	if p.StorePrefetch != nil {
-		switch *p.StorePrefetch {
-		case 0:
-			cfg.StorePrefetch = uarch.Sp0
-		case 1:
-			cfg.StorePrefetch = uarch.Sp1
-		case 2:
-			cfg.StorePrefetch = uarch.Sp2
-		default:
-			return cfg, fmt.Errorf("unknown store_prefetch %d (want 0..2)", *p.StorePrefetch)
+		if cfg.StorePrefetch, err = uarch.ParsePrefetchMode(*p.StorePrefetch); err != nil {
+			return cfg, err
 		}
 	}
 	if p.HWS != nil {
-		switch *p.HWS {
-		case -1:
-			cfg.HWS = uarch.NoHWS
-		case 0:
-			cfg.HWS = uarch.HWS0
-		case 1:
-			cfg.HWS = uarch.HWS1
-		case 2:
-			cfg.HWS = uarch.HWS2
-		default:
-			return cfg, fmt.Errorf("unknown hws %d (want -1..2)", *p.HWS)
+		if cfg.HWS, err = uarch.ParseHWSMode(*p.HWS); err != nil {
+			return cfg, err
 		}
 	}
 	if p.StoreBuffer != nil {
@@ -428,8 +399,9 @@ type RunRequest struct {
 	// clients keep working; any other value is rejected, because
 	// intra-run fan-out was removed. It does not enter the digest.
 	Parallel int `json:"parallel,omitempty"`
-	// NoCache bypasses the result cache AND coalescing: the request
-	// always executes a fresh simulation (benchmark cold path).
+	// NoCache bypasses the result table, so both its cache and
+	// coalescing: the request always executes a fresh simulation
+	// (benchmark cold path).
 	NoCache bool `json:"nocache,omitempty"`
 	// TimeoutMS bounds this request (0 = server default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -584,7 +556,7 @@ func (s *Server) execute(ctx context.Context, spec sim.Spec) (*RunResult, error)
 }
 
 // servePoint is the full pipeline for one point:
-// cache -> coalesce -> pool -> engine.
+// digest -> result table -> pool -> engine.
 func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, error) {
 	start := time.Now()
 	rt, parent := obs.SpanFrom(ctx)
@@ -615,38 +587,38 @@ func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, e
 		return resp, nil
 	}
 
-	if s.cache != nil {
-		sp = rt.StartSpan(obs.StageCacheProbe, parent)
-		res, ok := s.cache.get(key)
-		if ok {
-			rt.EndSpan(sp, 1)
-			s.mCacheHits.Inc()
-			rs.hits.Add(1)
-			resp.Cached = true
-			resp.Result = *res
-			resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-			return resp, nil
-		}
-		rt.EndSpan(sp, 0)
-		s.mCacheMisses.Inc()
+	sp = rt.StartSpan(obs.StageCacheProbe, parent)
+	e, state := s.results.claim(key)
+	if state == entryReady {
+		rt.EndSpan(sp, 1)
+		s.mCacheHits.Inc()
+		rs.hits.Add(1)
+		resp.Cached = true
+		resp.Result = *e.res
+		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+		return resp, nil
 	}
+	rt.EndSpan(sp, 0)
+	s.mCacheMisses.Inc()
 
-	res, shared, err := s.flights.do(ctx, key, func(execCtx context.Context) (*RunResult, error) {
+	shared := state == entryRunning
+	sp = obs.NoSpan
+	if shared {
+		// A follower's whole pipeline is this wait: the execution's
+		// spans belong to the leader's trace, so the follower records
+		// only how long it was parked on someone else's simulation.
+		sp = rt.StartSpan(obs.StageCoalesceWait, parent)
+	} else {
 		// The leader executes on a context derived from the server's
-		// lifetime, not its own request — re-attach the leader's span
-		// context so the execution's pool-wait/simulate spans land
-		// on the leader's trace. Followers only record a coalesce-wait
-		// span (see flightGroup.do): the work was never theirs.
-		execCtx = obs.WithSpan(execCtx, rt, parent)
-		r, err := s.execute(execCtx, spec)
-		if err != nil {
-			return nil, err
-		}
-		if s.cache != nil {
-			s.cache.add(key, r)
-		}
-		return r, nil
-	})
+		// lifetime, not its own request; re-attaching the leader's span
+		// context puts the pool_wait/simulate spans on its trace.
+		go func(execCtx context.Context) {
+			res, err := s.execute(obs.WithSpan(execCtx, rt, parent), spec)
+			s.results.finish(e, res, err)
+		}(e.ctx)
+	}
+	res, err := s.results.wait(ctx, e)
+	rt.EndSpan(sp, 0)
 	if err != nil {
 		return RunResponse{}, err
 	}
@@ -1030,16 +1002,12 @@ type healthBody struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	entries := 0
-	if s.cache != nil {
-		entries = s.cache.len()
-	}
 	writeJSON(w, http.StatusOK, healthBody{
 		Status:       "ok",
 		UptimeS:      time.Since(s.start).Seconds(),
 		Workers:      s.cfg.Workers,
 		Inflight:     s.mInflight.Value(),
 		QueueDepth:   s.mQueueDepth.Value(),
-		CacheEntries: entries,
+		CacheEntries: int(s.mCacheEntries.Value()),
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -140,6 +141,40 @@ func TestCoalescingExactlyOneExecution(t *testing.T) {
 	}
 	if coalesced+cached != n-1 {
 		t.Errorf("coalesced %d + cached %d != %d", coalesced, cached, n-1)
+	}
+}
+
+// TestOneExecutionPerDigest: while results are retained, a digest
+// executes once however its concurrent identical requests interleave.
+// A request that misses a finished result must find the run, running
+// or ready, rather than execute it a second time.
+func TestOneExecutionPerDigest(t *testing.T) {
+	var execs atomic.Int64
+	s := New(Config{Workers: 8, SlowRequests: -1, Runner: countingRunner(&execs, 0), Logger: quietLogger()})
+	defer s.Close()
+
+	const digests, copies = 1000, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, digests*copies)
+	for i := 0; i < digests; i++ {
+		req := RunRequest{Workload: "database", Insts: int64(1000 + i), Warm: 100}
+		for j := 0; j < copies; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.servePoint(context.Background(), req); err != nil {
+					errs <- err
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := execs.Load(); got != digests {
+		t.Errorf("%d digests x %d concurrent requests executed %d times, want %d", digests, copies, got, digests)
 	}
 }
 
@@ -575,34 +610,57 @@ func TestRunsViewLive(t *testing.T) {
 	}
 }
 
+// TestLRUCacheEviction: the result table retains at most max ready
+// entries, evicting the least recently used, and records evictions and
+// its size as they happen.
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	r := func(n int64) *RunResult { return &RunResult{Insts: n} }
-	c.add("a", r(1))
-	c.add("b", r(2))
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
+	reg := obs.NewRegistry()
+	evicted, size := reg.Counter("evicted", ""), reg.Gauge("size", "")
+	tb := newResultTable(context.Background(), 2, evicted, size)
+	put := func(key string, n int64) {
+		t.Helper()
+		e, st := tb.claim(key)
+		if st != entryClaimed {
+			t.Fatalf("claim(%s) = %d, want a new entry", key, st)
+		}
+		tb.finish(e, &RunResult{Insts: n}, nil)
 	}
-	c.add("c", r(3)) // evicts b
-	if _, ok := c.get("b"); ok {
+	ready := func(key string) bool {
+		tb.mu.Lock()
+		defer tb.mu.Unlock()
+		e, ok := tb.entries[key]
+		return ok && e.elem != nil
+	}
+	put("a", 1)
+	put("b", 2)
+	if e, st := tb.claim("a"); st != entryReady || e.res.Insts != 1 { // refresh a; b becomes LRU
+		t.Fatalf("a: state %d", st)
+	}
+	put("c", 3) // evicts b
+	if ready("b") {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if !ready("a") {
 		t.Error("a should survive (recently used)")
 	}
-	if _, ok := c.get("c"); !ok {
+	if !ready("c") {
 		t.Error("c missing")
 	}
-	if c.len() != 2 || c.evicted() != 1 {
-		t.Errorf("len=%d evicted=%d", c.len(), c.evicted())
+	if size.Value() != 2 || evicted.Value() != 1 {
+		t.Errorf("size=%d evicted=%d", size.Value(), evicted.Value())
 	}
-	// Re-adding an existing key must refresh, not grow.
-	c.add("a", r(9))
-	if got, _ := c.get("a"); got.Insts != 9 {
-		t.Errorf("refresh lost: %+v", got)
+
+	// A failed run is not retained, so the next claim leads again.
+	e, _ := tb.claim("d")
+	tb.finish(e, nil, errors.New("boom"))
+	if _, err := tb.wait(context.Background(), e); err == nil {
+		t.Error("wait on a failed run returned no error")
 	}
-	if c.len() != 2 {
-		t.Errorf("len=%d after refresh", c.len())
+	if _, st := tb.claim("d"); st != entryClaimed {
+		t.Errorf("claim after a failed run = %d, want a new entry", st)
+	}
+	if size.Value() != 2 || evicted.Value() != 1 {
+		t.Errorf("after a failure: size=%d evicted=%d", size.Value(), evicted.Value())
 	}
 }
 

@@ -42,6 +42,15 @@ func (m PrefetchMode) String() string {
 // Valid reports whether m is a defined mode.
 func (m PrefetchMode) Valid() bool { return m <= Sp2 }
 
+// ParsePrefetchMode maps a mode number (0, 1 or 2, as in Sp0..Sp2) to
+// its PrefetchMode.
+func ParsePrefetchMode(n int) (PrefetchMode, error) {
+	if n < 0 || n > int(Sp2) {
+		return Sp0, fmt.Errorf("unknown store prefetch mode %d (want 0..2)", n)
+	}
+	return PrefetchMode(n), nil
+}
+
 // HWSMode selects the Hardware Scouting configuration (§5.4).
 type HWSMode uint8
 
@@ -74,6 +83,15 @@ func (m HWSMode) String() string {
 
 // Valid reports whether m is a defined mode.
 func (m HWSMode) Valid() bool { return m <= HWS2 }
+
+// ParseHWSMode maps a scout mode number (0, 1 or 2, as in HWS0..HWS2;
+// -1 for off) to its HWSMode.
+func ParseHWSMode(n int) (HWSMode, error) {
+	if n < -1 || n > int(HWS2-HWS0) {
+		return NoHWS, fmt.Errorf("unknown hws mode %d (want -1..2)", n)
+	}
+	return HWSMode(n + 1), nil
+}
 
 // PrefetchesStores reports whether scout mode issues prefetches for
 // missing stores.

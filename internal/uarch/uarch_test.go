@@ -126,6 +126,29 @@ func TestHWSModes(t *testing.T) {
 	}
 }
 
+func TestParseModes(t *testing.T) {
+	for n, want := range []PrefetchMode{Sp0, Sp1, Sp2} {
+		if got, err := ParsePrefetchMode(n); got != want || err != nil {
+			t.Errorf("ParsePrefetchMode(%d) = %v, %v; want %v", n, got, err, want)
+		}
+	}
+	for n, want := range []HWSMode{NoHWS, HWS0, HWS1, HWS2} {
+		if got, err := ParseHWSMode(n - 1); got != want || err != nil {
+			t.Errorf("ParseHWSMode(%d) = %v, %v; want %v", n-1, got, err, want)
+		}
+	}
+	for _, n := range []int{-1, 3} {
+		if _, err := ParsePrefetchMode(n); err == nil {
+			t.Errorf("ParsePrefetchMode(%d) accepted", n)
+		}
+	}
+	for _, n := range []int{-2, 3} {
+		if _, err := ParseHWSMode(n); err == nil {
+			t.Errorf("ParseHWSMode(%d) accepted", n)
+		}
+	}
+}
+
 func TestEffectiveScoutReach(t *testing.T) {
 	c := Default() // 500 / 1.1 = 454
 	if got := c.EffectiveScoutReach(); got != 454 {
