@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		nodes        = fs.Int("nodes", 2, "multiprocessor nodes (coherence traffic)")
 		penalty      = fs.Int("penalty", 500, "off-chip miss penalty in cycles")
 		perfect      = fs.Bool("perfect", false, "stores never stall (perfect-stores baseline)")
-		bpred        = fs.Bool("bpred", false, "model the gshare+BTB front end instead of calibrated mispredict flags")
 		cycle        = fs.Bool("cycle", false, "also run the cycle-level validator and report overlap/overall CPI")
 		progress     = fs.Bool("progress", false, "live one-line progress ticker on stderr (insts, insts/s, running MLP)")
 		verbose      = fs.Bool("v", false, "print the full statistics dump")
@@ -114,7 +113,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Nodes = *nodes
 	cfg.MissPenalty = *penalty
 	cfg.PerfectStores = *perfect
-	cfg.ModelBranchPredictor = *bpred
 	var err error
 	if cfg.Model, err = consistency.ParseModel(*model); err != nil {
 		return err

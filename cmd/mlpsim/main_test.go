@@ -127,17 +127,6 @@ func TestRunCycleValidator(t *testing.T) {
 	}
 }
 
-func TestRunModelledPredictor(t *testing.T) {
-	var out strings.Builder
-	err := run(context.Background(), []string{"-workload", "specjbb", "-insts", "60000", "-warm", "30000", "-bpred"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "EPI") {
-		t.Errorf("output: %s", out.String())
-	}
-}
-
 func TestRunProgressTicker(t *testing.T) {
 	// -progress routes a live ticker to stderr; substitute a buffer and
 	// check the run still succeeds and the ticker line appeared. The

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 
-	"storemlp/internal/branch"
 	"storemlp/internal/cache"
 	"storemlp/internal/coherence"
 	"storemlp/internal/consistency"
@@ -59,7 +58,6 @@ type Engine struct {
 	hier *cache.Hierarchy
 	sm   *smac.SMAC
 	traf *coherence.Traffic
-	bp   *branch.Predictor // optional modelled front end
 
 	// Optional co-scheduled core sharing the L2 (pure cache pressure).
 	// Its stream is pulled through bgBuf a block at a time;
@@ -193,8 +191,8 @@ func New(cfg uarch.Config, opts ...Option) (*Engine, error) {
 // cfg, reusing existing allocations whose geometry still fits: the
 // structure rings and occupancy queues, the epoch-record window, the
 // batch buffer, and — when the relevant parameters are unchanged — the
-// cache hierarchy, SMAC and branch predictor. A reconfigured engine is
-// observationally identical to New(cfg, opts...); the serving layer
+// cache hierarchy and SMAC. A reconfigured engine is observationally
+// identical to New(cfg, opts...); the serving layer
 // relies on this to recycle engines across requests instead of
 // rebuilding the multi-megabyte substrate per simulation. It is safe
 // to call after an abandoned (cancelled) run: all mid-run state is
@@ -254,15 +252,6 @@ func (e *Engine) Reconfigure(cfg uarch.Config, opts ...Option) error {
 	e.rt, e.rtParent = nil, obs.NoSpan
 	e.stats = Stats{}
 
-	if cfg.ModelBranchPredictor {
-		if e.bp != nil && e.cfg.BranchConfig() == cfg.BranchConfig() {
-			e.bp.Reset()
-		} else {
-			e.bp = branch.New(cfg.BranchConfig())
-		}
-	} else {
-		e.bp = nil
-	}
 	if cfg.SMACEntries > 0 {
 		if e.sm != nil && e.cfg.SMACParams() == cfg.SMACParams() {
 			e.sm.Reset()
@@ -772,13 +761,7 @@ func (e *Engine) step(in isa.Inst) {
 		comp = r
 
 	case in.Op == isa.OpBranch:
-		mispredicted := in.Flags.Has(isa.FlagMispredict)
-		if e.bp != nil {
-			// Synthetic branches have no real targets; fall-through+64
-			// stands in so the BTB has something to learn.
-			mispredicted = e.bp.Update(in.PC, in.Flags.Has(isa.FlagTaken), in.PC+64)
-		}
-		if mispredicted && x > e.fetchAvail {
+		if in.Flags.Has(isa.FlagMispredict) && x > e.fetchAvail {
 			// Unresolvable misprediction: fetch stalls until the branch's
 			// (miss-fed) source resolves.
 			e.setTermRange(e.fetchAvail, x, TermMispredBranch)

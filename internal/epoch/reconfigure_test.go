@@ -52,9 +52,11 @@ func TestReconfigureMatchesNew(t *testing.T) {
 	wc.Model = consistency.WC
 	smacCfg := exCfg()
 	smacCfg.SMACEntries = 8 << 10
-	big := uarch.Default()
-	big.ModelBranchPredictor = true
-	cfgs := []uarch.Config{exCfg(), wc, smacCfg, big, exCfg()}
+	// A different cache geometry forces Reconfigure to rebuild the
+	// hierarchy, and the last config rebuilds it back.
+	smallL2 := uarch.Default()
+	smallL2.Hierarchy.L2.SizeBytes = 1 << 20
+	cfgs := []uarch.Config{exCfg(), wc, smacCfg, smallL2, exCfg()}
 
 	recycled := new(Engine)
 	for i, cfg := range cfgs {

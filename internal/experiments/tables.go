@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"storemlp/internal/cache"
-	"storemlp/internal/isa"
 	"storemlp/internal/onchip"
 	"storemlp/internal/sim"
-	"storemlp/internal/trace"
 	"storemlp/internal/uarch"
-	"storemlp/internal/workload"
 )
 
 // Table1Row reproduces one column of the paper's Table 1: store
@@ -22,55 +18,23 @@ type Table1Row struct {
 }
 
 // Table1 replays each workload through the default cache hierarchy and
-// reports the Table 1 statistics.
+// reports the Table 1 statistics. It shares Table 3's replay.
 func Table1(c Config) ([]Table1Row, error) {
 	c = c.norm()
 	rows := make([]Table1Row, len(c.Workloads))
 	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
 		w := c.Workloads[i]
-		if err := w.Validate(); err != nil {
+		in, err := onchip.Measure(w, c.Warm, c.Insts)
+		if err != nil {
 			return err
 		}
-		h := cache.NewHierarchy(cache.DefaultConfig())
-		g := workload.NewGenerator(w)
-		buf := make([]isa.Inst, 4096)
-		replay := func(n int64) (stats cache.HierarchyStats, insts, stores int64) {
-			src := trace.Limit(g, n)
-			base := h.Stats
-			for {
-				k := trace.Fill(src, buf)
-				if k == 0 {
-					break
-				}
-				for _, in := range buf[:k] {
-					h.Fetch(in.PC)
-					shared := in.Flags.Has(isa.FlagShared)
-					if in.Op.IsLoad() {
-						h.Load(in.Addr, shared)
-					}
-					if in.Op.IsStore() {
-						h.Store(in.Addr, shared)
-						stores++
-					}
-				}
-				insts += int64(k)
-			}
-			s := h.Stats
-			return cache.HierarchyStats{
-				StoreOffChip: s.StoreOffChip - base.StoreOffChip,
-				LoadOffChip:  s.LoadOffChip - base.LoadOffChip,
-				FetchOffChip: s.FetchOffChip - base.FetchOffChip,
-			}, insts, stores
-		}
-		replay(c.Warm)
-		d, insts, stores := replay(c.Insts)
-		per100 := func(n int64) float64 { return 100 * float64(n) / float64(insts) }
+		per100 := func(n int64) float64 { return 100 * float64(n) / float64(in.Insts) }
 		rows[i] = Table1Row{
 			Workload:  w.Name,
-			StoreFreq: per100(stores),
-			StoreMiss: per100(d.StoreOffChip),
-			LoadMiss:  per100(d.LoadOffChip),
-			InstMiss:  per100(d.FetchOffChip),
+			StoreFreq: per100(in.Stores),
+			StoreMiss: per100(in.StoreOffChip),
+			LoadMiss:  per100(in.LoadOffChip),
+			InstMiss:  per100(in.FetchOffChip),
 		}
 		return nil
 	})

@@ -118,8 +118,9 @@ const (
 	// mispredicts. A mispredicted branch dependent on a missing load is a
 	// window termination condition.
 	FlagMispredict
-	// FlagTaken records a branch's actual direction, consumed by the
-	// optional gshare front-end model instead of FlagMispredict.
+	// FlagTaken records a branch's generated direction. Nothing reads
+	// it; it stays because the generated stream (and the trace bytes
+	// pinned by sha256) carries it.
 	FlagTaken
 )
 

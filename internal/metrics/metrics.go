@@ -54,16 +54,3 @@ func (t *Table) String() string {
 	w.Flush()
 	return b.String()
 }
-
-// Bar renders a crude horizontal bar of width proportional to v/max
-// (capped at 40 chars), for quick visual comparison in terminal output.
-func Bar(v, max float64) string {
-	if max <= 0 || v <= 0 {
-		return ""
-	}
-	n := int(v / max * 40)
-	if n > 40 {
-		n = 40
-	}
-	return strings.Repeat("#", n)
-}

@@ -26,15 +26,3 @@ func TestTableRendering(t *testing.T) {
 		t.Error("untitled table should have no title banner")
 	}
 }
-
-func TestBar(t *testing.T) {
-	if Bar(0, 10) != "" || Bar(5, 0) != "" {
-		t.Error("degenerate bars should be empty")
-	}
-	if got := Bar(5, 10); len(got) != 20 {
-		t.Errorf("half bar length = %d, want 20", len(got))
-	}
-	if got := Bar(100, 10); len(got) != 40 {
-		t.Errorf("overflow bar length = %d, want capped 40", len(got))
-	}
-}

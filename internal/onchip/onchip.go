@@ -42,13 +42,19 @@ func DefaultModel() Model {
 	}
 }
 
-// Inputs are the per-run counts the model consumes.
+// Inputs are the per-run counts one replay collects. CPI consumes the
+// first group; Table 1 reads the store and off-chip counts.
 type Inputs struct {
 	Insts       int64
 	L1DLoadMiss int64 // loads that missed the L1D but hit on-chip
 	L1IMiss     int64 // fetches that missed the L1I but hit on-chip
 	Mispredicts int64
 	BaseCPI     float64
+
+	Stores       int64
+	StoreOffChip int64 // store misses and S->M upgrades
+	LoadOffChip  int64
+	FetchOffChip int64
 }
 
 // CPI evaluates the on-chip CPI.
@@ -70,9 +76,9 @@ func OverallCPI(cpiOnChip, overlap, epochsPerInst float64, missPenalty int) floa
 	return cpiOnChip*(1-overlap) + epochsPerInst*float64(missPenalty)
 }
 
-// Measure replays n instructions of the workload through a fresh cache
-// hierarchy (after warm instructions of warmup) and collects the model
-// inputs.
+// Measure replays n instructions of the workload through a fresh
+// default cache hierarchy (after warm instructions of warmup) and
+// collects the model inputs and the Table 1 counts.
 func Measure(p workload.Params, warm, n int64) (Inputs, error) {
 	if err := p.Validate(); err != nil {
 		return Inputs{}, err
@@ -116,7 +122,12 @@ func Measure(p workload.Params, warm, n int64) (Inputs, error) {
 		}
 	}
 	run(warm, false)
+	base := h.Stats
 	run(n, true)
 	in.BaseCPI = p.OnChipBaseCPI
+	in.Stores = h.Stats.Stores - base.Stores
+	in.StoreOffChip = h.Stats.StoreOffChip - base.StoreOffChip
+	in.LoadOffChip = h.Stats.LoadOffChip - base.LoadOffChip
+	in.FetchOffChip = h.Stats.FetchOffChip - base.FetchOffChip
 	return in, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"storemlp/internal/trace"
 	"storemlp/internal/workload"
 )
 
@@ -78,17 +79,34 @@ func TestTable3Values(t *testing.T) {
 }
 
 func TestMeasureCollectsComponents(t *testing.T) {
-	in, err := Measure(workload.SPECweb(2), 100_000, 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Insts != 200_000 {
-		t.Errorf("Insts = %d", in.Insts)
-	}
-	if in.L1DLoadMiss == 0 || in.L1IMiss == 0 || in.Mispredicts == 0 {
-		t.Errorf("components missing: %+v", in)
-	}
-	if in.BaseCPI != workload.SPECweb(2).OnChipBaseCPI {
-		t.Errorf("BaseCPI = %v", in.BaseCPI)
+	const warm, n = 100_000, 200_000
+	for _, p := range []workload.Params{workload.SPECweb(2), workload.Database(2)} {
+		in, err := Measure(p, warm, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Insts != n {
+			t.Errorf("%s: Insts = %d", p.Name, in.Insts)
+		}
+		if in.L1DLoadMiss == 0 || in.L1IMiss == 0 || in.Mispredicts == 0 {
+			t.Errorf("%s: components missing: %+v", p.Name, in)
+		}
+		if in.BaseCPI != p.OnChipBaseCPI {
+			t.Errorf("%s: BaseCPI = %v", p.Name, in.BaseCPI)
+		}
+
+		// The Table 1 counts describe the same measured stream.
+		g := workload.NewGenerator(p)
+		trace.Gather(trace.Limit(g, warm))
+		st := trace.Gather(trace.Limit(g, n))
+		if in.Stores != st.Stores() {
+			t.Errorf("%s: Stores = %d, stream has %d", p.Name, in.Stores, st.Stores())
+		}
+		if in.StoreOffChip > in.Stores || in.LoadOffChip > st.Loads() || in.FetchOffChip > in.Insts {
+			t.Errorf("%s: off-chip count exceeds its accesses: %+v (loads %d)", p.Name, in, st.Loads())
+		}
+		if p.Name == "database" && (in.StoreOffChip == 0 || in.LoadOffChip == 0 || in.FetchOffChip == 0) {
+			t.Errorf("%s: off-chip counts missing: %+v", p.Name, in)
+		}
 	}
 }

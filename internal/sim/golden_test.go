@@ -20,8 +20,8 @@ import (
 // reduced Figure-2 grid plus configurations covering every accounting
 // path: both consistency models, SLE/TM lock rewriting, all store
 // prefetch modes, the SMAC, Hardware Scout, prefetch-past-serializing,
-// coherence traffic, the shared core, the modelled branch predictor,
-// unbounded store queues and disabled coalescing.
+// coherence traffic, the shared core, unbounded store queues and
+// disabled coalescing.
 //
 // Regenerate (only when an intentional model change lands) with:
 //
@@ -99,7 +99,7 @@ func goldenSpecs() []struct {
 			add(fmt.Sprintf("%s/hws%d", w.Name, hws), w, cfg, nil)
 		}
 
-		// SMAC, 4-node coherence traffic, shared core, branch predictor.
+		// SMAC, 4-node coherence traffic, shared core.
 		cfg = uarch.Default()
 		cfg.SMACEntries = 4 << 10
 		add(w.Name+"/smac4k", w, cfg, nil)
@@ -108,9 +108,6 @@ func goldenSpecs() []struct {
 		add(w.Name+"/nodes4", w, cfg, nil)
 		cfg = uarch.Default()
 		add(w.Name+"/sharedcore", w, cfg, func(s *Spec) { s.SharedCore = true })
-		cfg = uarch.Default()
-		cfg.ModelBranchPredictor = true
-		add(w.Name+"/bp", w, cfg, nil)
 
 		// Structural extremes: unbounded store queue, no coalescing.
 		cfg = uarch.Default()

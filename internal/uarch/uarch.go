@@ -6,7 +6,6 @@ package uarch
 import (
 	"fmt"
 
-	"storemlp/internal/branch"
 	"storemlp/internal/cache"
 	"storemlp/internal/consistency"
 	"storemlp/internal/smac"
@@ -133,20 +132,10 @@ type Config struct {
 	SMACSuperLineBytes int
 	SMACSubBlockBytes  int
 
-	// Latencies (cycles).
+	// Off-chip latency (cycles). The L1/L2 hit latencies matter only to
+	// Table 3's on-chip CPI and live in onchip.DefaultModel.
 	MissPenalty int     // off-chip access latency (500)
-	L1Latency   int     // 4
-	L2Latency   int     // 15
 	CPIOnChip   float64 // used to convert the miss penalty to instructions
-
-	// ModelBranchPredictor replaces the workload generator's calibrated
-	// misprediction flags with a modelled gshare + BTB front end
-	// (§4.3: 64K gshare, 16K BTB, 16-entry RAS) driven by the generated
-	// branch outcomes.
-	ModelBranchPredictor bool
-	// BranchPredictor sizes the modelled front end; zero fields take the
-	// paper's defaults.
-	BranchPredictor branch.Config
 
 	// Multiprocessor scale for coherence traffic (2-way in the paper).
 	Nodes int
@@ -178,8 +167,6 @@ func Default() Config {
 		CoalesceBytes: 8,
 		Model:         consistency.PC,
 		MissPenalty:   500,
-		L1Latency:     4,
-		L2Latency:     15,
 		CPIOnChip:     1.1,
 		Nodes:         2,
 		Hierarchy:     cache.DefaultConfig(),
@@ -200,23 +187,6 @@ func (c Config) SMACParams() smac.Params {
 		p.SubBlockBytes = c.SMACSubBlockBytes
 	}
 	return p
-}
-
-// BranchConfig resolves the branch predictor geometry, applying the
-// paper defaults for unset knobs.
-func (c Config) BranchConfig() branch.Config {
-	b := c.BranchPredictor
-	d := branch.DefaultConfig()
-	if b.GshareEntries == 0 {
-		b.GshareEntries = d.GshareEntries
-	}
-	if b.BTBEntries == 0 {
-		b.BTBEntries = d.BTBEntries
-	}
-	if b.RASEntries == 0 {
-		b.RASEntries = d.RASEntries
-	}
-	return b
 }
 
 // EffectiveScoutReach resolves ScoutReach, defaulting to the number of
@@ -270,9 +240,6 @@ func (c Config) Validate() error {
 	if c.ScoutReach < 0 {
 		return fmt.Errorf("uarch: negative scout reach %d", c.ScoutReach)
 	}
-	if c.L1Latency < 0 || c.L2Latency < 0 {
-		return fmt.Errorf("uarch: negative cache latency (L1 %d, L2 %d)", c.L1Latency, c.L2Latency)
-	}
 	if c.CPIOnChip < 0 {
 		return fmt.Errorf("uarch: negative on-chip CPI %v", c.CPIOnChip)
 	}
@@ -287,11 +254,6 @@ func (c Config) Validate() error {
 	}
 	if c.SMACEntries > 0 {
 		if err := c.SMACParams().Validate(); err != nil {
-			return err
-		}
-	}
-	if c.ModelBranchPredictor {
-		if err := c.BranchConfig().Validate(); err != nil {
 			return err
 		}
 	}

@@ -61,8 +61,6 @@ func TestValidateRejectsNegativeKnobs(t *testing.T) {
 		want string
 	}{
 		{"negative scout reach", func(c *Config) { c.ScoutReach = -1 }, "scout reach"},
-		{"negative L1 latency", func(c *Config) { c.L1Latency = -1 }, "cache latency"},
-		{"negative L2 latency", func(c *Config) { c.L2Latency = -4 }, "cache latency"},
 		{"negative on-chip CPI", func(c *Config) { c.CPIOnChip = -0.5 }, "on-chip CPI"},
 		{"negative warmup", func(c *Config) { c.WarmInsts = -1 }, "warmup"},
 	}

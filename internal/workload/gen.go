@@ -62,7 +62,7 @@ type Generator struct {
 	lastMissDst isa.Reg
 	regRR       uint8
 
-	// Branch outcome state (for the optional front-end model).
+	// Branch outcome state (see branchTaken).
 	altBranch bool
 }
 
@@ -160,8 +160,9 @@ func (g *Generator) geometric(mean float64) int {
 }
 
 // branchTaken produces per-branch-PC outcome behaviour: most branches
-// are strongly biased (easily predicted), a slice alternate (learnable
-// by global history), and a few are data-dependent noise.
+// are strongly biased, a slice alternate, and a few are data-dependent
+// noise. The engine takes mispredictions from FlagMispredict and never
+// reads the outcome; the draws stay because the stream is pinned.
 func (g *Generator) branchTaken(pc uint64) bool {
 	switch (pc >> 2) % 8 {
 	case 6:
@@ -232,8 +233,9 @@ func (g *Generator) next() isa.Inst {
 	if g.nextMispred == 0 {
 		g.nextMispred = g.interval(g.p.MispredPer1000)
 		in := isa.Inst{Op: isa.OpBranch, PC: g.nextPC(), Src1: g.lastLoadDst, Flags: isa.FlagMispredict}
-		// A hard-to-predict branch: random direction, so the modelled
-		// gshare mispredicts it about half the time too.
+		// A hard-to-predict branch with a random direction. Nothing
+		// reads the direction; the draw stays because the stream is
+		// pinned (see the ROADMAP's event-gap generator item).
 		if g.rng.Float64() < 0.5 {
 			in.Flags |= isa.FlagTaken
 		}

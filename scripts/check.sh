@@ -20,6 +20,13 @@ GOOS=windows go build ./...
 echo '>> go vet ./...'
 go vet ./...
 
+# perfbench is a nested module, so the root ./... skips it, yet it
+# imports the engine, trace, cache, workload and server packages; build
+# and vet it here so an internal API change fails CI, not only the
+# benchmark run.
+echo '>> (cd perfbench && go build ./... && go vet ./...)'
+(cd perfbench && go build ./... && go vet ./...)
+
 # gofmt covers every Go file in the tree, analyzer fixtures included.
 echo '>> gofmt -l .'
 unformatted=$(gofmt -l .)

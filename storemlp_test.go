@@ -264,7 +264,7 @@ func forEachLeaf(path string, v reflect.Value, fn func(path string, leaf reflect
 
 // TestConfigDigestSensitivity is the cache-correctness keystone: every
 // single scalar field of the RunSpec — workload calibration, machine
-// configuration (including nested cache/branch/SMAC geometry), and the
+// configuration (including nested cache and SMAC geometry), and the
 // run scalars — must change the digest when changed. A field the digest
 // ignores is a field on which the serving cache would silently return a
 // wrong result.
