@@ -51,6 +51,7 @@ var rules = []rule{
 	{"errors", +1, 0},             // any new benchmark error gates
 	{"allocs_per_op", +1, 0.01},   // allocation counts are near-deterministic
 	{"ns_per_op", +1, 0.10},       // includes traced_ns_per_op, replay_ns_per_op
+	{"ns_per_inst", +1, 0.10},     // source.pc_ns_per_inst and the wc, wc_sle streams
 	{"insts_per_sec", -1, 0.10},   // throughput: down is a regression
 	{"throughput_rps", -1, 0.25},  // serving throughput is noisier
 	{"speedup", -1, 0.10},         // speedup_vs_baseline, speedup_vs_serial, speedup

@@ -59,6 +59,11 @@ func TestRuleDirections(t *testing.T) {
 		{"cold.throughput_rps", -1},
 		{"cold.errors", +1},
 		{"engine.tracer_overhead", +1},
+		{"source.pc_ns_per_inst", +1},
+		{"source.wc_ns_per_inst", +1},
+		{"source.wc_sle_ns_per_inst", +1},
+		{"source.wc_sle_allocs_per_op", +1},
+		{"source.insts_per_op", 0},
 		{"engine.insts_per_op", 0}, // workload size, not a measurement
 		{"engine.num_cpu", 0},
 		{"grid_points", 0},

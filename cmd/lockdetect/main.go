@@ -56,18 +56,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("reading %s: %w", *in, err)
 	}
 
-	var src trace.Source = consistency.DetectLocks(reader)
+	model, sle, tm := consistency.PC, false, false
 	switch *rewrite {
 	case "":
 	case "wc":
-		src = consistency.RewriteWC(src)
+		model = consistency.WC
 	case "sle":
-		src = consistency.ElideLocks(src)
+		sle = true
 	case "tm":
-		src = consistency.ApplyTM(src)
+		tm = true
 	default:
 		return fmt.Errorf("unknown rewrite %q (want wc, sle or tm)", *rewrite)
 	}
+	src := consistency.Rewrite(consistency.DetectLocks(reader), model, sle, tm)
 
 	// Count lock structure while streaming.
 	var acquires, releases, total int64

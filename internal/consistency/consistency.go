@@ -16,9 +16,10 @@
 // The paper's traces were collected on TSO binaries; to simulate WC it
 // built "a lock detection tool ... to identify all the lock acquisition
 // and lock release instruction sequences in the traces", then replaced
-// them with the WC idiom. DetectLocks and RewriteWC reproduce that
-// tool, and ElideLocks implements Speculative Lock Elision (lock
-// acquire becomes a plain load, lock release becomes a NOP).
+// them with the WC idiom. DetectLocks and Rewrite reproduce that tool;
+// Rewrite also applies Speculative Lock Elision (lock acquire becomes a
+// plain load, lock release becomes a NOP) or its transactional-memory
+// alternative in the same pass.
 package consistency
 
 import (
@@ -101,152 +102,147 @@ func DetectLocks(src trace.Source) trace.Source {
 	})
 }
 
-// RewriteWC converts a PC (TSO) trace into the equivalent WC (PowerPC)
-// trace, replacing lock idioms exactly as the paper's tool does:
+// Rewrite returns src as the model m runs it, with Speculative Lock
+// Elision (sle) or transactional memory (tm) applied, in one pass. It
+// reproduces the paper's lock rewrite; instructions must already carry
+// lock flags (from the workload generator or DetectLocks).
+//
+// Under WC the TSO lock idioms become the PowerPC ones:
 //
 //	casa (acquire)        -> lwarx ; stwcx ; isync
 //	store (release)       -> lwsync ; store
 //	membar                -> lwsync
 //
-// Instructions must already carry lock flags (from the workload
-// generator or DetectLocks).
-func RewriteWC(src trace.Source) trace.Source {
-	return &wcRewriter{src: src}
-}
-
-// wcRewriter expands one input instruction into at most three outputs.
-// Outputs that do not fit the caller's block are parked in pending and
-// drained first on the next call, so block boundaries never reorder
-// the stream.
-type wcRewriter struct {
-	src     trace.Source
-	pending [3]isa.Inst
-	pHead   int
-	pLen    int
-	scratch []isa.Inst
-}
-
-// rewrite expands in into out and returns the number of instructions
-// produced (1..3).
-func (r *wcRewriter) rewrite(in isa.Inst, out *[3]isa.Inst) int {
-	switch {
-	case in.Op == isa.OpCASA && in.Flags.Has(isa.FlagLockAcquire):
-		ll := in
-		ll.Op = isa.OpLoadLocked
-		sc := in
-		sc.Op = isa.OpStoreCond
-		sc.PC += 4
-		sc.Dst = 0
-		out[0] = ll
-		out[1] = sc
-		out[2] = isa.Inst{Op: isa.OpISync, PC: in.PC + 8, Flags: in.Flags}
-		return 3
-	case in.Op == isa.OpStore && in.Flags.Has(isa.FlagLockRelease):
-		// The barrier carries the release flag too so that SLE can
-		// recognize and elide the whole release idiom.
-		out[0] = isa.Inst{Op: isa.OpLWSync, PC: in.PC, Flags: in.Flags}
-		rel := in
-		rel.PC += 4
-		out[1] = rel
-		return 2
-	case in.Op == isa.OpMembar:
-		in.Op = isa.OpLWSync
-		out[0] = in
-		return 1
-	default:
-		out[0] = in
-		return 1
+// SLE (§3.3.4) assumes, as the paper's experiments do, that every
+// elision succeeds: the serializing acquire becomes a plain load of the
+// lock word and the release (with its lwsync) becomes a NOP, so neither
+// constrains store, load or instruction MLP. TM ([14]) turns critical
+// sections into always-committing transactions: the acquire sequence
+// and the release disappear entirely, and the lock word is never read.
+// SLE and TM apply after the WC rewrite, to a stream of either model.
+// With PC and neither optimization Rewrite returns src itself.
+func Rewrite(src trace.Source, m Model, sle, tm bool) trace.Source {
+	if m == PC && !sle && !tm {
+		return src
 	}
+	return &rewriter{src: src, wc: m == WC, sle: sle, tm: tm}
 }
 
-// ReadBatch implements trace.Source. Input blocks are sized to a
-// third of the remaining room so the worst-case 3x expansion fits; any
-// spill from the final input lands in pending for the next call.
-func (r *wcRewriter) ReadBatch(dst []isa.Inst) int {
-	n := 0
-	for n < len(dst) && r.pHead < r.pLen {
-		dst[n] = r.pending[r.pHead]
-		r.pHead++
-		n++
-	}
-	if r.pHead == r.pLen {
-		r.pHead, r.pLen = 0, 0
+// lockFlags marks the instructions Rewrite may change, besides membar.
+const lockFlags = isa.FlagLockAcquire | isa.FlagLockRelease
+
+// rewriter is Rewrite's source. Input is pulled in blocks no larger
+// than the caller's; instructions with no lock flag that are not a
+// membar, nearly every one, are copied straight through. Input left over
+// when the caller's block fills waits in block for the next call, and
+// the outputs of an expansion that straddles the end of the caller's
+// block wait in pending, so block boundaries never reorder the stream.
+type rewriter struct {
+	src         trace.Source
+	wc, sle, tm bool
+	block       []isa.Inst // the current input block
+	next        int        // first unconsumed instruction of block
+	pending     []isa.Inst // undelivered outputs, in spill
+	spill       [3]isa.Inst
+}
+
+// ReadBatch implements trace.Source.
+func (r *rewriter) ReadBatch(dst []isa.Inst) int {
+	n := copy(dst, r.pending)
+	if r.pending = r.pending[n:]; len(r.pending) > 0 {
+		return n
 	}
 	for n < len(dst) {
-		want := (len(dst) - n) / 3
-		if want < 1 {
-			want = 1
-		}
-		if want > cap(r.scratch) {
-			r.scratch = make([]isa.Inst, want)
-		}
-		k := trace.Fill(r.src, r.scratch[:want])
-		if k == 0 {
-			break
-		}
-		var out [3]isa.Inst
-		for i := 0; i < k; i++ {
-			m := r.rewrite(r.scratch[i], &out)
-			for j := 0; j < m; j++ {
-				if n < len(dst) {
-					dst[n] = out[j]
-					n++
-				} else {
-					r.pending[r.pLen] = out[j]
-					r.pLen++
-				}
+		if r.next == len(r.block) {
+			want := len(dst) - n
+			if cap(r.block) < want {
+				r.block = make([]isa.Inst, want)
 			}
+			k := trace.Fill(r.src, r.block[:want])
+			if k == 0 {
+				break
+			}
+			r.block, r.next = r.block[:k], 0
 		}
+		blk, i := r.block, r.next
+		for i < len(blk) && n < len(dst) {
+			// Copy the run of instructions the rewrite leaves alone in
+			// one move, then rewrite the lock instruction that ends it.
+			run := blk[i:min(len(blk), i+len(dst)-n)]
+			j := 0
+			for j < len(run) && run[j].Flags&lockFlags == 0 && run[j].Op != isa.OpMembar {
+				j++
+			}
+			n += copy(dst[n:], run[:j])
+			if i += j; j == len(run) {
+				break
+			}
+			var out [3]isa.Inst
+			m := r.lock(blk[i], &out)
+			i++
+			k := copy(dst[n:], out[:m])
+			n += k
+			r.pending = r.spill[:copy(r.spill[:], out[k:m])]
+		}
+		r.next = i
 	}
 	return n
 }
 
-// ElideLocks applies Speculative Lock Elision (§3.3.4) to a trace of
-// either model, assuming (as the paper's experiments do) that every
-// elision succeeds: the serializing lock acquire becomes a plain load of
-// the lock word and the releasing store becomes a NOP (is dropped), so
-// neither constrains store, load or instruction MLP.
-func ElideLocks(src trace.Source) trace.Source {
-	return trace.Map(src, func(in isa.Inst) (isa.Inst, bool) {
+// lock rewrites one lock-flagged instruction or membar into out and
+// returns how many instructions it became (0..3): the WC expansion
+// first, then SLE or TM, as the rules compose when applied one after
+// the other.
+func (r *rewriter) lock(in isa.Inst, out *[3]isa.Inst) int {
+	acq := in.Flags.Has(isa.FlagLockAcquire)
+	rel := in.Flags.Has(isa.FlagLockRelease)
+	elide := r.sle || r.tm
+	if r.wc && in.Op == isa.OpMembar {
+		in.Op = isa.OpLWSync
+	}
+	switch {
+	case in.Op == isa.OpCASA && acq:
 		switch {
-		case in.Op == isa.OpCASA && in.Flags.Has(isa.FlagLockAcquire):
+		case r.sle:
+			// casa, or lwarx with its stwcx and isync elided.
 			in.Op = isa.OpLoad
-			return in, true
-		case in.Op == isa.OpLoadLocked && in.Flags.Has(isa.FlagLockAcquire):
-			in.Op = isa.OpLoad
-			return in, true
-		case in.Op == isa.OpStoreCond && in.Flags.Has(isa.FlagLockAcquire):
-			return isa.Inst{}, false
-		case in.Op == isa.OpISync && in.Flags.Has(isa.FlagLockAcquire):
-			return isa.Inst{}, false
-		case in.Flags.Has(isa.FlagLockRelease) && (in.Op == isa.OpStore || in.Op == isa.OpLWSync):
-			return isa.Inst{}, false
-		default:
-			return in, true
+		case r.tm:
+			return 0
+		case r.wc:
+			out[0] = in
+			out[0].Op = isa.OpLoadLocked
+			out[1] = in
+			out[1].Op = isa.OpStoreCond
+			out[1].PC += 4
+			out[1].Dst = 0
+			out[2] = isa.Inst{Op: isa.OpISync, PC: in.PC + 8, Flags: in.Flags}
+			return 3
 		}
-	})
-}
-
-// ApplyTM applies the transactional-memory alternative to SLE (§3.3.4,
-// [14]): critical sections become transactions. Where SLE turns the lock
-// acquire into a plain load of the lock word (the processor still reads
-// it to validate the elision), TM never touches the lock word at all —
-// the acquire sequence and the release disappear entirely, with the
-// hardware tracking the transaction's read/write set instead. As in the
-// paper's SLE experiments, every transaction is assumed to succeed.
-func ApplyTM(src trace.Source) trace.Source {
-	return trace.Map(src, func(in isa.Inst) (isa.Inst, bool) {
+	case in.Op == isa.OpStore && rel:
 		switch {
-		case in.Flags.Has(isa.FlagLockAcquire) &&
-			(in.Op == isa.OpCASA || in.Op == isa.OpLoadLocked ||
-				in.Op == isa.OpStoreCond || in.Op == isa.OpISync):
-			return isa.Inst{}, false
-		case in.Flags.Has(isa.FlagLockRelease) && (in.Op == isa.OpStore || in.Op == isa.OpLWSync):
-			return isa.Inst{}, false
-		default:
-			return in, true
+		case elide:
+			return 0
+		case r.wc:
+			// The barrier carries the release flag too so that SLE
+			// can recognize and elide the whole release idiom.
+			out[0] = isa.Inst{Op: isa.OpLWSync, PC: in.PC, Flags: in.Flags}
+			out[1] = in
+			out[1].PC += 4
+			return 2
 		}
-	})
+	case r.sle && in.Op == isa.OpLoadLocked && acq:
+		in.Op = isa.OpLoad
+	case elide && acq && (in.Op == isa.OpLoadLocked || in.Op == isa.OpStoreCond || in.Op == isa.OpISync):
+		return 0
+	case elide && rel && in.Op == isa.OpLWSync:
+		return 0
+	default:
+		// Everything else passes through: unflagged serializers (an
+		// atomic counter's casa, a PC membar) and flags on instructions
+		// outside the lock idioms.
+	}
+	out[0] = in
+	return 1
 }
 
 // Validate reports an error for undefined model values.

@@ -87,7 +87,7 @@ func TestDetectLocksOverwritesStaleFlags(t *testing.T) {
 func TestRewriteWC(t *testing.T) {
 	pc := trace.Collect(DetectLocks(trace.NewSlice(criticalSection(0x5000))))
 	pc.Reset()
-	got := trace.Collect(RewriteWC(pc))
+	got := trace.Collect(Rewrite(pc, WC, false, false))
 	want := []isa.Op{
 		isa.OpStore,                                    // plain store
 		isa.OpLoadLocked, isa.OpStoreCond, isa.OpISync, // acquire
@@ -118,7 +118,7 @@ func TestRewriteWC(t *testing.T) {
 
 func TestRewriteWCMembar(t *testing.T) {
 	src := trace.NewSlice([]isa.Inst{{Op: isa.OpMembar, PC: 4}})
-	got := trace.Collect(RewriteWC(src))
+	got := trace.Collect(Rewrite(src, WC, false, false))
 	if got.Len() != 1 || got.Insts[0].Op != isa.OpLWSync {
 		t.Errorf("membar rewrite = %v", ops(trace.NewSlice(got.Insts)))
 	}
@@ -127,7 +127,7 @@ func TestRewriteWCMembar(t *testing.T) {
 func TestElideLocksPC(t *testing.T) {
 	pc := trace.Collect(DetectLocks(trace.NewSlice(criticalSection(0x5000))))
 	pc.Reset()
-	got := trace.Collect(ElideLocks(pc))
+	got := trace.Collect(Rewrite(pc, PC, true, false))
 	want := []isa.Op{isa.OpStore, isa.OpLoad, isa.OpLoad, isa.OpStore, isa.OpLoad}
 	if len(got.Insts) != len(want) {
 		t.Fatalf("elided to %d insts, want %d", got.Len(), len(want))
@@ -146,9 +146,7 @@ func TestElideLocksPC(t *testing.T) {
 func TestElideLocksWC(t *testing.T) {
 	pc := trace.Collect(DetectLocks(trace.NewSlice(criticalSection(0x5000))))
 	pc.Reset()
-	wc := trace.Collect(RewriteWC(pc))
-	wc.Reset()
-	got := trace.Collect(ElideLocks(wc))
+	got := trace.Collect(Rewrite(pc, WC, true, false))
 	// lwarx->load, stwcx/isync dropped, lwsync+release dropped.
 	want := []isa.Op{isa.OpStore, isa.OpLoad, isa.OpLoad, isa.OpStore, isa.OpLoad}
 	if len(got.Insts) != len(want) {
@@ -166,7 +164,7 @@ func TestElideLeavesNonLockSerializersAlone(t *testing.T) {
 		{Op: isa.OpMembar},
 		{Op: isa.OpCASA, Addr: 0x10}, // not flagged: e.g. atomic counter
 	})
-	got := trace.Collect(ElideLocks(src))
+	got := trace.Collect(Rewrite(src, PC, true, false))
 	if got.Len() != 2 || got.Insts[0].Op != isa.OpMembar || got.Insts[1].Op != isa.OpCASA {
 		t.Error("unflagged serializers must survive elision")
 	}
@@ -175,7 +173,7 @@ func TestElideLeavesNonLockSerializersAlone(t *testing.T) {
 func TestApplyTMPC(t *testing.T) {
 	pc := trace.Collect(DetectLocks(trace.NewSlice(criticalSection(0x5000))))
 	pc.Reset()
-	got := trace.Collect(ApplyTM(pc))
+	got := trace.Collect(Rewrite(pc, PC, false, true))
 	// TM removes the acquire AND the release entirely — unlike SLE, the
 	// lock word is never even loaded.
 	want := []isa.Op{isa.OpStore, isa.OpLoad, isa.OpStore, isa.OpLoad}
@@ -197,9 +195,7 @@ func TestApplyTMPC(t *testing.T) {
 func TestApplyTMWC(t *testing.T) {
 	pc := trace.Collect(DetectLocks(trace.NewSlice(criticalSection(0x5000))))
 	pc.Reset()
-	wc := trace.Collect(RewriteWC(pc))
-	wc.Reset()
-	got := trace.Collect(ApplyTM(wc))
+	got := trace.Collect(Rewrite(pc, WC, false, true))
 	want := []isa.Op{isa.OpStore, isa.OpLoad, isa.OpStore, isa.OpLoad}
 	if len(got.Insts) != len(want) {
 		t.Fatalf("TM on WC produced %d insts, want %d: %v",
@@ -213,7 +209,7 @@ func TestApplyTMLeavesNonLockAlone(t *testing.T) {
 		{Op: isa.OpCASA, Addr: 0x10},
 		{Op: isa.OpStore, Addr: 0x20, Size: 8},
 	})
-	got := trace.Collect(ApplyTM(src))
+	got := trace.Collect(Rewrite(src, PC, false, true))
 	if got.Len() != 3 {
 		t.Errorf("unflagged instructions must survive TM: %d", got.Len())
 	}

@@ -907,10 +907,30 @@ const maxPointBytes = 1 << 10
 // is cut off before the decoder buffers more than a full sweep's worth.
 const maxBodyBytes = maxSweepPoints * maxPointBytes
 
+// decodeJSON decodes the one JSON value r holds into v, strictly: a
+// field v's type does not define is an error, so a misspelled knob
+// fails the request instead of being ignored, and so is anything but
+// whitespace after the value.
+func decodeJSON(r io.Reader, v interface{}) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+		return err
+	}
+	return nil
+}
+
 // decodeBody decodes r's JSON body into v, reading at most
-// maxBodyBytes: a longer body fails with 413, a malformed one with 400.
+// maxBodyBytes: a longer body fails with 413; a malformed one, one with
+// an unknown field or one with data after its value fails with 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):

@@ -992,6 +992,67 @@ func TestParallelFieldRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldRejected: a request body with a field the request
+// type does not define, at the top level or inside the config patch or
+// a sweep point, is a 400 naming the field, and nothing runs.
+func TestUnknownFieldRejected(t *testing.T) {
+	var execs atomic.Int64
+	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
+
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/run", `{"workload":"database","insts":1000,"isnts":5}`, "isnts"},
+		{"/v1/run", `{"workload":"database","insts":1000,"config":{"modle":"wc"}}`, "modle"},
+		{"/v1/sweep", `{"points":[{"workload":"tpcw","insts":1000,"wram":10}]}`, "wram"},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.field) {
+			t.Errorf("%s %s: status %d (%s), want 400 naming %q", c.path, c.body, resp.StatusCode, body, c.field)
+		}
+	}
+	if n := execs.Load(); n != 0 {
+		t.Errorf("rejected requests executed %d times", n)
+	}
+}
+
+// TestTrailingDataRejected: a body is one JSON value; anything after
+// it but whitespace is a 400, and nothing runs.
+func TestTrailingDataRejected(t *testing.T) {
+	var execs atomic.Int64
+	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
+
+	for _, body := range []string{
+		`{"workload":"database","insts":1000} {"bogus": garbage`,
+		`{"workload":"database","insts":1000}{}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := execs.Load(); n != 0 {
+		t.Errorf("rejected requests executed %d times", n)
+	}
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader("{\"workload\":\"database\",\"insts\":1000}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a body ending in a newline: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
 // TestDefaultParallelIgnored: the deprecated DefaultParallel field is
 // accepted and has no effect — a daemon configured with it serves the
 // same digests as one without.

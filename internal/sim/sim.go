@@ -53,21 +53,13 @@ func (s Spec) Validate() error {
 }
 
 // BuildSource constructs the instruction stream for the spec's memory
-// model: the generator emits a TSO (PC) trace; under WC the lock idioms
-// are rewritten to lwarx/stwcx/isync + lwsync exactly as the paper's
-// lock-detection tool does; under SLE the lock acquires become plain
-// loads and the releases vanish.
+// model: the generator emits a TSO (PC) trace, and consistency.Rewrite
+// turns it into the configured stream in one pass: under WC the lock
+// idioms are rewritten to lwarx/stwcx/isync + lwsync exactly as the
+// paper's lock-detection tool does; under SLE the lock acquires become
+// plain loads and the releases vanish; under TM both vanish.
 func BuildSource(w workload.Params, cfg uarch.Config, total int64) trace.Source {
-	var src trace.Source = workload.NewGenerator(w)
-	if cfg.Model == consistency.WC {
-		src = consistency.RewriteWC(src)
-	}
-	if cfg.SLE {
-		src = consistency.ElideLocks(src)
-	}
-	if cfg.TM {
-		src = consistency.ApplyTM(src)
-	}
+	src := consistency.Rewrite(workload.NewGenerator(w), cfg.Model, cfg.SLE, cfg.TM)
 	return trace.Limit(src, total)
 }
 

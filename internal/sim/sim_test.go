@@ -99,6 +99,39 @@ func TestBuildSourceTransforms(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildSource drains the producer half of a synthetic run
+// (generator plus consistency rewrite, no engine) for the three streams
+// the sweep's points use. One op is a 1.5M-instruction drain: 375k
+// instructions of each of the four workloads, pulled in the
+// 4096-instruction blocks the source-ahead stage uses.
+func BenchmarkBuildSource(b *testing.B) {
+	const perWorkload = 375_000
+	wc := uarch.Default()
+	wc.Model = consistency.WC
+	wcSLE := wc
+	wcSLE.SLE = true
+	for _, c := range []struct {
+		name string
+		cfg  uarch.Config
+	}{{"pc", uarch.Default()}, {"wc", wc}, {"wc+sle", wcSLE}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]isa.Inst, 4096)
+			ws := workload.All(1)
+			b.ReportAllocs()
+			var insts int64
+			for i := 0; i < b.N; i++ {
+				for _, w := range ws {
+					src := BuildSource(w, c.cfg, perWorkload)
+					for k := trace.Fill(src, buf); k != 0; k = trace.Fill(src, buf) {
+						insts += int64(k)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
+	}
+}
+
 // Directional results from the paper, asserted for every workload:
 // store prefetching helps (Sp2 <= Sp1 <= Sp0), perfect stores lower-bound
 // everything, and WC beats PC.

@@ -3,7 +3,8 @@
 #
 #  1. Engine microbenchmarks: BenchmarkEngine + BenchmarkEngineTraced +
 #     BenchmarkEngineReplay + BenchmarkEngineTraceDriven +
-#     BenchmarkTraceDecodeColumnar + BenchmarkTraceEncodeColumnar via
+#     BenchmarkTraceDecodeColumnar + BenchmarkTraceEncodeColumnar, and
+#     internal/sim's BenchmarkBuildSource (pc, wc, wc+sle), via
 #     `go test -bench`, best-of-N, written to
 #     BENCH_engine.json in the repo root. The engine section carries the
 #     delta against the committed pre-optimization baseline, the
@@ -13,7 +14,9 @@
 #     (num_cpu); the trace_codec
 #     section measures the columnar decoder against the removed legacy
 #     decoder's recorded cost, plus trace writing (generator + encoder,
-#     the tracegen path) as encode_* (BENCH_COUNT overrides N, default
+#     the tracegen path) as encode_*; the source section records the
+#     producer half of a synthetic run (generator plus consistency
+#     rewrite) in ns/inst per stream (BENCH_COUNT overrides N, default
 #     3).
 #  2. Serving-layer benchmark: start a local mlpsimd, replay the
 #     repeated Figure-2-style 64-point grid with mlpload, and write the
@@ -44,6 +47,8 @@ echo '>> engine microbenchmarks (best of '"${BENCH_COUNT:-3}"')'
 go test -run '^$' \
     -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
     -benchmem -count "${BENCH_COUNT:-3}" . | tee "$tmpdir/bench.out"
+go test -run '^$' -bench '^BenchmarkBuildSource$' \
+    -benchmem -count "${BENCH_COUNT:-3}" ./internal/sim | tee -a "$tmpdir/bench.out"
 
 NUM_CPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 

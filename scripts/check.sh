@@ -130,13 +130,18 @@ go test -race -short -cpu 1,2,4 \
     -run 'TestSpan|TestDecodeAhead|TestWriteAll|TestPool|TestCoalescing|TestCacheHit|TestAbandoned|TestLRUCache|TestServerClose|TestOneExecutionPerDigest' \
     ./internal/sim/ ./internal/server/ ./internal/trace/ .
 
-echo '>> benchmark smoke (1 iteration) + benchdiff report'
+echo '>> benchmark smoke (10 iterations) + benchdiff report'
+# Ten iterations, not one: the first iteration pays the engine and
+# stage free-list warm-up, so a one-iteration run reports setup
+# allocations that the steady-state baseline never sees.
 go test -run '^$' \
     -bench '^(BenchmarkEngine|BenchmarkEngineTraced|BenchmarkEngineReplay|BenchmarkEngineTraceDriven|BenchmarkTraceDecodeColumnar|BenchmarkTraceEncodeColumnar)$' \
-    -benchtime 1x -benchmem . | tee "$tmpdir/smokebench.out"
-# Shape the 1-iteration numbers with the shared awk and diff them
-# against the committed baseline. Report mode only: single-iteration
-# timings are far too noisy to gate CI, but the report makes a creeping
+    -benchtime 10x -benchmem . | tee "$tmpdir/smokebench.out"
+go test -run '^$' -bench '^BenchmarkBuildSource$' \
+    -benchtime 10x -benchmem ./internal/sim | tee -a "$tmpdir/smokebench.out"
+# Shape the smoke numbers with the shared awk and diff them against
+# the committed baseline. Report mode only: ten-iteration timings are
+# still too noisy to gate CI, but the report makes a creeping
 # regression visible in every log; `make benchdiff` against a real
 # bench.sh run is the gating form (DESIGN.md §17).
 go build -o "$tmpdir/benchdiff" ./cmd/benchdiff

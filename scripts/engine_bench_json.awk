@@ -1,8 +1,9 @@
-# Turns `go test -bench` output for the engine suite into the
-# BENCH_engine.json benchmark record. Shared by scripts/bench.sh
-# (best-of-N numbers committed as the baseline) and scripts/check.sh
-# (1-iteration smoke numbers diffed against the baseline with
-# cmd/benchdiff in report mode).
+# Turns `go test -bench` output for the engine suite (the root
+# package's engine and codec benchmarks plus internal/sim's
+# BenchmarkBuildSource) into the BENCH_engine.json benchmark record.
+# Shared by scripts/bench.sh (best-of-N numbers committed as the
+# baseline) and scripts/check.sh (steady-state smoke numbers diffed
+# against the baseline with cmd/benchdiff in report mode).
 #
 # Inputs (all optional, via awk -v):
 #   eng_base_ns      pre-optimization engine ns/op baseline
@@ -27,8 +28,17 @@ $1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_
 $1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
 $1 ~ /^BenchmarkTraceEncodeColumnar(-[0-9]+)?$/   { if (enc_ns == 0 || $3 < enc_ns) { enc_ns = $3; enc_allocs = $(NF-1) } }
+# BenchmarkBuildSource/{pc,wc,wc+sle}: the producer half of a
+# synthetic run, keyed by stream; ns/inst is a custom metric, so find
+# it by its unit.
+$1 ~ /^BenchmarkBuildSource\/(pc|wc|wc\+sle)(-[0-9]+)?$/ {
+    name = $1; sub(/^BenchmarkBuildSource\//, "", name); sub(/-[0-9]+$/, "", name)
+    for (i = 4; i <= NF; i++) if ($i == "ns/inst") v = $(i-1) + 0
+    if (!(name in src_ns) || v < src_ns[name]) { src_ns[name] = v; src_allocs[name] = $(NF-1) }
+}
 END {
-    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || enc_ns == 0) {
+    if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || enc_ns == 0 ||
+        !("pc" in src_ns) || !("wc" in src_ns) || !("wc+sle" in src_ns)) {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000
@@ -52,6 +62,11 @@ END {
     printf "    \"baseline_ns_per_op\": %d,\n    \"baseline_allocs_per_op\": %d,\n", leg_ns, leg_allocs
     printf "    \"speedup_vs_baseline\": %.3f,\n", leg_ns / col_ns
     printf "    \"encode_ns_per_op\": %d,\n    \"encode_allocs_per_op\": %d,\n", enc_ns, enc_allocs
-    printf "    \"encode_insts_per_sec\": %.0f\n  }\n", cod_insts * 1e9 / enc_ns
+    printf "    \"encode_insts_per_sec\": %.0f\n  },\n", cod_insts * 1e9 / enc_ns
+    printf "  \"source\": {\n"
+    printf "    \"insts_per_op\": %d,\n", 1500000
+    printf "    \"pc_ns_per_inst\": %.2f,\n    \"pc_allocs_per_op\": %d,\n", src_ns["pc"], src_allocs["pc"]
+    printf "    \"wc_ns_per_inst\": %.2f,\n    \"wc_allocs_per_op\": %d,\n", src_ns["wc"], src_allocs["wc"]
+    printf "    \"wc_sle_ns_per_inst\": %.2f,\n    \"wc_sle_allocs_per_op\": %d\n  }\n", src_ns["wc+sle"], src_allocs["wc+sle"]
     printf "}\n"
 }
