@@ -362,6 +362,49 @@ func BenchmarkTraceEncodeColumnar(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceEncodeHalves times the two halves of
+// BenchmarkTraceEncodeColumnar's trace write apart, each on one core
+// in ns/inst: generate drains the TPC-W source in 4096-instruction
+// blocks, encode writes the same pre-materialized stream through the
+// colv1 writer. With a spare core the write runs them side by side,
+// so the larger one bounds it.
+func BenchmarkTraceEncodeHalves(b *testing.B) {
+	const n = 200_000
+	cfg := DefaultConfig()
+	buf := make([]isa.Inst, colv1.DefaultBlockLen)
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src := sim.BuildSource(TPCW(1), cfg, n)
+			for k := trace.Fill(src, buf); k != 0; k = trace.Fill(src, buf) {
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*int64(b.N)), "ns/inst")
+	})
+	b.Run("encode", func(b *testing.B) {
+		insts := trace.Collect(sim.BuildSource(TPCW(1), cfg, n)).Insts
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cw, err := colv1.NewWriter(&countWriter{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for pos := 0; pos < len(insts); pos += len(buf) {
+				// Through a block buffer, as trace.WriteAll hands them over.
+				k := copy(buf, insts[pos:])
+				if err := cw.WriteBatch(buf[:k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := cw.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*int64(b.N)), "ns/inst")
+	})
+}
+
 type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) {

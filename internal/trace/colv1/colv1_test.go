@@ -179,6 +179,42 @@ func TestRoundTripOddBatchSizes(t *testing.T) {
 	}
 }
 
+// TestWriteBatchingInvariant: the file bytes do not depend on how the
+// instructions are split into WriteBatch calls — whole blocks encoded
+// in place from the caller's batch, blocks filled through the pending
+// block, and mixes of both (a partial block pending when a long batch
+// arrives) all write the same trace.
+func TestWriteBatchingInvariant(t *testing.T) {
+	insts := genInsts(5*DefaultBlockLen+123, 11)
+	want := encode(t, insts)
+	for _, sizes := range [][]int{
+		{len(insts)},
+		{DefaultBlockLen},
+		{DefaultBlockLen + 7},
+		{7, 3 * DefaultBlockLen},
+		{DefaultBlockLen, 1, 2 * DefaultBlockLen, DefaultBlockLen - 1},
+	} {
+		var buf bytes.Buffer
+		cw, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, i := 0, 0; pos < len(insts); i++ {
+			n := min(sizes[i%len(sizes)], len(insts)-pos)
+			if err := cw.WriteBatch(insts[pos : pos+n]); err != nil {
+				t.Fatal(err)
+			}
+			pos += n
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("batches %v: %d bytes differ from the pending-block encoding's %d", sizes, buf.Len(), len(want))
+		}
+	}
+}
+
 // TestSizeHint: a file opened with Open knows its length before the
 // first read and counts down as it decodes; a trace streamed from an
 // io.Reader cannot know it until the footer.

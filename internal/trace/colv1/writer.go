@@ -11,7 +11,9 @@ import (
 
 // Writer streams instructions into the columnar format. Instructions
 // accumulate in a pending block; every DefaultBlockLen of them are
-// transposed into columns and emitted as one block. Close flushes the
+// transposed into columns and emitted as one block. A batch that
+// starts on a block boundary has its whole blocks encoded in place,
+// without passing through the pending block. Close flushes the
 // final partial block and writes the footer and trailer — a trace
 // without them is reported as truncated by the reader, so Close is not
 // optional.
@@ -60,14 +62,25 @@ func (cw *Writer) WriteBatch(ins []isa.Inst) error {
 		return cw.err
 	}
 	for len(ins) > 0 {
+		if cw.npend == 0 && len(ins) >= len(cw.pending) {
+			// A whole block with nothing pending: encode it straight
+			// from the caller's batch, skipping the copy.
+			cw.count += int64(len(cw.pending))
+			if err := cw.encodeBlock(ins[:len(cw.pending)]); err != nil {
+				return err
+			}
+			ins = ins[len(cw.pending):]
+			continue
+		}
 		n := copy(cw.pending[cw.npend:], ins)
 		cw.npend += n
 		cw.count += int64(n)
 		ins = ins[n:]
 		if cw.npend == len(cw.pending) {
-			if err := cw.flushBlock(); err != nil {
+			if err := cw.encodeBlock(cw.pending); err != nil {
 				return err
 			}
+			cw.npend = 0
 		}
 	}
 	return nil
@@ -89,9 +102,10 @@ func (cw *Writer) Close() error {
 	}
 	cw.closed = true
 	if cw.npend > 0 {
-		if err := cw.flushBlock(); err != nil {
+		if err := cw.encodeBlock(cw.pending[:cw.npend]); err != nil {
 			return err
 		}
+		cw.npend = 0
 	}
 	footerOff := cw.off
 	var scratch [16]byte
@@ -132,14 +146,14 @@ func (cw *Writer) emit(p []byte) error {
 	return err
 }
 
-// flushBlock transposes the pending instructions into columns and
-// emits one block. One pass over the block writes all eight columns:
-// the delta columns as zigzag varints against the previous record (the
-// chain resets at the block boundary, so blocks decode independently),
-// the run-length columns by closing a { value, uvarint run } pair
-// whenever a field changes, and the register columns byte by byte.
-func (cw *Writer) flushBlock() error {
-	ins := cw.pending[:cw.npend]
+// encodeBlock transposes ins, the last len(ins) instructions counted,
+// into columns and emits them as one block. One pass over the block
+// writes all eight columns: the delta columns as zigzag varints against
+// the previous record (the chain resets at the block boundary, so
+// blocks decode independently), the run-length columns by closing a
+// { value, uvarint run } pair whenever a field changes, and the
+// register columns byte by byte.
+func (cw *Writer) encodeBlock(ins []isa.Inst) error {
 	cw.index = append(cw.index, blockIndexEnt{
 		offset:    cw.off,
 		startInst: cw.count - int64(len(ins)),
@@ -197,7 +211,6 @@ func (cw *Writer) flushBlock() error {
 			return err
 		}
 	}
-	cw.npend = 0
 	return nil
 }
 

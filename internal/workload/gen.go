@@ -12,8 +12,9 @@ import (
 // beginning of the identical stream, which is how every
 // multi-configuration figure feeds the same trace to each configuration.
 type Generator struct {
-	p   Params //storemlp:keep (calibration; Reset rewinds the stream, it does not recalibrate)
-	rng *rand.Rand
+	p   Params     //storemlp:keep (calibration; Reset rewinds the stream, it does not recalibrate)
+	rng randSource // every draw of the stream
+	exp *rand.Rand //storemlp:keep (stateless wrapper over &rng for math/rand's ExpFloat64)
 
 	// Emission queue for multi-instruction groups (critical sections,
 	// bursts).
@@ -33,11 +34,13 @@ type Generator struct {
 	nextMispred  int64
 	nextColdCode int64
 
-	// Per-slot probabilities derived from Params.
-	pStore, pLoad, pBranch float64
-	scatterBurstProb       float64 // per store: start a scattered miss burst
-	preBurstProb           float64 // per lock: emit a pre-acquire miss burst
-	loadBurstProb          float64 // per load: start a load miss burst
+	// Per-draw probabilities derived from Params, as thresholds:
+	// rng.unit() < t holds exactly when math/rand's Float64() < p.
+	tStore, tLoad, tBranch int64 // op mix, cumulative: store, +load, +branch
+	tScatterBurst          int64 // per store: start a scattered miss burst
+	tPreBurst              int64 // per lock: emit a pre-acquire miss burst
+	tLoadBurst             int64 // per load: start a load miss burst
+	tDepLoad               int64 // per missing load: depend on the last missing load
 
 	// Burst state. Store bursts advance in sub-line steps of
 	// 64/StoresPerLine bytes: the first store to each line misses, the
@@ -73,6 +76,7 @@ func NewGenerator(p Params) *Generator {
 		panic(err)
 	}
 	g := &Generator{p: p}
+	g.exp = rand.New(&g.rng)
 	g.Reset()
 	return g
 }
@@ -83,7 +87,7 @@ func (g *Generator) Params() Params { return g.p }
 // Reset rewinds the generator to the start of its deterministic stream.
 func (g *Generator) Reset() {
 	p := g.p
-	g.rng = rand.New(rand.NewSource(p.Seed))
+	g.rng = newRandSource(p.Seed)
 	g.queue = g.queue[:0]
 	g.qHead = 0
 	g.pc = g.p.AddrOffset + hotCodeBase
@@ -99,30 +103,20 @@ func (g *Generator) Reset() {
 	g.regRR = 0
 	g.altBranch = false
 
-	g.pStore = p.StorePer100 / 100
-	g.pLoad = p.LoadPer100 / 100
-	g.pBranch = p.BranchPer100 / 100
+	pStore := p.StorePer100 / 100
+	pLoad := p.LoadPer100 / 100
+	pBranch := p.BranchPer100 / 100
+	g.tStore = threshold(pStore)
+	g.tLoad = threshold(pStore + pLoad)
+	g.tBranch = threshold(pStore + pLoad + pBranch)
+	g.tDepLoad = threshold(p.DepLoadFrac)
 
 	g.storeBurstStep = lineBytes / uint64(g.storesPerLine())
 
-	storesPer1000 := p.StorePer100 * 10
-	loadsPer1000 := p.LoadPer100 * 10
-	burstsPer1000 := p.StoreMissPer100 * 10 / p.StoreBurstMean
-	preBurstPerLock := 0.0
-	if p.LocksPer1000 > 0 {
-		preBurstPerLock = p.PreLockFrac * burstsPer1000 / p.LocksPer1000
-		if preBurstPerLock > 1 {
-			preBurstPerLock = 1
-		}
-	}
-	g.preBurstProb = preBurstPerLock
-	actualPre := preBurstPerLock * p.LocksPer1000
-	scatter := burstsPer1000 - actualPre
-	if scatter < 0 {
-		scatter = 0
-	}
-	g.scatterBurstProb = scatter / storesPer1000
-	g.loadBurstProb = p.LoadMissPer100 * 10 / p.LoadBurstMean / loadsPer1000
+	scatter, preLock, loadBurst := burstProbs(p)
+	g.tScatterBurst = threshold(scatter)
+	g.tPreBurst = threshold(preLock)
+	g.tLoadBurst = threshold(loadBurst)
 
 	g.storeCursor = 0
 	g.sharedCursor = 0
@@ -136,13 +130,35 @@ func (g *Generator) Reset() {
 	}
 }
 
+// burstProbs derives the miss-burst probabilities from p's rates:
+// per store, start a scattered store-miss burst; per lock, emit a
+// pre-acquire burst (PreLockFrac of the store bursts, capped at one
+// per lock); per load, start a load-miss burst.
+func burstProbs(p Params) (scatter, preLock, loadBurst float64) {
+	storesPer1000 := p.StorePer100 * 10
+	loadsPer1000 := p.LoadPer100 * 10
+	burstsPer1000 := p.StoreMissPer100 * 10 / p.StoreBurstMean
+	if p.LocksPer1000 > 0 {
+		preLock = p.PreLockFrac * burstsPer1000 / p.LocksPer1000
+		if preLock > 1 {
+			preLock = 1
+		}
+	}
+	scatterPer1000 := burstsPer1000 - preLock*p.LocksPer1000
+	if scatterPer1000 < 0 {
+		scatterPer1000 = 0
+	}
+	return scatterPer1000 / storesPer1000, preLock,
+		p.LoadMissPer100 * 10 / p.LoadBurstMean / loadsPer1000
+}
+
 // interval samples an exponential gap (in instructions) for an event
 // rate given per 1000 instructions; -1 means "never".
 func (g *Generator) interval(per1000 float64) int64 {
 	if per1000 <= 0 {
 		return -1
 	}
-	gap := int64(g.rng.ExpFloat64() * 1000 / per1000)
+	gap := int64(g.exp.ExpFloat64() * 1000 / per1000)
 	if gap < 1 {
 		gap = 1
 	}
@@ -166,14 +182,22 @@ func (g *Generator) geometric(mean float64) int {
 func (g *Generator) branchTaken(pc uint64) bool {
 	switch (pc >> 2) % 8 {
 	case 6:
-		return g.rng.Float64() < 0.02 // strongly not-taken
+		return g.rng.unit() < tNotTaken
 	case 7:
 		g.altBranch = !g.altBranch // alternating loop-exit style
 		return g.altBranch
 	default:
-		return g.rng.Float64() < 0.98 // strongly taken
+		return g.rng.unit() < tTaken
 	}
 }
+
+// Thresholds of the fixed per-instruction probabilities (see
+// Generator.tStore).
+var (
+	tNotTaken = threshold(0.02) // strongly not-taken branch
+	tTaken    = threshold(0.98) // strongly taken branch
+	tALUDep   = threshold(0.3)  // ALU op reads the last load's result
+)
 
 func (g *Generator) nextReg() isa.Reg {
 	g.regRR++
@@ -295,13 +319,12 @@ func (g *Generator) ReadBatch(dst []isa.Inst) int {
 		// Inst straight into dst with no call. Keep in sync with
 		// emitPlain.
 		for i := int64(0); i < k; i++ {
-			r := g.rng.Float64()
-			switch {
-			case r < g.pStore:
+			switch r := g.rng.unit(); {
+			case r < g.tStore:
 				dst[n] = g.emitStore()
-			case r < g.pStore+g.pLoad:
+			case r < g.tLoad:
 				dst[n] = g.emitLoad()
-			case r < g.pStore+g.pLoad+g.pBranch:
+			case r < g.tBranch:
 				in := isa.Inst{Op: isa.OpBranch, PC: g.nextPC(), Src1: g.lastLoadDst}
 				if g.branchTaken(in.PC) {
 					in.Flags |= isa.FlagTaken
@@ -310,7 +333,7 @@ func (g *Generator) ReadBatch(dst []isa.Inst) int {
 			default:
 				d := g.nextReg()
 				src := isa.Reg(0)
-				if g.rng.Float64() < 0.3 {
+				if g.rng.unit() < tALUDep {
 					src = g.lastLoadDst
 				}
 				dst[n] = isa.Inst{Op: isa.OpALU, PC: g.nextPC(), Dst: d, Src1: src}
@@ -359,13 +382,12 @@ func (g *Generator) push(ins ...isa.Inst) {
 
 // emitPlain produces one instruction of the background mix.
 func (g *Generator) emitPlain() isa.Inst {
-	r := g.rng.Float64()
-	switch {
-	case r < g.pStore:
+	switch r := g.rng.unit(); {
+	case r < g.tStore:
 		return g.emitStore()
-	case r < g.pStore+g.pLoad:
+	case r < g.tLoad:
 		return g.emitLoad()
-	case r < g.pStore+g.pLoad+g.pBranch:
+	case r < g.tBranch:
 		in := isa.Inst{Op: isa.OpBranch, PC: g.nextPC(), Src1: g.lastLoadDst}
 		if g.branchTaken(in.PC) {
 			in.Flags |= isa.FlagTaken
@@ -374,7 +396,7 @@ func (g *Generator) emitPlain() isa.Inst {
 	default:
 		dst := g.nextReg()
 		src := isa.Reg(0)
-		if g.rng.Float64() < 0.3 {
+		if g.rng.unit() < tALUDep {
 			src = g.lastLoadDst
 		}
 		return isa.Inst{Op: isa.OpALU, PC: g.nextPC(), Dst: dst, Src1: src}
@@ -386,7 +408,7 @@ func (g *Generator) emitStore() isa.Inst {
 	switch {
 	case g.storeBurstLeft > 0:
 		g.emitBurstStore(&in)
-	case g.rng.Float64() < g.scatterBurstProb:
+	case g.rng.unit() < g.tScatterBurst:
 		g.startStoreBurst()
 		g.emitBurstStore(&in)
 	default:
@@ -448,7 +470,7 @@ func (g *Generator) emitLoad() isa.Inst {
 		in.Addr = g.loadBurstAddr
 		g.loadBurstAddr += lineBytes
 		miss = true
-	case g.rng.Float64() < g.loadBurstProb:
+	case g.rng.unit() < g.tLoadBurst:
 		g.loadBurstLeft = g.geometric(g.p.LoadBurstMean) - 1
 		g.loadBurstAddr = g.churnLine(loadWSBase, g.p.LoadWSBytes)
 		in.Addr = g.loadBurstAddr
@@ -460,7 +482,7 @@ func (g *Generator) emitLoad() isa.Inst {
 	if miss {
 		// Pointer chasing: some missing loads depend on the previous
 		// missing load's value.
-		if g.lastMissDst != 0 && g.rng.Float64() < g.p.DepLoadFrac {
+		if g.lastMissDst != 0 && g.rng.unit() < g.tDepLoad {
 			in.Src1 = g.lastMissDst
 		}
 		g.lastMissDst = in.Dst
@@ -474,7 +496,7 @@ func (g *Generator) emitLoad() isa.Inst {
 // missing stores, reproducing the paper's observation that most
 // expensive missing stores immediately precede lock acquires.
 func (g *Generator) emitCriticalSection() {
-	if g.rng.Float64() < g.preBurstProb {
+	if g.rng.unit() < g.tPreBurst {
 		lines := g.geometric(g.p.StoreBurstMean)
 		shared := g.rng.Float64() < g.p.SharedStoreFrac
 		base := g.nextChurnBurst(shared, lines)

@@ -5,7 +5,7 @@
 #     BenchmarkEngineReplay + BenchmarkEngineTraceDriven +
 #     BenchmarkTraceDecodeColumnar + BenchmarkTraceEncodeColumnar, and
 #     internal/sim's BenchmarkBuildSource (pc, wc, wc+sle), via
-#     `go test -bench`, best-of-N, written to
+#     `go test -bench`, best-of-N times and median allocations, written to
 #     BENCH_engine.json in the repo root. The engine section carries the
 #     delta against the committed pre-optimization baseline, the
 #     tracer-enabled overhead, the engine core alone over a

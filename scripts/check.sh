@@ -130,6 +130,12 @@ go test -race -short -cpu 1,2,4 \
     -run 'TestSpan|TestDecodeAhead|TestWriteAll|TestPool|TestCoalescing|TestCacheHit|TestAbandoned|TestLRUCache|TestServerClose|TestOneExecutionPerDigest' \
     ./internal/sim/ ./internal/server/ ./internal/trace/ .
 
+echo '>> fuzz smoke (10 s): FuzzSourceMatchesMathRand'
+# The one fuzzer that runs past its seed corpus here: the workload
+# generator's concrete random source must draw exactly math/rand's
+# stream, or every pinned stream and golden result moves.
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/workload
+
 echo '>> benchmark smoke (10 iterations) + benchdiff report'
 # Ten iterations, not one: the first iteration pays the engine and
 # stage free-list warm-up, so a one-iteration run reports setup

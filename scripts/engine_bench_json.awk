@@ -22,19 +22,40 @@ BEGIN {
     leg_allocs = 200007
     if (num_cpu == 0) num_cpu = 1
 }
-$1 ~ /^BenchmarkEngine(-[0-9]+)?$/                { if (eng_ns == 0 || $3 < eng_ns) { eng_ns = $3; eng_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkEngineTraced(-[0-9]+)?$/          { if (trc_ns == 0 || $3 < trc_ns) { trc_ns = $3; trc_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_ns) { rep_ns = $3; rep_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  { td_ns = $3;  td_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) { col_ns = $3; col_allocs = $(NF-1) } }
-$1 ~ /^BenchmarkTraceEncodeColumnar(-[0-9]+)?$/   { if (enc_ns == 0 || $3 < enc_ns) { enc_ns = $3; enc_allocs = $(NF-1) } }
+# Times are the best of the runs; allocations are their median, since
+# the source-ahead stage's goroutine and channel-wait allocations come
+# and go with the runtime's caches.
+$1 ~ /^BenchmarkEngine(-[0-9]+)?$/                { if (eng_ns == 0 || $3 < eng_ns) eng_ns = $3; addalloc("eng") }
+$1 ~ /^BenchmarkEngineTraced(-[0-9]+)?$/          { if (trc_ns == 0 || $3 < trc_ns) trc_ns = $3; addalloc("trc") }
+$1 ~ /^BenchmarkEngineReplay(-[0-9]+)?$/          { if (rep_ns == 0 || $3 < rep_ns) rep_ns = $3; addalloc("rep") }
+$1 ~ /^BenchmarkEngineTraceDriven(-[0-9]+)?$/     { if (td_ns == 0  || $3 < td_ns)  td_ns = $3;  addalloc("td") }
+$1 ~ /^BenchmarkTraceDecodeColumnar(-[0-9]+)?$/   { if (col_ns == 0 || $3 < col_ns) col_ns = $3; addalloc("col") }
+$1 ~ /^BenchmarkTraceEncodeColumnar(-[0-9]+)?$/   { if (enc_ns == 0 || $3 < enc_ns) enc_ns = $3; addalloc("enc") }
 # BenchmarkBuildSource/{pc,wc,wc+sle}: the producer half of a
 # synthetic run, keyed by stream; ns/inst is a custom metric, so find
 # it by its unit.
 $1 ~ /^BenchmarkBuildSource\/(pc|wc|wc\+sle)(-[0-9]+)?$/ {
     name = $1; sub(/^BenchmarkBuildSource\//, "", name); sub(/-[0-9]+$/, "", name)
     for (i = 4; i <= NF; i++) if ($i == "ns/inst") v = $(i-1) + 0
-    if (!(name in src_ns) || v < src_ns[name]) { src_ns[name] = v; src_allocs[name] = $(NF-1) }
+    if (!(name in src_ns) || v < src_ns[name]) src_ns[name] = v
+    addalloc("src " name)
+}
+
+# addalloc records one run's allocs/op (the field before "allocs/op")
+# under key k.
+function addalloc(k) { nalloc[k]++; allocs[k, nalloc[k]] = $(NF-1) + 0 }
+
+# medalloc returns the median allocs/op recorded under key k (the lower
+# middle value for an even count).
+function medalloc(k,    i, j, n, v, tmp) {
+    n = nalloc[k]
+    for (i = 1; i <= n; i++) tmp[i] = allocs[k, i]
+    for (i = 2; i <= n; i++) {
+        v = tmp[i]
+        for (j = i - 1; j >= 1 && tmp[j] > v; j--) tmp[j+1] = tmp[j]
+        tmp[j+1] = v
+    }
+    return tmp[int((n + 1) / 2)]
 }
 END {
     if (eng_ns == 0 || trc_ns == 0 || rep_ns == 0 || td_ns == 0 || col_ns == 0 || enc_ns == 0 ||
@@ -42,6 +63,10 @@ END {
         print "bench parse failure" > "/dev/stderr"; exit 1
     }
     eng_insts = 500000; cod_insts = 200000
+    eng_allocs = medalloc("eng"); trc_allocs = medalloc("trc"); rep_allocs = medalloc("rep")
+    td_allocs = medalloc("td"); col_allocs = medalloc("col"); enc_allocs = medalloc("enc")
+    src_allocs["pc"] = medalloc("src pc"); src_allocs["wc"] = medalloc("src wc")
+    src_allocs["wc+sle"] = medalloc("src wc+sle")
     printf "{\n"
     printf "  \"engine\": {\n"
     printf "    \"ns_per_op\": %d,\n    \"insts_per_op\": %d,\n", eng_ns, eng_insts
