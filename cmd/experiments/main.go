@@ -26,7 +26,9 @@ import (
 	"storemlp/internal/obs"
 )
 
-// stderr receives the -progress ticker; tests substitute a buffer.
+// stderr receives the -progress ticker and each experiment's wall
+// time, keeping stdout a deterministic function of the flags; tests
+// substitute a buffer.
 var stderr io.Writer = os.Stderr
 
 func main() {
@@ -156,8 +158,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Fprint(stdout, out)
-		fmt.Fprintf(stdout, "[%s took %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		fmt.Fprint(stdout, out, "\n")
+		fmt.Fprintf(stderr, "[%s took %.1fs]\n", e.name, time.Since(start).Seconds())
 		if *csvDir != "" {
 			if err := writeCSVGroups(*csvDir, groups); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)

@@ -4,24 +4,38 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestRunSubset(t *testing.T) {
-	var out strings.Builder
+	var out, errBuf strings.Builder
+	old := stderr
+	stderr = &errBuf
+	defer func() { stderr = old }()
 	err := run(context.Background(), []string{"-run", "table1,table3", "-insts", "100000", "-warm", "60000"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"Table 1", "Table 3", "database", "specweb", "[table1 took", "[table3 took"} {
+	for _, want := range []string{"Table 1", "Table 3", "database", "specweb"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q", want)
 		}
 	}
 	if strings.Contains(s, "Figure 2") {
 		t.Error("unselected experiment ran")
+	}
+	// Wall times go to stderr, so stdout stays a function of the flags.
+	if strings.Contains(s, " took ") {
+		t.Errorf("timing line on stdout:\n%s", s)
+	}
+	for _, want := range []string{"[table1 took", "[table3 took"} {
+		if !strings.Contains(errBuf.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, errBuf.String())
+		}
 	}
 }
 
@@ -64,7 +78,8 @@ func TestCSVExport(t *testing.T) {
 func TestRunProgressTicker(t *testing.T) {
 	// -progress attaches one root trace to the whole harness via the context;
 	// the run must succeed unchanged with the ticker active.
-	var out, errBuf strings.Builder
+	var out strings.Builder
+	var errBuf lockedBuffer
 	old := stderr
 	stderr = &errBuf
 	defer func() { stderr = old }()
@@ -78,7 +93,34 @@ func TestRunProgressTicker(t *testing.T) {
 	if !strings.Contains(out.String(), "Table 1") {
 		t.Errorf("output missing Table 1:\n%s", out.String())
 	}
-	if got := errBuf.String(); got != "" && !strings.Contains(got, "progress:") {
+	got := errBuf.String()
+	if !strings.Contains(got, "[table1 took") {
+		t.Errorf("stderr missing the table1 timing line: %q", got)
+	}
+	rest := timingLine.ReplaceAllString(got, "")
+	if strings.TrimSpace(rest) != "" && !strings.Contains(rest, "progress:") {
 		t.Errorf("ticker wrote something that is not a progress line: %q", got)
 	}
+}
+
+// timingLine matches the per-experiment wall-time line run writes to stderr.
+var timingLine = regexp.MustCompile(`\[\w+ took [0-9.]+s\]\n`)
+
+// lockedBuffer is a strings.Builder that the ticker goroutine and the
+// run loop can write to at once.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
