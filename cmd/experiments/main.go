@@ -52,52 +52,30 @@ type experiment struct {
 	run func(experiments.Config) (string, map[string]interface{}, error)
 }
 
+// table registers an experiment with one row set, exported as name.csv.
+func table[T any](name string, rows func(experiments.Config) ([]T, error), render func([]T) string) experiment {
+	return experiment{name, func(cfg experiments.Config) (string, map[string]interface{}, error) {
+		r, err := rows(cfg)
+		if err != nil {
+			return "", nil, err
+		}
+		return render(r), map[string]interface{}{name: r}, nil
+	}}
+}
+
 // registry lists every runnable experiment in presentation order.
 var registry = []experiment{
-	{"table1", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		rows, err := experiments.Table1(cfg)
-		return experiments.RenderTable1(rows), map[string]interface{}{"table1": rows}, err
-	}},
-	{"table2", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		rows, err := experiments.Table2(cfg)
-		return experiments.RenderTable2(rows), map[string]interface{}{"table2": rows}, err
-	}},
-	{"table3", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		rows, err := experiments.Table3(cfg)
-		return experiments.RenderTable3(rows), map[string]interface{}{"table3": rows}, err
-	}},
-	{"fig2", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		cells, err := experiments.Figure2(cfg)
-		return experiments.RenderFigure2(cells), map[string]interface{}{"fig2": cells}, err
-	}},
-	{"fig3", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		rows, err := experiments.Figure3(cfg)
-		return experiments.RenderFigure3(rows), map[string]interface{}{"fig3": rows}, err
-	}},
-	{"fig4", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		rows, err := experiments.Figure4(cfg)
-		return experiments.RenderFigure4(rows), map[string]interface{}{"fig4": rows}, err
-	}},
-	{"fig5", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		cells, err := experiments.Figure5(cfg)
-		return experiments.RenderFigure5(cells), map[string]interface{}{"fig5": cells}, err
-	}},
-	{"fig6", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		cells, err := experiments.Figure6(cfg)
-		return experiments.RenderFigure6(cells), map[string]interface{}{"fig6": cells}, err
-	}},
-	{"fig7", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		cells, err := experiments.Figure7(cfg)
-		return experiments.RenderFigure7(cells), map[string]interface{}{"fig7": cells}, err
-	}},
-	{"fig8", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		cells, err := experiments.Figure8(cfg)
-		return experiments.RenderFigure8(cells), map[string]interface{}{"fig8": cells}, err
-	}},
-	{"summary", func(cfg experiments.Config) (string, map[string]interface{}, error) {
-		rows, err := experiments.Summary(cfg)
-		return experiments.RenderSummary(rows), map[string]interface{}{"summary": rows}, err
-	}},
+	table("table1", experiments.Table1, experiments.RenderTable1),
+	table("table2", experiments.Table2, experiments.RenderTable2),
+	table("table3", experiments.Table3, experiments.RenderTable3),
+	table("fig2", experiments.Figure2, experiments.RenderFigure2),
+	table("fig3", experiments.Figure3, experiments.RenderFigure3),
+	table("fig4", experiments.Figure4, experiments.RenderFigure4),
+	table("fig5", experiments.Figure5, experiments.RenderFigure5),
+	table("fig6", experiments.Figure6, experiments.RenderFigure6),
+	table("fig7", experiments.Figure7, experiments.RenderFigure7),
+	table("fig8", experiments.Figure8, experiments.RenderFigure8),
+	table("summary", experiments.Summary, experiments.RenderSummary),
 	{"ablations", func(cfg experiments.Config) (string, map[string]interface{}, error) {
 		r, err := experiments.RunAblations(cfg)
 		if err != nil {
@@ -131,12 +109,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
+	var rt *obs.ReqTrace // nil without -progress: StartTicker is then a no-op
 	if *progress {
 		// Every run inherits Config.Ctx, so one root trace (no room for
 		// spans past the root) sums the harness's live counters.
-		rt := obs.NewReqTrace("experiments", 1, 0)
+		rt = obs.NewReqTrace("experiments", 1, 0)
 		ctx = obs.WithSpan(ctx, rt, rt.Root())
-		defer obs.StartTicker(stderr, rt, 250*time.Millisecond)()
 	}
 
 	cfg := experiments.Config{Seed: *seed, Insts: *insts, Warm: *warm, Parallelism: *parallel, Ctx: ctx}
@@ -154,7 +132,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		ranAny = true
 		start := time.Now()
+		// Stopping the ticker blanks its line before the wall-time line.
+		stopTicker := obs.StartTicker(stderr, rt, 250*time.Millisecond)
 		out, groups, err := e.run(cfg)
+		stopTicker()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}

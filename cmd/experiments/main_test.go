@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -78,8 +77,7 @@ func TestCSVExport(t *testing.T) {
 func TestRunProgressTicker(t *testing.T) {
 	// -progress attaches one root trace to the whole harness via the context;
 	// the run must succeed unchanged with the ticker active.
-	var out strings.Builder
-	var errBuf lockedBuffer
+	var out, errBuf strings.Builder
 	old := stderr
 	stderr = &errBuf
 	defer func() { stderr = old }()
@@ -105,22 +103,3 @@ func TestRunProgressTicker(t *testing.T) {
 
 // timingLine matches the per-experiment wall-time line run writes to stderr.
 var timingLine = regexp.MustCompile(`\[\w+ took [0-9.]+s\]\n`)
-
-// lockedBuffer is a strings.Builder that the ticker goroutine and the
-// run loop can write to at once.
-type lockedBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (l *lockedBuffer) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuffer) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
-}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"storemlp/internal/epoch"
 	"storemlp/internal/sim"
 	"storemlp/internal/uarch"
+	"storemlp/internal/workload"
 )
 
 // The ablations quantify design choices the paper discusses in prose:
@@ -59,29 +61,19 @@ type CoalescingCell struct {
 // against store queue sizes, reproducing the paper's observation that
 // 64-byte coalescing lets a 32-entry store queue match a 64-entry one.
 func AblationCoalescing(c Config) ([]CoalescingCell, error) {
-	c = c.norm()
-	var cells []CoalescingCell
-	for _, w := range c.Workloads {
+	return sweep(c, func(w workload.Params) (cells []CoalescingCell) {
 		for _, gran := range []int{0, 8, 64} {
 			for _, sq := range []int{16, 32, 64} {
 				cells = append(cells, CoalescingCell{Workload: w.Name, CoalesceBytes: gran, SQ: sq})
 			}
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *CoalescingCell) sim.Spec {
 		cfg := uarch.Default()
 		cfg.CoalesceBytes = cell.CoalesceBytes
 		cfg.StoreQueue = cell.SQ
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
+		return c.spec(w, cfg)
+	}, func(cell *CoalescingCell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }
 
 // BandwidthCell reports L2 traffic per 1000 instructions for a store
@@ -100,18 +92,12 @@ type BandwidthCell struct {
 // AblationBandwidth compares the L2 bandwidth cost of store prefetching
 // against the SMAC.
 func AblationBandwidth(c Config) ([]BandwidthCell, error) {
-	c = c.norm()
-	insts, warm := smacRunLength(c)
-	schemes := []string{"Sp0", "Sp1", "Sp2", "Sp0+SMAC"}
-	var cells []BandwidthCell
-	for _, w := range c.Workloads {
-		for _, s := range schemes {
+	return sweep(c, func(w workload.Params) (cells []BandwidthCell) {
+		for _, s := range []string{"Sp0", "Sp1", "Sp2", "Sp0+SMAC"} {
 			cells = append(cells, BandwidthCell{Workload: w.Name, Scheme: s})
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *BandwidthCell) sim.Spec {
 		cfg := uarch.Default()
 		switch cell.Scheme {
 		case "Sp0":
@@ -124,19 +110,14 @@ func AblationBandwidth(c Config) ([]BandwidthCell, error) {
 			cfg.StorePrefetch = uarch.Sp0
 			cfg.SMACEntries = 4 << 10
 		}
-		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
-		if err != nil {
-			return err
-		}
+		return c.smacSpec(w, cfg)
+	}, func(cell *BandwidthCell, s *epoch.Stats) {
 		per1000 := func(n int64) float64 { return 1000 * float64(n) / float64(s.Insts) }
 		cell.EPI = s.EPI()
 		cell.StoreTraffic = per1000(s.Hierarchy.L2StoreTraffic)
 		cell.PrefetchReqs = per1000(s.Hierarchy.L2PrefetchReqs)
 		cell.SMACAccelerated = per1000(s.SMACAccelerated)
-		return nil
 	})
-	return cells, err
 }
 
 // SharedL2Cell is one point of the CMP-interference ablation: the
@@ -151,27 +132,13 @@ type SharedL2Cell struct {
 // AblationSharedL2 compares solo execution against co-scheduled
 // execution with a second copy of the workload sharing the L2.
 func AblationSharedL2(c Config) ([]SharedL2Cell, error) {
-	c = c.norm()
-	var cells []SharedL2Cell
-	for _, w := range c.Workloads {
-		cells = append(cells,
-			SharedL2Cell{Workload: w.Name, CoRun: false},
-			SharedL2Cell{Workload: w.Name, CoRun: true})
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
-		s, err := c.run(sim.Spec{
-			Workload: byName[cell.Workload], Config: uarch.Default(),
-			Insts: c.Insts, Warm: c.Warm, SharedCore: cell.CoRun,
-		})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
+	return sweep(c, func(w workload.Params) []SharedL2Cell {
+		return []SharedL2Cell{{Workload: w.Name, CoRun: false}, {Workload: w.Name, CoRun: true}}
+	}, func(c Config, w workload.Params, cell *SharedL2Cell) sim.Spec {
+		spec := c.spec(w, uarch.Default())
+		spec.SharedCore = cell.CoRun
+		return spec
+	}, func(cell *SharedL2Cell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }
 
 // SMACGeometryCell is one point of the SMAC sub-blocking design-space
@@ -189,33 +156,22 @@ type SMACGeometryCell struct {
 // count and 64 B sub-blocks: small super-lines waste tags, huge ones
 // waste reach when store footprints are sparse.
 func AblationSMACGeometry(c Config) ([]SMACGeometryCell, error) {
-	c = c.norm()
-	insts, warm := smacRunLength(c)
-	superLines := []int{256, 1024, 2048, 4096}
-	var cells []SMACGeometryCell
-	for _, w := range c.Workloads {
-		for _, sl := range superLines {
+	return sweep(c, func(w workload.Params) (cells []SMACGeometryCell) {
+		for _, sl := range []int{256, 1024, 2048, 4096} {
 			cells = append(cells, SMACGeometryCell{Workload: w.Name, SuperLineBytes: sl})
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *SMACGeometryCell) sim.Spec {
 		cfg := uarch.Default()
 		cfg.StorePrefetch = uarch.Sp0
 		cfg.SMACEntries = 1 << 10
 		cfg.SMACSuperLineBytes = cell.SuperLineBytes
-		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
-		if err != nil {
-			return err
-		}
+		return c.smacSpec(w, cfg)
+	}, func(cell *SMACGeometryCell, s *epoch.Stats) {
 		cell.EPI = s.EPI()
 		cell.Accelerated = s.SMACAccelerated
 		cell.CoveragePerTag = int64(cell.SuperLineBytes)
-		return nil
 	})
-	return cells, err
 }
 
 // LockElisionCell is one point of the SLE-vs-TM comparison (§3.3.4:
@@ -229,17 +185,12 @@ type LockElisionCell struct {
 // AblationLockElision compares the two lock-removal techniques under
 // processor consistency.
 func AblationLockElision(c Config) ([]LockElisionCell, error) {
-	c = c.norm()
-	schemes := []string{"base", "SLE", "TM"}
-	var cells []LockElisionCell
-	for _, w := range c.Workloads {
-		for _, s := range schemes {
+	return sweep(c, func(w workload.Params) (cells []LockElisionCell) {
+		for _, s := range []string{"base", "SLE", "TM"} {
 			cells = append(cells, LockElisionCell{Workload: w.Name, Scheme: s})
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *LockElisionCell) sim.Spec {
 		cfg := uarch.Default()
 		switch cell.Scheme {
 		case "SLE":
@@ -247,14 +198,8 @@ func AblationLockElision(c Config) ([]LockElisionCell, error) {
 		case "TM":
 			cfg.TM = true
 		}
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
+		return c.spec(w, cfg)
+	}, func(cell *LockElisionCell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }
 
 // ScoutReachCell is one point of the scout-reach ablation.
@@ -268,26 +213,15 @@ type ScoutReachCell struct {
 // in instructions; the paper's implicit reach is one miss latency of
 // execution (~454 instructions at 500 cycles / 1.1 CPI).
 func AblationScoutReach(c Config) ([]ScoutReachCell, error) {
-	c = c.norm()
-	reaches := []int{64, 128, 256, 454, 1024}
-	var cells []ScoutReachCell
-	for _, w := range c.Workloads {
-		for _, r := range reaches {
+	return sweep(c, func(w workload.Params) (cells []ScoutReachCell) {
+		for _, r := range []int{64, 128, 256, 454, 1024} {
 			cells = append(cells, ScoutReachCell{Workload: w.Name, Reach: r})
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *ScoutReachCell) sim.Spec {
 		cfg := uarch.Default()
 		cfg.HWS = uarch.HWS2
 		cfg.ScoutReach = cell.Reach
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
+		return c.spec(w, cfg)
+	}, func(cell *ScoutReachCell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }

@@ -13,6 +13,7 @@ import (
 
 	"storemlp/internal/epoch"
 	"storemlp/internal/sim"
+	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
 
@@ -22,7 +23,7 @@ type Config struct {
 	Seed int64
 	// Insts is the measured instruction count per run; Warm the cache
 	// warmup prefix. The SMAC experiments (Figures 5 and 6) scale these
-	// by their own per-workload factors (see smacScale).
+	// by their own per-workload factors (see smacSpec).
 	Insts int64
 	Warm  int64
 	// Parallelism bounds concurrent simulation runs (default: NumCPU).
@@ -68,19 +69,65 @@ func (c Config) ctx() context.Context {
 	return context.Background()
 }
 
-// run executes one simulation under the sweep's context, so cancelling
-// Config.Ctx aborts every in-flight engine loop.
-func (c Config) run(spec sim.Spec) (*epoch.Stats, error) {
-	return sim.RunContext(c.ctx(), spec)
+// sweep is the one runner behind every engine-running table, figure and
+// ablation. It normalizes c, lists each workload's cells in c.Workloads
+// order (so rows come out workload by workload, whatever the
+// parallelism), runs spec(c, w, cell) for every cell under c's context
+// and hands the run's statistics to record.
+func sweep[T any](c Config, cells func(w workload.Params) []T,
+	spec func(c Config, w workload.Params, cell *T) sim.Spec,
+	record func(cell *T, s *epoch.Stats)) ([]T, error) {
+	c = c.norm()
+	var rows []T
+	var ws []workload.Params // ws[i] is rows[i]'s workload
+	for _, w := range c.Workloads {
+		for _, cell := range cells(w) {
+			rows = append(rows, cell)
+			ws = append(ws, w)
+		}
+	}
+	err := parMap(c.ctx(), len(rows), c.Parallelism, func(i int) error {
+		s, err := sim.RunContext(c.ctx(), spec(c, ws[i], &rows[i]))
+		if err != nil {
+			return err
+		}
+		record(&rows[i], s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// spec is the standard run of w under cfg: c.Insts measured
+// instructions after c.Warm of warmup.
+func (c Config) spec(w workload.Params, cfg uarch.Config) sim.Spec {
+	return sim.Spec{Workload: w, Config: cfg, Insts: c.Insts, Warm: c.Warm}
+}
+
+// defaultSpec is the standard run of w under the default configuration.
+func defaultSpec[T any](c Config, w workload.Params, _ *T) sim.Spec {
+	return c.spec(w, uarch.Default())
+}
+
+// smacSpec is the scaled run of the SMAC experiments (Figures 5 and 6,
+// the bandwidth and SMAC-geometry ablations): smacScale(w), with the
+// caller's Insts taken as a scale factor relative to the default 2M —
+// 4M measured after 7M of warmup at full scale.
+func (c Config) smacSpec(w workload.Params, cfg uarch.Config) sim.Spec {
+	scale := float64(c.Insts) / 2_000_000
+	insts := int64(4_000_000 * scale)
+	if insts < 1000 {
+		insts = 1000
+	}
+	return sim.Spec{Workload: smacScale(w), Config: cfg, Insts: insts, Warm: int64(7_000_000 * scale)}
 }
 
 // parMap runs fn(0..n-1) with bounded parallelism, returning the first
 // error. A cancelled ctx stops launching new work; already-running fns
 // are expected to observe the same ctx themselves.
 func parMap(ctx context.Context, n, parallelism int, fn func(i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if parallelism < 1 {
 		parallelism = 1
 	}

@@ -8,6 +8,7 @@ import (
 
 	"storemlp/internal/consistency"
 	"storemlp/internal/epoch"
+	"storemlp/internal/sim"
 	"storemlp/internal/uarch"
 	"storemlp/internal/workload"
 )
@@ -67,6 +68,58 @@ func TestSweepCancellation(t *testing.T) {
 	c.Ctx = ctx
 	if _, err := Table2(c); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Table2 under cancelled ctx: err = %v", err)
+	}
+}
+
+// TestSweep pins the runner's contract: rows workload by workload in
+// c.Workloads order and each workload's in cells' order at any
+// parallelism, spec sees the normalized config, record runs once per
+// cell with that cell's run, and a failing run fails the sweep.
+func TestSweep(t *testing.T) {
+	type cell struct {
+		Workload string
+		K        int
+		Insts    int64
+		Records  int
+	}
+	for _, par := range []int{1, 3} {
+		c := Config{Insts: 2000, Parallelism: par}
+		rows, err := sweep(c, func(w workload.Params) []cell {
+			return []cell{{Workload: w.Name, K: 1}, {Workload: w.Name, K: 2}, {Workload: w.Name, K: 3}}
+		}, func(c Config, w workload.Params, x *cell) sim.Spec {
+			if c.Seed != 1 || c.Parallelism != par {
+				t.Errorf("spec saw an unnormalized config: %+v", c)
+			}
+			spec := c.spec(w, uarch.Default())
+			spec.Insts *= int64(x.K)
+			return spec
+		}, func(x *cell, s *epoch.Stats) {
+			x.Insts = s.Insts
+			x.Records++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := workload.All(1)
+		if len(rows) != 3*len(ws) {
+			t.Fatalf("parallelism %d: %d rows, want %d", par, len(rows), 3*len(ws))
+		}
+		for i, r := range rows {
+			want := cell{Workload: ws[i/3].Name, K: i%3 + 1, Insts: 2000 * int64(i%3+1), Records: 1}
+			if r != want {
+				t.Errorf("parallelism %d: row %d = %+v, want %+v", par, i, r, want)
+			}
+		}
+	}
+	rows, err := sweep(Config{Insts: 2000}, func(w workload.Params) []cell {
+		return []cell{{Workload: w.Name}}
+	}, func(c Config, w workload.Params, _ *cell) sim.Spec {
+		spec := c.spec(w, uarch.Default())
+		spec.Config.StoreBuffer = 0
+		return spec
+	}, func(*cell, *epoch.Stats) { t.Error("record called for a failed run") })
+	if err == nil || rows != nil {
+		t.Errorf("invalid spec: rows %v, err %v; want nil rows and an error", rows, err)
 	}
 }
 
@@ -275,7 +328,7 @@ func TestFigure5SMACHelps(t *testing.T) {
 		t.Skip("slow SMAC sweep")
 	}
 	c := small()
-	c.Insts = 600_000 // scaled by smacRunLength to 1.2M/2.1M
+	c.Insts = 600_000 // scaled by smacSpec to 1.2M/2.1M
 	c.Workloads = []workload.Params{workload.Database(1)}
 	cells, err := Figure5(c)
 	if err != nil {

@@ -29,9 +29,7 @@ var Fig2SBSizes = []int{8, 16, 32}
 // Figure2 sweeps store prefetching, store buffer and store queue sizes
 // under processor consistency.
 func Figure2(c Config) ([]Fig2Cell, error) {
-	c = c.norm()
-	var cells []Fig2Cell
-	for _, w := range c.Workloads {
+	return sweep(c, func(w workload.Params) (cells []Fig2Cell) {
 		for _, sp := range []uarch.PrefetchMode{uarch.Sp0, uarch.Sp1, uarch.Sp2} {
 			for _, sb := range Fig2SBSizes {
 				for _, sq := range Fig2SQSizes {
@@ -39,11 +37,8 @@ func Figure2(c Config) ([]Fig2Cell, error) {
 				}
 			}
 		}
-		cells = append(cells, Fig2Cell{Workload: w.Name, Perfect: true})
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return append(cells, Fig2Cell{Workload: w.Name, Perfect: true})
+	}, func(c Config, w workload.Params, cell *Fig2Cell) sim.Spec {
 		cfg := uarch.Default()
 		if cell.Perfect {
 			cfg.PerfectStores = true
@@ -52,14 +47,8 @@ func Figure2(c Config) ([]Fig2Cell, error) {
 			cfg.StoreBuffer = cell.SB
 			cfg.StoreQueue = cell.SQ
 		}
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
+		return c.spec(w, cfg)
+	}, func(cell *Fig2Cell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }
 
 // Fig3Row is one bar of Figure 3: the window-termination-condition mix
@@ -74,32 +63,21 @@ type Fig3Row struct {
 
 // Figure3 produces both variants for every workload.
 func Figure3(c Config) ([]Fig3Row, error) {
-	c = c.norm()
-	var rows []Fig3Row
-	for _, w := range c.Workloads {
-		rows = append(rows,
-			Fig3Row{Workload: w.Name, Variant: "A"},
-			Fig3Row{Workload: w.Name, Variant: "B"})
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(rows), c.Parallelism, func(i int) error {
-		row := &rows[i]
+	return sweep(c, func(w workload.Params) []Fig3Row {
+		return []Fig3Row{{Workload: w.Name, Variant: "A"}, {Workload: w.Name, Variant: "B"}}
+	}, func(c Config, w workload.Params, row *Fig3Row) sim.Spec {
 		cfg := uarch.Default()
 		if row.Variant == "B" {
 			cfg.SLE = true
 			cfg.PrefetchPastSerializing = true
 		}
-		s, err := c.run(sim.Spec{Workload: byName[row.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
+		return c.spec(w, cfg)
+	}, func(row *Fig3Row, s *epoch.Stats) {
 		row.EpochsWithStore = s.EpochsWithStore
 		for t := epoch.TermCond(0); t < epoch.NumTermConds; t++ {
 			row.Fractions[t] = s.TermFraction(t)
 		}
-		return nil
 	})
-	return rows, err
 }
 
 // Fig4Row is one graph of Figure 4: the joint distribution of store MLP
@@ -116,24 +94,16 @@ type Fig4Row struct {
 
 // Figure4 measures the MLP distributions.
 func Figure4(c Config) ([]Fig4Row, error) {
-	c = c.norm()
-	rows := make([]Fig4Row, len(c.Workloads))
-	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
-		w := c.Workloads[i]
-		s, err := c.run(sim.Spec{Workload: w, Config: uarch.Default(), Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		rows[i].Workload = w.Name
-		rows[i].StoreMLP = s.StoreMLP()
+	return sweep(c, func(w workload.Params) []Fig4Row {
+		return []Fig4Row{{Workload: w.Name}}
+	}, defaultSpec[Fig4Row], func(row *Fig4Row, s *epoch.Stats) {
+		row.StoreMLP = s.StoreMLP()
 		for sb := 0; sb <= epoch.MaxStoreMLPBucket; sb++ {
 			for lb := 0; lb <= epoch.MaxLoadInstBucket; lb++ {
-				rows[i].Joint[sb][lb] = s.MLPJointFraction(sb, lb)
+				row.Joint[sb][lb] = s.MLPJointFraction(sb, lb)
 			}
 		}
-		return nil
 	})
-	return rows, err
 }
 
 // ---- SMAC experiments (Figures 5 and 6) ----
@@ -168,19 +138,6 @@ func smacScale(w workload.Params) workload.Params {
 	return w
 }
 
-// smacRunLength returns per-run instruction counts for the scaled SMAC
-// experiments, honouring the caller's Insts as a scale factor relative
-// to the default 2M.
-func smacRunLength(c Config) (insts, warm int64) {
-	scale := float64(c.Insts) / 2_000_000
-	insts = int64(4_000_000 * scale)
-	warm = int64(7_000_000 * scale)
-	if insts < 1000 {
-		insts = 1000
-	}
-	return insts, warm
-}
-
 // Fig5Cell is one bar segment of Figure 5: EPI per store prefetch mode
 // and SMAC size (0 = no SMAC; Perfect = stores never stall).
 type Fig5Cell struct {
@@ -194,21 +151,15 @@ type Fig5Cell struct {
 
 // Figure5 sweeps the SMAC against the store prefetch modes.
 func Figure5(c Config) ([]Fig5Cell, error) {
-	c = c.norm()
-	insts, warm := smacRunLength(c)
-	var cells []Fig5Cell
-	for _, w := range c.Workloads {
+	return sweep(c, func(w workload.Params) (cells []Fig5Cell) {
 		for _, sp := range []uarch.PrefetchMode{uarch.Sp0, uarch.Sp1, uarch.Sp2} {
 			cells = append(cells, Fig5Cell{Workload: w.Name, Prefetch: sp})
 			for _, e := range Fig5SMACEntries {
 				cells = append(cells, Fig5Cell{Workload: w.Name, Prefetch: sp, SMACEntries: e})
 			}
 		}
-		cells = append(cells, Fig5Cell{Workload: w.Name, Perfect: true})
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return append(cells, Fig5Cell{Workload: w.Name, Perfect: true})
+	}, func(c Config, w workload.Params, cell *Fig5Cell) sim.Spec {
 		cfg := uarch.Default()
 		if cell.Perfect {
 			cfg.PerfectStores = true
@@ -216,16 +167,11 @@ func Figure5(c Config) ([]Fig5Cell, error) {
 			cfg.StorePrefetch = cell.Prefetch
 			cfg.SMACEntries = cell.SMACEntries
 		}
-		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
-		if err != nil {
-			return err
-		}
+		return c.smacSpec(w, cfg)
+	}, func(cell *Fig5Cell, s *epoch.Stats) {
 		cell.EPI = s.EPI()
 		cell.Accelerated = s.SMACAccelerated
-		return nil
 	})
-	return cells, err
 }
 
 // Fig6Cell is one point of Figure 6: SMAC coherence invalidates per 1000
@@ -242,34 +188,24 @@ type Fig6Cell struct {
 
 // Figure6 measures the impact of cross-chip coherence on the SMAC.
 func Figure6(c Config) ([]Fig6Cell, error) {
-	c = c.norm()
-	insts, warm := smacRunLength(c)
-	var cells []Fig6Cell
-	for _, w := range c.Workloads {
+	return sweep(c, func(w workload.Params) (cells []Fig6Cell) {
 		for _, nodes := range []int{2, 4} {
 			for _, e := range Fig5SMACEntries {
 				cells = append(cells, Fig6Cell{Workload: w.Name, Nodes: nodes, SMACEntries: e})
 			}
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *Fig6Cell) sim.Spec {
 		cfg := uarch.Default()
 		cfg.SMACEntries = cell.SMACEntries
 		cfg.Nodes = cell.Nodes
-		w := smacScale(byName[cell.Workload])
-		s, err := c.run(sim.Spec{Workload: w, Config: cfg, Insts: insts, Warm: warm})
-		if err != nil {
-			return err
-		}
+		return c.smacSpec(w, cfg)
+	}, func(cell *Fig6Cell, s *epoch.Stats) {
 		cell.InvalPer1000 = 1000 * float64(s.SMAC.CoherenceInvalidates) / float64(s.Insts)
 		if s.SMAC.Probes > 0 {
 			cell.PctHitInvalid = 100 * float64(s.SMAC.HitInvalidated) / float64(s.SMAC.Probes)
 		}
-		return nil
 	})
-	return cells, err
 }
 
 // ---- consistency-model experiments (Figure 7) ----
@@ -311,9 +247,7 @@ type Fig7Cell struct {
 // Figure7 compares the memory consistency models and their
 // optimizations (prefetch past serializing instructions, SLE).
 func Figure7(c Config) ([]Fig7Cell, error) {
-	c = c.norm()
-	var cells []Fig7Cell
-	for _, w := range c.Workloads {
+	return sweep(c, func(w workload.Params) (cells []Fig7Cell) {
 		for _, sp := range []uarch.PrefetchMode{uarch.Sp0, uarch.Sp1, uarch.Sp2} {
 			for _, name := range Fig7Configs {
 				cells = append(cells,
@@ -321,21 +255,13 @@ func Figure7(c Config) ([]Fig7Cell, error) {
 					Fig7Cell{Workload: w.Name, Prefetch: sp, Config: name, Perfect: true})
 			}
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *Fig7Cell) sim.Spec {
 		cfg := fig7Uarch(cell.Config)
 		cfg.StorePrefetch = cell.Prefetch
 		cfg.PerfectStores = cell.Perfect
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
+		return c.spec(w, cfg)
+	}, func(cell *Fig7Cell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }
 
 // Fig8Cell is one bar segment of Figure 8: Hardware Scout modes under
@@ -350,9 +276,7 @@ type Fig8Cell struct {
 
 // Figure8 evaluates HWS0/1/2 (and no scout) under PC and WC.
 func Figure8(c Config) ([]Fig8Cell, error) {
-	c = c.norm()
-	var cells []Fig8Cell
-	for _, w := range c.Workloads {
+	return sweep(c, func(w workload.Params) (cells []Fig8Cell) {
 		for _, m := range []consistency.Model{consistency.PC, consistency.WC} {
 			for _, h := range []uarch.HWSMode{uarch.NoHWS, uarch.HWS0, uarch.HWS1, uarch.HWS2} {
 				cells = append(cells,
@@ -360,28 +284,12 @@ func Figure8(c Config) ([]Fig8Cell, error) {
 					Fig8Cell{Workload: w.Name, Model: m, HWS: h, Perfect: true})
 			}
 		}
-	}
-	byName := workloadIndex(c.Workloads)
-	err := parMap(c.ctx(), len(cells), c.Parallelism, func(i int) error {
-		cell := &cells[i]
+		return cells
+	}, func(c Config, w workload.Params, cell *Fig8Cell) sim.Spec {
 		cfg := uarch.Default()
 		cfg.Model = cell.Model
 		cfg.HWS = cell.HWS
 		cfg.PerfectStores = cell.Perfect
-		s, err := c.run(sim.Spec{Workload: byName[cell.Workload], Config: cfg, Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		cell.EPI = s.EPI()
-		return nil
-	})
-	return cells, err
-}
-
-func workloadIndex(ws []workload.Params) map[string]workload.Params {
-	m := make(map[string]workload.Params, len(ws))
-	for _, w := range ws {
-		m[w.Name] = w
-	}
-	return m
+		return c.spec(w, cfg)
+	}, func(cell *Fig8Cell, s *epoch.Stats) { cell.EPI = s.EPI() })
 }

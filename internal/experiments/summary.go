@@ -3,8 +3,7 @@ package experiments
 import (
 	"storemlp/internal/epoch"
 	"storemlp/internal/metrics"
-	"storemlp/internal/sim"
-	"storemlp/internal/uarch"
+	"storemlp/internal/workload"
 )
 
 // SummaryRow condenses one default-configuration run into the counters
@@ -38,23 +37,9 @@ type SummaryRow struct {
 // Summary runs the default configuration once per workload and reports
 // the full counter set, one row per workload in configuration order.
 func Summary(c Config) ([]SummaryRow, error) {
-	c = c.norm()
-	rows := make([]SummaryRow, len(c.Workloads))
-	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
-		s, err := c.run(sim.Spec{
-			Workload: c.Workloads[i], Config: uarch.Default(),
-			Insts: c.Insts, Warm: c.Warm,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = summaryRow(c.Workloads[i].Name, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return sweep(c, func(w workload.Params) []SummaryRow {
+		return []SummaryRow{{Workload: w.Name}}
+	}, defaultSpec[SummaryRow], func(row *SummaryRow, s *epoch.Stats) { *row = summaryRow(row.Workload, s) })
 }
 
 func summaryRow(name string, s *epoch.Stats) SummaryRow {

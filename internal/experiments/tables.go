@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"storemlp/internal/epoch"
 	"storemlp/internal/onchip"
-	"storemlp/internal/sim"
-	"storemlp/internal/uarch"
+	"storemlp/internal/workload"
 )
 
 // Table1Row reproduces one column of the paper's Table 1: store
@@ -51,18 +51,9 @@ type Table2Row struct {
 
 // Table2 runs the default configuration per workload.
 func Table2(c Config) ([]Table2Row, error) {
-	c = c.norm()
-	rows := make([]Table2Row, len(c.Workloads))
-	err := parMap(c.ctx(), len(c.Workloads), c.Parallelism, func(i int) error {
-		w := c.Workloads[i]
-		s, err := c.run(sim.Spec{Workload: w, Config: uarch.Default(), Insts: c.Insts, Warm: c.Warm})
-		if err != nil {
-			return err
-		}
-		rows[i] = Table2Row{Workload: w.Name, Overlapped: s.OverlappedStoreFraction()}
-		return nil
-	})
-	return rows, err
+	return sweep(c, func(w workload.Params) []Table2Row {
+		return []Table2Row{{Workload: w.Name}}
+	}, defaultSpec[Table2Row], func(row *Table2Row, s *epoch.Stats) { row.Overlapped = s.OverlappedStoreFraction() })
 }
 
 // Table3Row is one column of Table 3: CPIon-chip for the default
