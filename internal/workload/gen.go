@@ -69,13 +69,19 @@ type Generator struct {
 	altBranch bool
 }
 
+// queueCap is the emission queue's initial capacity: a critical section
+// (critBodyLen+2) plus a typical pre-lock store burst, so a generator
+// does not regrow the queue from nil. Bursts are geometric, so a long
+// one still grows it with append.
+const queueCap = 64
+
 // NewGenerator builds a generator; it panics on invalid parameters
 // (calibrations are compile-time constants in this package).
 func NewGenerator(p Params) *Generator {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{p: p}
+	g := &Generator{p: p, queue: make([]isa.Inst, 0, queueCap)}
 	g.exp = rand.New(&g.rng)
 	g.Reset()
 	return g
