@@ -18,7 +18,7 @@ vet:
 storemlpvet:
 	$(GO) run ./cmd/storemlpvet ./...
 
-# Standalone lint: stock go vet plus the sixteen storemlpvet rules.
+# Standalone lint: stock go vet plus the storemlpvet rules.
 # -list first so the log names every rule that ran.
 lint:
 	$(GO) vet ./...

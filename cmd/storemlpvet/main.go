@@ -1,10 +1,7 @@
 // Command storemlpvet runs MLPsim's repo-specific static-analysis suite
-// over the module: exhaustive-enum, validate-coverage, stats-drift,
-// floatcmp, ctxmut, resetcomplete, guardedby, hotpath, ctxpoll,
-// lockorder, atomicfield, goleak, digestcover, lockbalance,
-// sharedcapture and closeall (see DESIGN.md, "Static
-// analysis", "Invariant analyzers", "Concurrency and digest-integrity
-// analyzers" and "Flow-sensitive dataflow core").
+// over the module; -list names its rules. DESIGN.md ("Static analysis"
+// and the sections it points to) gives each rule's invariant and the
+// mutation ledger that justifies it.
 //
 // Usage:
 //

@@ -38,26 +38,14 @@ func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		ExhaustiveEnum{},
 		ValidateCoverage{},
-		StatsDrift{
-			StructPkg:   "storemlp/internal/epoch",
-			StructName:  "Stats",
-			ConsumerPkg: "storemlp/internal/experiments",
-		},
 		FloatCmp{},
-		CtxMut{Protected: []string{
-			"storemlp/internal/uarch.Config",
-			"storemlp/internal/workload.Params",
-		}},
 		ResetComplete{Methods: map[string]string{
 			"storemlp/internal/epoch.Engine": "Reconfigure",
 		}},
 		GuardedBy{},
 		HotPath{},
 		CtxPoll{TracePkg: "storemlp/internal/trace"},
-		LockOrder{},
-		AtomicField{},
 		GoLeak{},
-		DigestCover{Roots: []string{"storemlp/internal/sim.Spec"}},
 		LockBalance{},
 		SharedCapture{},
 		CloseAll{},

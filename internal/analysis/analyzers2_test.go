@@ -78,6 +78,7 @@ func TestCtxPollFindings(t *testing.T) {
 	checkDiags(t, m, diags, []string{
 		"run/run.go:30: [ctxpoll] loop consumes trace batches without polling ctx (check ctx.Err() every batch so cancellation lands within the 8192-inst bound)",
 		"run/run.go:44: [ctxpoll] loop consumes trace batches without polling ctx (check ctx.Err() every batch so cancellation lands within the 8192-inst bound)",
+		"run/run.go:87: [ctxpoll] loop consumes trace batches without polling ctx (check ctx.Err() every batch so cancellation lands within the 8192-inst bound)",
 	})
 }
 

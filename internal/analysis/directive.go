@@ -3,50 +3,38 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"slices"
 	"strings"
 )
 
-// Directive is one parsed //storemlp:<name>[(<args>)] annotation. The
-// grammar, shared by every analyzer in the suite:
+// knownDirectives is every //storemlp:<name> annotation the suite
+// reads. The grammar, shared by every analyzer:
 //
-//	directive = "storemlp:" name [ "(" args ")" ]
+//	directive = "storemlp:" name
 //	name      = lowercase letters
-//	args      = arg { "," arg }        (lockafter only)
 //
 // A comment may carry several directives ("//storemlp:noalloc
 // //storemlp:inline"), and a directive may trail prose on the same
-// line. ParseDirectives is the one place the grammar lives; analyzers
-// match parsed names instead of substring-grepping comment text.
-type Directive struct {
-	// Name is the directive keyword ("keep", "lockafter", ...).
-	Name string
-	// Args holds the parenthesized arguments, nil for the argument-less
-	// directives.
-	Args []string
+// line. An unknown name is a parse error — a typo like
+// //storemlp:noaloc, or an annotation left behind by a retired rule,
+// must fail loudly, not silently deactivate the annotation it was meant
+// to be.
+var knownDirectives = map[string]bool{
+	"keep":    true, // resetcomplete: field intentionally survives Reset
+	"noalloc": true, // hotpath: function must not allocate
+	"inline":  true, // hotpath: function must inline
+	"daemon":  true, // goleak: goroutine intentionally unbounded
+	"locked":  true, // guardedby/lockbalance: lock held by caller / handed off
+	"owned":   true, // sharedcapture: goroutine owns the captured variable
+	"noclose": true, // closeall: value deliberately left open
 }
 
-// directiveTakesArgs maps every known directive to whether it requires
-// a parenthesized argument list. An unknown name is a parse error —
-// a typo like //storemlp:noaloc must fail loudly, not silently
-// deactivate the annotation it was meant to be.
-var directiveTakesArgs = map[string]bool{
-	"keep":      false, // resetcomplete: field intentionally survives Reset
-	"noalloc":   false, // hotpath: function must not allocate
-	"inline":    false, // hotpath: function must inline
-	"nodigest":  false, // digestcover: field excluded from the config digest
-	"daemon":    false, // goleak: goroutine intentionally unbounded
-	"locked":    false, // guardedby/lockbalance: lock held by caller / handed off
-	"lockafter": true,  // lockorder: declared acquisition order
-	"owned":     false, // sharedcapture: goroutine owns the captured variable
-	"noclose":   false, // closeall: value deliberately left open
-}
-
-// ParseDirectives extracts every //storemlp: directive from one
-// comment's text. It returns an error for an unknown directive name,
-// for arguments on a directive that takes none, and for a missing,
-// empty or unterminated argument list on one that requires them.
-func ParseDirectives(text string) ([]Directive, error) {
-	var out []Directive
+// ParseDirectives extracts the name of every //storemlp: directive in
+// one comment's text, in order. ParseDirectives is the one place the
+// grammar lives; analyzers match parsed names instead of
+// substring-grepping comment text.
+func ParseDirectives(text string) ([]string, error) {
+	var out []string
 	rest := text
 	for {
 		i := strings.Index(rest, "storemlp:")
@@ -60,34 +48,10 @@ func ParseDirectives(text string) ([]Directive, error) {
 		}
 		name := rest[:j]
 		rest = rest[j:]
-		takesArgs, known := directiveTakesArgs[name]
-		if !known {
+		if !knownDirectives[name] {
 			return out, fmt.Errorf("unknown directive storemlp:%s", name)
 		}
-		d := Directive{Name: name}
-		if strings.HasPrefix(rest, "(") {
-			end := strings.IndexByte(rest, ')')
-			if end < 0 {
-				return out, fmt.Errorf("storemlp:%s: unterminated argument list", name)
-			}
-			if !takesArgs {
-				return out, fmt.Errorf("storemlp:%s takes no arguments", name)
-			}
-			for _, arg := range strings.Split(rest[1:end], ",") {
-				arg = strings.TrimSpace(arg)
-				if arg == "" {
-					return out, fmt.Errorf("storemlp:%s: empty argument", name)
-				}
-				if strings.ContainsRune(arg, '(') {
-					return out, fmt.Errorf("storemlp:%s: malformed argument %q", name, arg)
-				}
-				d.Args = append(d.Args, arg)
-			}
-			rest = rest[end+1:]
-		} else if takesArgs {
-			return out, fmt.Errorf("storemlp:%s requires arguments, e.g. storemlp:%s(mu)", name, name)
-		}
-		out = append(out, d)
+		out = append(out, name)
 	}
 }
 
@@ -100,14 +64,8 @@ func hasDirective(name string, groups ...*ast.CommentGroup) bool {
 			continue
 		}
 		for _, c := range g.List {
-			ds, err := ParseDirectives(c.Text)
-			if err != nil {
-				continue
-			}
-			for _, d := range ds {
-				if d.Name == name {
-					return true
-				}
+			if names, err := ParseDirectives(c.Text); err == nil && slices.Contains(names, name) {
+				return true
 			}
 		}
 	}

@@ -366,14 +366,18 @@ func (b *builder) patchGotos() {
 }
 
 // Reachable returns the set of blocks reachable from Entry.
-func (g *Graph) Reachable() map[*Block]bool {
+func (g *Graph) Reachable() map[*Block]bool { return g.reachAvoiding(nil) }
+
+// reachAvoiding returns the blocks reachable from Entry on paths that
+// never enter avoid.
+func (g *Graph) reachAvoiding(avoid *Block) map[*Block]bool {
 	seen := map[*Block]bool{g.Entry: true}
 	stack := []*Block{g.Entry}
 	for len(stack) > 0 {
 		blk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range blk.Succs {
-			if !seen[s] {
+			if s != avoid && !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
 			}
@@ -391,8 +395,6 @@ func (g *Graph) LoopBody(loop ast.Stmt) map[*Block]bool {
 		return nil
 	}
 	reach := g.Reachable()
-	// Back edges: predecessors of head that the head itself reaches
-	// (in-loop paths), found by reverse search from head.
 	preds := map[*Block][]*Block{}
 	for _, blk := range g.Blocks {
 		if !reach[blk] {
@@ -402,30 +404,21 @@ func (g *Graph) LoopBody(loop ast.Stmt) map[*Block]bool {
 			preds[s] = append(preds[s], blk)
 		}
 	}
-	// Which blocks does head reach without leaving through... a simple
-	// forward search from head suffices to classify back edges.
-	fromHead := map[*Block]bool{head: true}
-	stack := []*Block{head}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range blk.Succs {
-			if !fromHead[s] {
-				fromHead[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
+	// Back edges come from the predecessors head dominates: those Entry
+	// cannot reach once head is removed. That head reaches a predecessor
+	// is not enough — inside an outer loop, head also reaches the block
+	// that enters it.
+	outside := g.reachAvoiding(head)
 	body := map[*Block]bool{head: true}
 	var tails []*Block
 	for _, p := range preds[head] {
-		if fromHead[p] { // head →* p → head: a back edge
+		if !outside[p] {
 			tails = append(tails, p)
 		}
 	}
 	// Natural loop: reverse-reachable from the tails without crossing
 	// the head.
-	stack = append(stack[:0], tails...)
+	stack := append([]*Block(nil), tails...)
 	for _, t := range tails {
 		body[t] = true
 	}

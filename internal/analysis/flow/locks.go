@@ -16,9 +16,8 @@ const (
 
 // Classifier resolves a call to a lock identity and operation. An empty
 // identity means the call is not a (nameable) lock operation. Analyzers
-// choose the identity granularity: the guardedby port renders the mutex
-// expression ("q.mu"), the lockorder port uses type-level identities
-// ("pkg.Type.mu").
+// choose the identity granularity; guardedby and lockbalance render the
+// mutex expression ("q.mu").
 type Classifier func(call *ast.CallExpr) (string, LockOp)
 
 // Held values order the lattice per lock: absent < HeldDeferred <
@@ -62,8 +61,7 @@ type Locks struct {
 // only if every path to it holds the lock (the guardedby obligation —
 // no false "held" after a branch that released). must=false joins by
 // union, keeping the worse status per lock: a lock counts as held if
-// some path holds it (the lockorder/lockbalance over-approximation — a
-// branch-dependent acquisition still orders later locks, an
+// some path holds it (the lockbalance over-approximation — an
 // early-return path that leaks still reports).
 //
 // A deferred release does not remove the lock from the set — the

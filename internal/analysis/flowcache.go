@@ -7,8 +7,8 @@ import (
 )
 
 // CFG returns the memoized control-flow graph of a function or literal
-// body. Six analyzers (guardedby, lockorder, ctxpoll, lockbalance,
-// sharedcapture, closeall) walk the same bodies; sharing one graph per
+// body. Five analyzers (guardedby, ctxpoll, lockbalance, sharedcapture,
+// closeall) walk the same bodies; sharing one graph per
 // body — like sharing one type-checked load per run — keeps the suite's
 // cost per rule marginal. Run executes analyzers sequentially, so the
 // cache needs no lock.

@@ -76,3 +76,21 @@ func BatchRefill(ctx context.Context, src trace.Source) (int64, error) {
 		bi++
 	}
 }
+
+// Nested steps each batch in an inner loop, the engine's shape, and
+// never polls. The inner loop's entry block is reachable from its own
+// head around the outer loop, but only a block the inner head dominates
+// closes an inner back edge, so the refill stays the outer loop's.
+func Nested(ctx context.Context, src trace.Source) int64 {
+	buf := make([]trace.Inst, 64)
+	var n int64
+	for {
+		got := trace.Fill(src, buf)
+		if got == 0 {
+			return n
+		}
+		for i := 0; i < got; i++ {
+			n++
+		}
+	}
+}

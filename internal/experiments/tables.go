@@ -18,7 +18,8 @@ type Table1Row struct {
 }
 
 // Table1 replays each workload through the default cache hierarchy and
-// reports the Table 1 statistics. It shares Table 3's replay.
+// reports the Table 1 statistics. Table3 runs the same replays again
+// on its own: the two tables do not share a measurement.
 func Table1(c Config) ([]Table1Row, error) {
 	c = c.norm()
 	rows := make([]Table1Row, len(c.Workloads))

@@ -246,16 +246,19 @@ func perturb(v reflect.Value) bool {
 	return true
 }
 
-// forEachLeaf visits every settable scalar leaf under v, recursing into
-// nested structs, and calls fn with the dotted path.
-func forEachLeaf(path string, v reflect.Value, fn func(path string, leaf reflect.Value)) {
+// forEachLeaf visits every scalar leaf under v, recursing into nested
+// structs, and calls fn with the dotted path. An unexported field fails
+// the test: the reflective digest skips it, so two specs that differ
+// only there would share a digest and a cached result.
+func forEachLeaf(t *testing.T, path string, v reflect.Value, fn func(path string, leaf reflect.Value)) {
 	if v.Kind() == reflect.Struct {
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
+		typ := v.Type()
+		for i := 0; i < typ.NumField(); i++ {
+			if !typ.Field(i).IsExported() {
+				t.Errorf("%s.%s is unexported, so the digest does not cover it", path, typ.Field(i).Name)
 				continue
 			}
-			forEachLeaf(path+"."+t.Field(i).Name, v.Field(i), fn)
+			forEachLeaf(t, path+"."+typ.Field(i).Name, v.Field(i), fn)
 		}
 		return
 	}
@@ -273,7 +276,7 @@ func TestConfigDigestSensitivity(t *testing.T) {
 	seen := map[string]string{"": base}
 	count := 0
 	spec := baseSpec()
-	forEachLeaf("spec", reflect.ValueOf(&spec).Elem(), func(path string, _ reflect.Value) {
+	forEachLeaf(t, "spec", reflect.ValueOf(&spec).Elem(), func(path string, _ reflect.Value) {
 		fresh := baseSpec()
 		// Re-resolve the same path on a fresh copy and perturb it.
 		leaf := reflect.ValueOf(&fresh).Elem()
