@@ -78,8 +78,11 @@ func (p Params) Validate() error {
 // which every address the simulator generates satisfies.
 type way struct {
 	ent uint64
-	lru uint64 // higher = more recently used
+	lru uint64 // higher = more recently used; 0 exactly when empty
 }
+
+// set changes the state of a valid way in place.
+func (w *way) set(s MESI) { w.ent = w.ent&^3 | uint64(s) }
 
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
@@ -88,25 +91,6 @@ type Cache struct {
 	lineShift uint   //storemlp:keep
 	setMask   uint64 //storemlp:keep
 	clock     uint64
-
-	// Stats counts accesses and misses since construction.
-	Stats Stats
-}
-
-// Stats counts cache events.
-type Stats struct {
-	Accesses    int64
-	Misses      int64
-	Evictions   int64
-	Invalidates int64
-}
-
-// MissRate returns misses/accesses, or 0 if there were no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
 }
 
 // New builds a cache; it panics on invalid geometry (construction-time
@@ -124,169 +108,74 @@ func New(p Params) *Cache {
 	}
 }
 
-// Line returns the line address (address with the offset bits cleared).
-func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
-
-func (c *Cache) set(addr uint64) []way {
-	idx := (addr >> c.lineShift) & c.setMask
-	return c.ways[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
-}
-
-// matchState returns the way's state if its packed entry matches the
-// wanted tag<<2 and the way is valid, else Invalid. ent^want clears the
-// tag bits exactly when the tags agree, leaving just the state, so the
-// whole test is one xor and one range compare: the result is in [1,3].
-func matchState(ent, want uint64) uint64 {
-	if x := ent ^ want; x-1 < 3 {
-		return x
+// access is the cache's one set-access primitive. It scans the set for
+// the line of addr and returns the line's way and state; touch makes a
+// hit the most recently used way of its set. On a miss with fill !=
+// Invalid it fills the set's victim — the last empty way, else the
+// least recently used — with the line in state fill, most recently
+// used, and returns that way with state Invalid and the victim's old
+// entry (state bits zero if the way was empty). A miss without a fill
+// returns a nil way. Callers change the returned way's state in place.
+//
+// The victim is chosen only after the scan misses: tracking it during
+// the scan puts a data-dependent branch on every way a hit passes.
+// Empty ways keep lru 0 and valid ways a unique clock value above it,
+// so the victim is the last way holding the smallest lru.
+//
+//storemlp:noalloc
+func (c *Cache) access(addr uint64, touch bool, fill MESI) (w *way, st MESI, evicted uint64) {
+	tag := addr >> c.lineShift
+	want := tag << 2
+	idx := tag & c.setMask
+	set := c.ways[idx*uint64(c.assoc) : (idx+1)*uint64(c.assoc)]
+	for i := range set {
+		// ent^want clears the tag bits exactly when the tags agree,
+		// leaving the state, so a valid match is a result in [1,3].
+		if x := set[i].ent ^ want; x-1 < 3 {
+			w = &set[i]
+			if touch {
+				c.clock++
+				w.lru = c.clock
+			}
+			return w, MESI(x), 0
+		}
 	}
-	return 0
+	if fill == Invalid {
+		return nil, Invalid, 0
+	}
+	victim := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].lru <= set[victim].lru {
+			victim = i
+		}
+	}
+	w = &set[victim]
+	evicted = w.ent
+	c.clock++
+	*w = way{ent: want | uint64(fill), lru: c.clock}
+	return w, Invalid, evicted
 }
 
 // Probe reports the state of the line containing addr without updating
-// LRU or statistics.
+// LRU.
 func (c *Cache) Probe(addr uint64) MESI {
-	want := addr >> c.lineShift << 2
-	set := c.set(addr)
-	for i := range set {
-		if x := matchState(set[i].ent, want); x != 0 {
-			return MESI(x)
-		}
-	}
-	return Invalid
+	_, st, _ := c.access(addr, false, Invalid)
+	return st
 }
 
-// Lookup checks for the line containing addr, updating LRU and access
-// statistics. It returns the line's state (Invalid on miss).
-//
-//storemlp:noalloc
-func (c *Cache) Lookup(addr uint64) MESI {
-	c.Stats.Accesses++
-	tag := addr >> c.lineShift
-	want := tag << 2
-	if c.assoc == 4 {
-		// The paper's entire hierarchy is 4-way; unrolling lets the four
-		// tag compares issue without loop-carried control flow.
-		idx := tag & c.setMask
-		set := c.ways[idx*4 : idx*4+4 : idx*4+4]
-		if x := set[0].ent ^ want; x-1 < 3 {
-			c.clock++
-			set[0].lru = c.clock
-			return MESI(x)
-		}
-		if x := set[1].ent ^ want; x-1 < 3 {
-			c.clock++
-			set[1].lru = c.clock
-			return MESI(x)
-		}
-		if x := set[2].ent ^ want; x-1 < 3 {
-			c.clock++
-			set[2].lru = c.clock
-			return MESI(x)
-		}
-		if x := set[3].ent ^ want; x-1 < 3 {
-			c.clock++
-			set[3].lru = c.clock
-			return MESI(x)
-		}
-		c.Stats.Misses++
-		return Invalid
-	}
-	set := c.set(addr)
-	for i := range set {
-		if x := matchState(set[i].ent, want); x != 0 {
-			c.clock++
-			set[i].lru = c.clock
-			return MESI(x)
-		}
-	}
-	c.Stats.Misses++
-	return Invalid
-}
-
-// Insert fills the line containing addr with the given state, evicting
-// the LRU way if the set is full. It returns the evicted line address
-// and state (ok=false if nothing valid was evicted). Inserting a line
-// that is already present just updates its state and LRU position.
-func (c *Cache) Insert(addr uint64, state MESI) (evictedAddr uint64, evictedState MESI, ok bool) {
-	tag := addr >> c.lineShift
-	want := tag << 2
-	set := c.set(addr)
-	c.clock++
-	victim := 0
-	haveInvalid := false // once an invalid way is picked it stays picked
-	for i := range set {
-		e := set[i].ent
-		if matchState(e, want) != 0 {
-			set[i].ent = want | uint64(state)
-			set[i].lru = c.clock
-			return 0, Invalid, false
-		}
-		if e&3 == 0 {
-			victim = i
-			haveInvalid = true
-		} else if !haveInvalid && set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	v := &set[victim]
-	if e := v.ent; e&3 != 0 {
-		c.Stats.Evictions++
-		evictedAddr = e >> 2 << c.lineShift
-		evictedState = MESI(e & 3)
-		ok = true
-	}
-	v.ent = want | uint64(state)
-	v.lru = c.clock
-	return evictedAddr, evictedState, ok
-}
-
-// SetState updates the state of a resident line; it reports whether the
-// line was present.
-func (c *Cache) SetState(addr uint64, state MESI) bool {
-	tag := addr >> c.lineShift
-	set := c.set(addr)
-	for i := range set {
-		if matchState(set[i].ent, tag<<2) != 0 {
-			set[i].ent = tag<<2 | uint64(state)
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate removes the line containing addr, returning its previous
+// invalidate removes the line containing addr, returning its previous
 // state (Invalid if it was not present).
-func (c *Cache) Invalidate(addr uint64) MESI {
-	tag := addr >> c.lineShift
-	set := c.set(addr)
-	for i := range set {
-		if x := matchState(set[i].ent, tag<<2); x != 0 {
-			set[i].ent = 0
-			c.Stats.Invalidates++
-			return MESI(x)
-		}
+func (c *Cache) invalidate(addr uint64) MESI {
+	w, st, _ := c.access(addr, false, Invalid)
+	if w != nil {
+		*w = way{}
 	}
-	return Invalid
+	return st
 }
 
-// Occupancy returns the number of valid lines (for tests).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.ways {
-		if c.ways[i].ent&3 != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Reset empties the cache and zeroes its statistics, returning it to
-// its as-constructed state without reallocating.
+// Reset empties the cache, returning it to its as-constructed state
+// without reallocating.
 func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = way{}
-	}
+	clear(c.ways)
 	c.clock = 0
-	c.Stats = Stats{}
 }

@@ -40,25 +40,46 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 	New(Params{SizeBytes: 100, Ways: 3, LineBytes: 7})
 }
 
+// occupancy returns the number of valid lines in c.
+func occupancy(c *Cache) int {
+	n := 0
+	for _, w := range c.ways {
+		if w.ent&3 != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// fill is a lookup that fills addr's line in state st on a miss; it
+// returns the evicted line's address and state (Invalid if the victim
+// way was empty).
+func fill(c *Cache, addr uint64, st MESI) (uint64, MESI) {
+	_, _, ev := c.access(addr, true, st)
+	return ev >> 2 << c.lineShift, MESI(ev & 3)
+}
+
 func TestLookupInsert(t *testing.T) {
 	c := small()
-	if c.Lookup(0x1000) != Invalid {
-		t.Fatal("empty cache should miss")
+	if w, st, _ := c.access(0x1000, true, Invalid); w != nil || st != Invalid {
+		t.Fatalf("empty cache lookup = %v, %v; want a miss without a way", w, st)
 	}
-	c.Insert(0x1000, Exclusive)
-	if got := c.Lookup(0x1000); got != Exclusive {
-		t.Fatalf("after insert, Lookup = %v", got)
+	if w, st, _ := c.access(0x1000, true, Exclusive); w == nil || st != Invalid {
+		t.Fatalf("filling lookup = %v, %v; want the filled way and Invalid", w, st)
+	}
+	if got := c.Probe(0x1000); got != Exclusive {
+		t.Fatalf("after fill, Probe = %v", got)
 	}
 	// Same line, different offset.
-	if got := c.Lookup(0x103f); got != Exclusive {
-		t.Fatalf("same-line offset Lookup = %v", got)
+	if _, got, _ := c.access(0x103f, true, Invalid); got != Exclusive {
+		t.Fatalf("same-line offset lookup = %v", got)
 	}
-	// Next line misses.
-	if got := c.Lookup(0x1040); got != Invalid {
-		t.Fatalf("next line Lookup = %v", got)
+	// Next line misses and, without a fill state, stays absent.
+	if _, got, _ := c.access(0x1040, true, Invalid); got != Invalid {
+		t.Fatalf("next line lookup = %v", got)
 	}
-	if c.Stats.Accesses != 4 || c.Stats.Misses != 2 {
-		t.Errorf("stats = %+v", c.Stats)
+	if got := c.Probe(0x1040); got != Invalid || occupancy(c) != 1 {
+		t.Errorf("lookup without fill left state %v, occupancy %d", got, occupancy(c))
 	}
 }
 
@@ -66,13 +87,11 @@ func TestLRUEviction(t *testing.T) {
 	c := small() // 2-way: three lines mapping to one set evict the LRU
 	// Set index = (addr>>6) & 3. Addresses 0x0000, 0x0100, 0x0200 all map
 	// to set 0 (line numbers 0, 4, 8).
-	c.Insert(0x0000, Exclusive)
-	c.Insert(0x0100, Exclusive)
-	c.Lookup(0x0000) // make 0x0000 MRU
-	ev, st, ok := c.Insert(0x0200, Modified)
-	if !ok {
-		t.Fatal("expected an eviction")
-	}
+	fill(c, 0x0000, Exclusive)
+	fill(c, 0x0100, Exclusive)
+	c.access(0x0000, true, Invalid)  // make 0x0000 MRU
+	c.access(0x0100, false, Invalid) // an untouched lookup leaves the order alone
+	ev, st := fill(c, 0x0200, Modified)
 	if ev != 0x0100 || st != Exclusive {
 		t.Fatalf("evicted %#x/%v, want 0x100/E", ev, st)
 	}
@@ -80,41 +99,44 @@ func TestLRUEviction(t *testing.T) {
 		t.Error("MRU line was evicted")
 	}
 	if c.Probe(0x0200) != Modified {
-		t.Error("inserted line missing")
+		t.Error("filled line missing")
 	}
 }
 
 func TestInsertExistingUpdatesState(t *testing.T) {
 	c := small()
-	c.Insert(0x40, Shared)
-	if _, _, ok := c.Insert(0x40, Modified); ok {
-		t.Error("re-insert must not evict")
+	fill(c, 0x40, Shared)
+	w, st, ev := c.access(0x40, true, Modified)
+	if st != Shared || ev != 0 {
+		t.Fatalf("lookup of resident line = %v (evicted %#x), want a Shared hit", st, ev)
 	}
+	w.set(Modified)
 	if got := c.Probe(0x40); got != Modified {
-		t.Errorf("state after re-insert = %v", got)
+		t.Errorf("state after in-place change = %v", got)
 	}
-	if c.Occupancy() != 1 {
-		t.Errorf("occupancy = %d", c.Occupancy())
+	if occupancy(c) != 1 {
+		t.Errorf("occupancy = %d", occupancy(c))
 	}
 }
 
 func TestSetStateInvalidate(t *testing.T) {
 	c := small()
-	if c.SetState(0x40, Modified) {
-		t.Error("SetState on absent line should report false")
+	fill(c, 0x0000, Exclusive)
+	fill(c, 0x0100, Exclusive)
+	w, _, _ := c.access(0x0000, false, Invalid)
+	w.set(Modified)
+	if got := c.invalidate(0x0000); got != Modified {
+		t.Errorf("invalidate returned %v", got)
 	}
-	c.Insert(0x40, Exclusive)
-	if !c.SetState(0x40, Modified) {
-		t.Error("SetState on present line should report true")
+	if got := c.invalidate(0x0000); got != Invalid {
+		t.Errorf("double invalidate returned %v", got)
 	}
-	if got := c.Invalidate(0x40); got != Modified {
-		t.Errorf("Invalidate returned %v", got)
+	// The emptied way is the next victim, ahead of the LRU line.
+	if _, st := fill(c, 0x0200, Exclusive); st != Invalid {
+		t.Errorf("fill into a set with an empty way evicted a %v line", st)
 	}
-	if got := c.Invalidate(0x40); got != Invalid {
-		t.Errorf("double Invalidate returned %v", got)
-	}
-	if c.Stats.Invalidates != 1 {
-		t.Errorf("Invalidates = %d", c.Stats.Invalidates)
+	if c.Probe(0x0100) != Exclusive || occupancy(c) != 2 {
+		t.Errorf("0x100 = %v, occupancy %d; want E, 2", c.Probe(0x0100), occupancy(c))
 	}
 }
 
@@ -133,29 +155,18 @@ func TestMESIHelpers(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("empty MissRate should be 0")
-	}
-	s.Accesses, s.Misses = 4, 1
-	if s.MissRate() != 0.25 {
-		t.Errorf("MissRate = %v", s.MissRate())
-	}
-}
-
-// Property: occupancy never exceeds capacity and a just-inserted line is
+// Property: occupancy never exceeds capacity and a just-filled line is
 // always resident.
 func TestCacheOccupancyProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		c := small()
 		for _, a := range addrs {
 			addr := uint64(a)
-			c.Insert(addr, Exclusive)
+			fill(c, addr, Exclusive)
 			if c.Probe(addr) == Invalid {
 				return false
 			}
-			if c.Occupancy() > 8 {
+			if occupancy(c) > 8 {
 				return false
 			}
 		}
@@ -166,23 +177,29 @@ func TestCacheOccupancyProperty(t *testing.T) {
 	}
 }
 
-// Property: after inserting k <= ways distinct lines into one set, all
+// Property: after filling k <= ways distinct lines into one set, all
 // remain resident (LRU never evicts from a non-full set).
 func TestNoEvictionBelowCapacity(t *testing.T) {
 	c := small()
-	if _, _, ok := c.Insert(0x0000, Exclusive); ok {
-		t.Error("first insert must not evict")
+	if _, st := fill(c, 0x0000, Exclusive); st != Invalid {
+		t.Error("first fill must not evict")
 	}
-	if _, _, ok := c.Insert(0x0100, Exclusive); ok {
-		t.Error("second insert into 2-way set must not evict")
+	if _, st := fill(c, 0x0100, Exclusive); st != Invalid {
+		t.Error("second fill into 2-way set must not evict")
+	}
+	if c.Probe(0x0000) != Exclusive || c.Probe(0x0100) != Exclusive {
+		t.Error("both lines must stay resident")
 	}
 }
 
 func TestHierarchyFetch(t *testing.T) {
 	h := NewHierarchy(DefaultConfig())
 	r := h.Fetch(0x400000)
-	if !r.OffChip || r.L1Hit || r.L2Hit {
+	if !r.OffChip || r.L1Hit {
 		t.Errorf("cold fetch = %+v", r)
+	}
+	if h.L1I.Probe(0x400000) != Shared || h.L2.Probe(0x400000) != Shared {
+		t.Error("cold fetch should fill S in the L1I and the L2")
 	}
 	r = h.Fetch(0x400000)
 	if !r.L1Hit {
@@ -218,8 +235,8 @@ func TestHierarchyStoreStates(t *testing.T) {
 
 	// Cold store: off-chip, installs M.
 	r := h.Store(0xA000000, false)
-	if !r.OffChip || r.Upgrade {
-		t.Errorf("cold store = %+v", r)
+	if !r.OffChip || h.Stats.StoreUpgrades != 0 {
+		t.Errorf("cold store = %+v, %d upgrades", r, h.Stats.StoreUpgrades)
 	}
 	if h.L2.Probe(0xA000000) != Modified {
 		t.Error("store miss should install M")
@@ -244,11 +261,14 @@ func TestHierarchyStoreStates(t *testing.T) {
 	// Store to S: ownership upgrade = off-chip.
 	h.Load(0xC000000, true) // fills S
 	r = h.Store(0xC000000, true)
-	if !r.OffChip || !r.Upgrade {
+	if !r.OffChip {
 		t.Errorf("store to S = %+v", r)
 	}
-	if h.Stats.StoreUpgrades != 1 {
-		t.Errorf("StoreUpgrades = %d", h.Stats.StoreUpgrades)
+	if h.Stats.StoreUpgrades != 1 || h.Stats.StoreOffChip != 2 {
+		t.Errorf("StoreUpgrades = %d, StoreOffChip = %d; want 1, 2", h.Stats.StoreUpgrades, h.Stats.StoreOffChip)
+	}
+	if h.L2.Probe(0xC000000) != Modified {
+		t.Error("store to S should become M")
 	}
 }
 

@@ -5,32 +5,27 @@ package cache
 // as on-chip or off-chip. "Off-chip" means the access requires a
 // long-latency transaction beyond the L2: a data fetch from memory, or a
 // cross-chip ownership upgrade for a store to a Shared line.
+//
+// Every level is reached through one primitive, Cache.access: it scans
+// the set for the line, fills the victim on a miss and hands back the
+// way, whose state the caller then changes in place. Two fast
+// paths skip the scan: an instruction fetch from the line fetched last
+// and a data access to the page the TLB served last. Commercial
+// instruction streams touch the same L1I line about 16 times in a row,
+// and a repeated line or page is already resident and most recently used
+// in its set, so the skipped scan would change nothing but the LRU clock.
+// DESIGN.md §5.1 records the measurements behind this design.
 type Hierarchy struct {
 	L1I *Cache
 	L1D *Cache
 	L2  *Cache
 	TLB *Cache // tracks pages; misses are counted but are not epoch events
 
-	pageBytes  int  //storemlp:keep (geometry, fixed at construction)
 	fetchShift uint //storemlp:keep copy of L1I.lineShift, keeps Fetch's fast path inlinable
 
-	// Consecutive-duplicate fast paths. Commercial instruction streams
-	// touch the same L1I line ~16 times in a row and burst stores walk a
-	// line in sub-line steps, so the hierarchy remembers the last line
-	// (or page) each structure served and skips the full lookup when the
-	// next access repeats it. Collapsing consecutive duplicate touches
-	// preserves every observable: the line stays most-recently-used in
-	// its set either way, so victim selection, hit/miss outcomes and all
-	// HierarchyStats counters are identical — only the redundant LRU
-	// bump and the structure's internal access count are elided.
-	// Sentinel ^0 means "no valid last access".
+	// The fast paths' last line and page; noLast when there is none.
 	lastFetchLine uint64 // line tag last fetched, resident in L1I
 	lastPage      uint64 // page tag last touched, resident in TLB
-	lastStoreLine uint64 // line tag last stored, Modified in L2, no
-	// intervening L1D or L2 access (loads touch the L1D; L1I-missing
-	// fetches, prefetches and snoops touch the L2)
-	lastStoreL1 bool // L1D presence of lastStoreLine at that store
-	l2Shared    bool // another hierarchy shares the L2: no store fast path
 
 	// OnL2Evict, if non-nil, is called for every valid line evicted from
 	// the L2 with its address and pre-eviction state. The Store Miss
@@ -80,28 +75,12 @@ func DefaultConfig() Config {
 const noLast = ^uint64(0)
 
 // NewHierarchy builds the cache hierarchy.
-func NewHierarchy(cfg Config) *Hierarchy {
-	h := &Hierarchy{
-		L1I: New(cfg.L1I),
-		L1D: New(cfg.L1D),
-		L2:  New(cfg.L2),
-		TLB: New(Params{
-			SizeBytes: cfg.TLBEntries * cfg.PageBytes,
-			Ways:      4,
-			LineBytes: cfg.PageBytes,
-		}),
-		pageBytes: cfg.PageBytes,
-	}
-	h.fetchShift = h.L1I.lineShift
-	h.clearFastPaths()
-	return h
-}
+func NewHierarchy(cfg Config) *Hierarchy { return NewSharedHierarchy(cfg, New(cfg.L2)) }
 
-// NewSharedHierarchy builds a second core's view of the hierarchy:
-// private L1s and TLB, sharing the given L2 — the paper's CMP
-// configuration has two single-threaded cores per shared L2. Both views
-// lose the store fast path: either core's L2 accesses would invalidate
-// the other's cached store outcome.
+// NewSharedHierarchy builds a core's view of the hierarchy: private L1s
+// and TLB over the given L2. The paper's CMP configuration has two
+// single-threaded cores per shared L2, so a second core's view shares
+// the first's.
 func NewSharedHierarchy(cfg Config, l2 *Cache) *Hierarchy {
 	h := &Hierarchy{
 		L1I: New(cfg.L1I),
@@ -112,55 +91,39 @@ func NewSharedHierarchy(cfg Config, l2 *Cache) *Hierarchy {
 			Ways:      4,
 			LineBytes: cfg.PageBytes,
 		}),
-		pageBytes: cfg.PageBytes,
-		l2Shared:  true,
 	}
 	h.fetchShift = h.L1I.lineShift
-	h.clearFastPaths()
+	h.lastFetchLine, h.lastPage = noLast, noLast
 	return h
 }
 
 // Reset empties every level and zeroes the statistics, returning the
-// hierarchy to its as-constructed state without reallocating. The store
-// fast path is re-enabled and the OnL2Evict hook detached; re-attach any
-// shared view (MarkL2Shared) and re-hook OnL2Evict after resetting.
+// hierarchy to its as-constructed state without reallocating. The
+// OnL2Evict hook is detached; re-hook it after resetting.
 func (h *Hierarchy) Reset() {
 	h.L1I.Reset()
 	h.L1D.Reset()
 	h.L2.Reset()
 	h.TLB.Reset()
-	h.l2Shared = false
-	h.clearFastPaths()
+	h.lastFetchLine, h.lastPage = noLast, noLast
 	h.OnL2Evict = nil
 	h.Stats = HierarchyStats{}
-}
-
-// MarkL2Shared disables the store fast path on a hierarchy whose L2 has
-// been attached to a second core's view.
-func (h *Hierarchy) MarkL2Shared() {
-	h.l2Shared = true
-	h.lastStoreLine = noLast
-}
-
-func (h *Hierarchy) clearFastPaths() {
-	h.lastFetchLine = noLast
-	h.lastPage = noLast
-	h.lastStoreLine = noLast
-	h.lastStoreL1 = false
 }
 
 // Result describes one access's interaction with the hierarchy.
 type Result struct {
 	L1Hit   bool
-	L2Hit   bool // valid line found in L2 (any state)
 	OffChip bool // required an off-chip transaction
-	Upgrade bool // off-chip transaction was an S->M ownership upgrade
 }
 
-func (h *Hierarchy) insertL2(addr uint64, state MESI) {
-	if ev, st, ok := h.L2.Insert(addr, state); ok && h.OnL2Evict != nil {
-		h.OnL2Evict(ev, st)
+// accessL2 is Cache.access on the L2, reporting the victim of a fill to
+// OnL2Evict.
+func (h *Hierarchy) accessL2(addr uint64, touch bool, fill MESI) (*way, MESI) {
+	w, st, ev := h.L2.access(addr, touch, fill)
+	if ev&3 != 0 && h.OnL2Evict != nil {
+		h.OnL2Evict(ev>>2<<h.L2.lineShift, MESI(ev&3))
 	}
+	return w, st
 }
 
 // touchTLB stays small enough to inline into Load and Store so the
@@ -170,17 +133,14 @@ func (h *Hierarchy) insertL2(addr uint64, state MESI) {
 //storemlp:inline
 func (h *Hierarchy) touchTLB(addr uint64) {
 	if addr>>h.TLB.lineShift == h.lastPage {
-		// The previous TLB touch was this page, so it is resident and
-		// most-recently-used; skip the redundant lookup.
 		return
 	}
 	h.touchTLBSlow(addr)
 }
 
 func (h *Hierarchy) touchTLBSlow(addr uint64) {
-	if h.TLB.Lookup(addr) == Invalid {
+	if _, st, _ := h.TLB.access(addr, true, Exclusive); st == Invalid {
 		h.Stats.TLBMisses++
-		h.TLB.Insert(addr, Exclusive)
 	}
 	h.lastPage = addr >> h.TLB.lineShift
 }
@@ -195,29 +155,20 @@ func (h *Hierarchy) touchTLBSlow(addr uint64) {
 func (h *Hierarchy) Fetch(pc uint64) Result {
 	h.Stats.Fetches++
 	if pc>>h.fetchShift == h.lastFetchLine {
-		// Resident and most-recently-used in the L1I, nothing below is
-		// touched.
-		return Result{L1Hit: true, L2Hit: true}
+		return Result{L1Hit: true}
 	}
 	return h.fetchSlow(pc)
 }
 
 func (h *Hierarchy) fetchSlow(pc uint64) Result {
-	line := pc >> h.L1I.lineShift
-	if h.L1I.Lookup(pc) != Invalid {
-		h.lastFetchLine = line
-		return Result{L1Hit: true, L2Hit: true}
+	h.lastFetchLine = pc >> h.fetchShift
+	if _, st, _ := h.L1I.access(pc, true, Shared); st != Invalid {
+		return Result{L1Hit: true}
 	}
-	h.lastStoreLine = noLast // the fill path touches the L2
-	if h.L2.Lookup(pc) != Invalid {
-		h.L1I.Insert(pc, Shared)
-		h.lastFetchLine = line
-		return Result{L2Hit: true}
+	if _, st := h.accessL2(pc, true, Shared); st != Invalid {
+		return Result{}
 	}
 	h.Stats.FetchOffChip++
-	h.insertL2(pc, Shared)
-	h.L1I.Insert(pc, Shared)
-	h.lastFetchLine = line
 	return Result{OffChip: true}
 }
 
@@ -226,21 +177,17 @@ func (h *Hierarchy) fetchSlow(pc uint64) Result {
 func (h *Hierarchy) Load(addr uint64, shared bool) Result {
 	h.Stats.Loads++
 	h.touchTLB(addr)
-	h.lastStoreLine = noLast // loads touch the L1D (and on a miss the L2)
-	if h.L1D.Lookup(addr) != Invalid {
-		return Result{L1Hit: true, L2Hit: true}
+	if _, st, _ := h.L1D.access(addr, true, Shared); st != Invalid {
+		return Result{L1Hit: true}
 	}
-	if h.L2.Lookup(addr) != Invalid {
-		h.L1D.Insert(addr, Shared)
-		return Result{L2Hit: true}
+	fill := Exclusive
+	if shared {
+		fill = Shared
+	}
+	if _, st := h.accessL2(addr, true, fill); st != Invalid {
+		return Result{}
 	}
 	h.Stats.LoadOffChip++
-	st := Exclusive
-	if shared {
-		st = Shared
-	}
-	h.insertL2(addr, st)
-	h.L1D.Insert(addr, Shared)
 	return Result{OffChip: true}
 }
 
@@ -248,77 +195,50 @@ func (h *Hierarchy) Load(addr uint64, shared bool) Result {
 // no-write-allocate, so the store's fate is decided entirely at the L2:
 // a hit in M or E commits on-chip; a hit in S needs a cross-chip
 // ownership upgrade; a miss needs a full off-chip fill with ownership.
+// Ownership is acquired whatever shared says; sharing returns through
+// snoops.
 func (h *Hierarchy) Store(addr uint64, shared bool) Result {
 	h.Stats.Stores++
 	h.Stats.L2StoreTraffic++
 	h.touchTLB(addr)
-	line := addr >> h.L2.lineShift
-	if line == h.lastStoreLine {
-		// Repeat of the previous store's line with no intervening L1D
-		// or L2 access: the line is Modified and most-recently-used in
-		// the L2, and the L1D's view of it is unchanged.
-		return Result{L1Hit: h.lastStoreL1, L2Hit: true}
+	_, l1, _ := h.L1D.access(addr, true, Invalid) // write-through: update if present
+	w, st := h.accessL2(addr, true, Modified)
+	w.set(Modified)
+	if st.Owned() {
+		return Result{L1Hit: l1 != Invalid}
 	}
-	l1 := h.L1D.Lookup(addr) != Invalid // write-through: update if present
-	res := Result{L1Hit: l1, L2Hit: true}
-	switch h.L2.Lookup(addr) {
-	case Modified:
-	case Exclusive:
-		h.L2.SetState(addr, Modified)
-	case Shared:
-		h.Stats.StoreOffChip++
+	h.Stats.StoreOffChip++
+	if st == Shared {
 		h.Stats.StoreUpgrades++
-		h.L2.SetState(addr, Modified)
-		res.OffChip, res.Upgrade = true, true
-	default:
-		h.Stats.StoreOffChip++
-		h.insertL2(addr, Modified)
-		_ = shared // ownership is acquired regardless; sharing returns via snoops
-		res.L2Hit, res.OffChip = false, true
 	}
-	// Every store leaves the line Modified, so a consecutive repeat is a
-	// pure L2 hit — unless the L2 is shared, where the co-runner's
-	// accesses would invalidate the cached outcome unseen.
-	if !h.l2Shared {
-		h.lastStoreLine, h.lastStoreL1 = line, l1
-	}
-	return res
+	return Result{L1Hit: l1 != Invalid, OffChip: true}
 }
 
 // PrefetchStore issues a "prefetch for write": the line containing addr
-// is acquired in Modified state, counting L2 prefetch traffic. Used by
-// store prefetching (at retire or at execute) and by scout-mode store
-// prefetches.
+// is acquired in Modified state, counting L2 prefetch traffic. A
+// resident line keeps its LRU position. Used by store prefetching (at
+// retire or at execute) and by scout-mode store prefetches.
 func (h *Hierarchy) PrefetchStore(addr uint64) {
-	h.lastStoreLine = noLast
 	h.Stats.L2PrefetchReqs++
-	if h.L2.Probe(addr).Owned() {
-		h.L2.SetState(addr, Modified)
-		return
-	}
-	if h.L2.Probe(addr) == Shared {
-		h.L2.SetState(addr, Modified)
-		return
-	}
-	h.insertL2(addr, Modified)
+	w, _ := h.accessL2(addr, false, Modified)
+	w.set(Modified)
 }
 
 // SnoopInvalidate applies a remote chip's request-to-own: the local line
 // is invalidated. It reports the state the line held.
 func (h *Hierarchy) SnoopInvalidate(addr uint64) MESI {
-	h.clearFastPaths() // L1I residency and L2 store state may change
-	h.L1D.Invalidate(addr)
-	h.L1I.Invalidate(addr)
-	return h.L2.Invalidate(addr)
+	h.lastFetchLine = noLast // the line may leave the L1I
+	h.L1D.invalidate(addr)
+	h.L1I.invalidate(addr)
+	return h.L2.invalidate(addr)
 }
 
 // SnoopShared applies a remote chip's read request: an owned local line
 // is demoted to Shared (so the next local store needs an upgrade).
 func (h *Hierarchy) SnoopShared(addr uint64) MESI {
-	h.lastStoreLine = noLast // the demotion may hit the cached store line
-	prev := h.L2.Probe(addr)
-	if prev.Owned() {
-		h.L2.SetState(addr, Shared)
+	w, st, _ := h.L2.access(addr, false, Invalid)
+	if st.Owned() {
+		w.set(Shared)
 	}
-	return prev
+	return st
 }

@@ -156,7 +156,6 @@ func WithSharedCore(src trace.Source) Option {
 			return fmt.Errorf("epoch: nil shared-core source")
 		}
 		e.bgSrc = src
-		e.hier.MarkL2Shared()
 		e.bgHier = cache.NewSharedHierarchy(e.cfg.Hierarchy, e.hier.L2)
 		if e.sm != nil {
 			e.bgHier.OnL2Evict = e.hier.OnL2Evict

@@ -426,10 +426,10 @@ func binary64(b []byte) uint64 {
 	return uint64(binary32(b)) | uint64(binary32(b[4:]))<<32
 }
 
-// TestOpenMmap opens a trace file with Open: it decodes exactly, Close
-// is idempotent and fails later reads, and a missing or empty file is
-// an error.
-func TestOpenMmap(t *testing.T) {
+// TestOpen opens a trace file with Open, which streams it through the
+// one block reader: it decodes exactly, Close is idempotent and fails
+// later reads, and a missing or empty file is an error.
+func TestOpen(t *testing.T) {
 	insts := genInsts(DefaultBlockLen+500, 77)
 	path := writeTemp(t, encode(t, insts))
 	cf, err := Open(path)

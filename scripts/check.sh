@@ -114,11 +114,16 @@ go test -race -short -cpu 1,2,4 \
     -run 'TestSpan|TestDecodeAhead|TestWriteAll|TestPool|TestCoalescing|TestCacheHit|TestAbandoned|TestLRUCache|TestServerClose|TestOneExecutionPerDigest|TestParMap|TestSweep' \
     ./internal/sim/ ./internal/server/ ./internal/trace/ ./internal/experiments/ .
 
-echo '>> fuzz smoke (10 s): FuzzSourceMatchesMathRand'
-# The one fuzzer that runs past its seed corpus here: the workload
+echo '>> fuzz smoke (10 s each): FuzzSourceMatchesMathRand, FuzzHierarchyMatchesReference'
+# The two fuzzers that run past their seed corpora here. The workload
 # generator's concrete random source must draw exactly math/rand's
-# stream, or every pinned stream and golden result moves.
+# stream, and the cache hierarchy must match its naive reference model
+# on every access, or every pinned stream and golden result moves.
+# The hierarchy's inputs are long op sequences, so new coverage is
+# minimized for at most 1 s instead of the default 60 s, which would
+# otherwise stall the 10 s run.
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/workload
+go test -run '^$' -fuzz '^FuzzHierarchyMatchesReference$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cache
 
 echo '>> benchmark smoke (10 iterations) + benchdiff report'
 # Ten iterations, not one: the first iteration pays the engine and
