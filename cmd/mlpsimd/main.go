@@ -1,14 +1,14 @@
 // Command mlpsimd is the long-running simulation service: an HTTP JSON
-// daemon in front of the epoch MLP engine. It accepts single-run and
-// sweep requests, executes them on a bounded worker pool, coalesces
-// identical concurrent requests onto one engine execution, caches
-// results by canonical config digest, and exposes Prometheus-text
-// metrics.
+// daemon in front of the epoch MLP engine. Each request is one
+// simulation point; the daemon executes points on a bounded worker
+// pool, coalesces identical concurrent requests onto one engine
+// execution, caches results by canonical config digest, and exposes
+// Prometheus-text metrics. A grid of points is as many concurrent
+// /v1/run requests (cmd/mlpload sends one).
 //
 // Endpoints:
 //
-//	POST /v1/run          one simulation point
-//	POST /v1/sweep        many points, deduplicated and pool-bounded
+//	POST /v1/run          one simulation point (body at most 16 KiB)
 //	GET  /healthz         liveness + pool/cache summary
 //	GET  /metrics         Prometheus text exposition
 //	GET  /debug/obs/trace retained slow-request span trees as Chrome trace_event JSON
@@ -17,7 +17,7 @@
 //	GET  /debug/obs/slow  slowest requests with per-stage timings
 //	GET  /debug/obs/req   one request's span tree as Chrome trace JSON (?id=<trace_id>)
 //
-// Every non-probe request gets a span tree (X-Trace-Id response
+// Every /v1/run request gets a span tree (X-Trace-Id response
 // header, trace_id on the completion log line); the slowest are
 // retained in a bounded ring sized by -slow for post-hoc latency
 // attribution. README "Explaining a slow request" walks the flow.

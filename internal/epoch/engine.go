@@ -537,7 +537,7 @@ func (e *Engine) setTermRange(from, to int64, cond TermCond) {
 
 // expose marks all open store misses younger than the overlap window as
 // exposed: the processor stalled while they were in the store queue.
-func (e *Engine) expose(idx int64, measuring bool) {
+func (e *Engine) expose(idx int64) {
 	e.drainOverlapped(idx)
 	for e.openHead < len(e.open) {
 		e.open[e.openHead] = openStore{}
@@ -545,7 +545,6 @@ func (e *Engine) expose(idx int64, measuring bool) {
 		e.stats.ExposedStores++
 	}
 	e.compactOpen()
-	_ = measuring
 }
 
 // drainOverlapped retires open store misses that survived a full overlap
@@ -655,7 +654,7 @@ func (e *Engine) step(in isa.Inst) {
 		} else {
 			e.charge(f, kindInst, measuring)
 			e.setTermRange(f, f+1, TermInstMiss)
-			e.expose(idx, measuring)
+			e.expose(idx)
 			e.fetchAvail = f + 1
 		}
 		instAvail = e.fetchAvail
@@ -674,12 +673,12 @@ func (e *Engine) step(in isa.Inst) {
 			}
 		}
 		e.setTermRange(d, c, cond)
-		e.expose(idx, measuring)
+		e.expose(idx)
 		d = c
 	}
 	if d2 := e.iw.admit(d); d2 > d {
 		e.setTermRange(d, d2, TermWindowFull)
-		e.expose(idx, measuring)
+		e.expose(idx)
 		d = d2
 	}
 	if in.Op.IsStore() && !perfect {
@@ -692,7 +691,7 @@ func (e *Engine) step(in isa.Inst) {
 				}
 			}
 			e.setTermRange(d, c, cond)
-			e.expose(idx, measuring)
+			e.expose(idx)
 			d = c
 		}
 	}
@@ -764,7 +763,7 @@ func (e *Engine) step(in isa.Inst) {
 			// Unresolvable misprediction: fetch stalls until the branch's
 			// (miss-fed) source resolves.
 			e.setTermRange(e.fetchAvail, x, TermMispredBranch)
-			e.expose(idx, measuring)
+			e.expose(idx)
 			e.fetchAvail = x
 		}
 
@@ -815,7 +814,7 @@ func (e *Engine) execSerializer(in isa.Inst, idx, x int64, measuring bool) (int6
 				cond = TermOtherSerialize
 			}
 			e.setTermRange(x, e.maxCommitDone, cond)
-			e.expose(idx, measuring)
+			e.expose(idx)
 			if e.cfg.PrefetchPastSerializing {
 				e.startScout(idx, x, e.cfg.ROB, true)
 			}
@@ -891,11 +890,8 @@ func (e *Engine) foldRec(r *epochRec) {
 		lb = MaxLoadInstBucket
 	}
 	e.stats.MLPJoint[sb][lb]++
-	e.stats.epochsWithAny++
-	e.stats.loadInstMLPSum += int64(r.loadMisses) + int64(r.instMisses)
 	if r.storeMisses > 0 {
 		e.stats.EpochsWithStore++
-		e.stats.storeMLPSum += int64(r.storeMisses)
 		e.stats.TermCounts[r.term]++
 	}
 }
@@ -905,7 +901,7 @@ func (e *Engine) finalize() {
 	// overlapped; anything still open at end of trace is conservatively
 	// counted as exposed (its fate is unknowable).
 	e.drainOverlapped(e.idx)
-	e.expose(e.idx, true)
+	e.expose(e.idx)
 	for ep := e.winBase; ep < e.winHi; ep++ {
 		r := &e.win[ep&e.winMask]
 		e.foldRec(r)

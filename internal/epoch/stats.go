@@ -120,11 +120,6 @@ type Stats struct {
 	// (0..5, 5 meaning >=5) — Figure 4.
 	MLPJoint [MaxStoreMLPBucket + 1][MaxLoadInstBucket + 1]int64
 
-	// Sums for MLP averages.
-	storeMLPSum    int64
-	loadInstMLPSum int64
-	epochsWithAny  int64
-
 	// Substrate statistics.
 	Hierarchy cache.HierarchyStats
 	SMAC      smac.Stats
@@ -157,17 +152,17 @@ func (s *Stats) StoreMLP() float64 {
 	if s.EpochsWithStore == 0 {
 		return 0
 	}
-	return float64(s.storeMLPSum) / float64(s.EpochsWithStore)
+	return float64(s.StoreMisses) / float64(s.EpochsWithStore)
 }
 
 // LoadInstMLP returns the average number of load plus instruction misses
 // per epoch, over all epochs with at least one off-chip miss — the
 // horizontal axis of the Figure 4 joint distribution, as a mean.
 func (s *Stats) LoadInstMLP() float64 {
-	if s.epochsWithAny == 0 {
+	if s.Epochs == 0 {
 		return 0
 	}
-	return float64(s.loadInstMLPSum) / float64(s.epochsWithAny)
+	return float64(s.LoadMisses+s.InstMisses) / float64(s.Epochs)
 }
 
 // OffChipCPI translates EPI into off-chip cycles per instruction for a

@@ -47,7 +47,7 @@ func (e *Engine) commitStore(in isa.Inst, idx, x int64, measuring, shared bool) 
 	// ---- store queue admission ----
 	if rq := e.sq.admit(retireEpoch); rq > retireEpoch {
 		tag = tagSQ
-		e.expose(idx, measuring)
+		e.expose(idx)
 		if e.cfg.HWS.TriggersOnStoreStall() {
 			e.startScout(idx, retireEpoch, e.cfg.EffectiveScoutReach(), true)
 		}

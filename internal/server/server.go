@@ -1,9 +1,14 @@
 // Package server implements mlpsimd's HTTP JSON serving layer: a
 // long-running simulation service in front of the epoch MLP engine.
 //
-// The request path for one sweep point is
+// A request (POST /v1/run) is one simulation point, and its path is
 //
 //	digest -> result table -> worker pool -> engine
+//
+// so one request resolves one spec, probes the table once and waits on
+// at most one simulation. A grid of points is as many concurrent
+// requests; they dedupe, cache and queue through the same table and
+// pool.
 //
 // Every run is identified by the canonical digest of its full
 // specification (workload calibration + machine configuration +
@@ -24,8 +29,8 @@
 // serves the same registry as JSON, /debug/obs/trace exports the
 // retained slow-request span trees (engine batches and fold included)
 // as Chrome trace_event JSON, /debug/obs/runs lists the live progress
-// of the traced requests running the engine (one entry per request, a
-// sweep's points summed), /healthz serves a liveness summary, and
+// of the traced requests running the engine (one entry per request),
+// /healthz serves a liveness summary, and
 // every request is logged with a request ID, duration, cache state and
 // outcome. DESIGN.md §9 and §12 have the full inventory.
 package server
@@ -97,10 +102,9 @@ type Config struct {
 }
 
 // reqSpanCap bounds the span arena of one request trace. A /v1/run
-// request records ~10 request-stage spans plus its engine detail
-// (bounded by TraceEvents); a sweep records a handful per point, so
-// very large sweeps drop excess spans (counted in the trace's dropped
-// field) rather than growing the arena.
+// request records under 10 request-stage spans plus its engine detail,
+// which TraceEvents caps at reqSpanCap-128, so the arena never fills
+// with request stages.
 const reqSpanCap = 512
 
 // maxDetailSpans is the largest TraceEvents value: the arena slots left
@@ -207,7 +211,7 @@ func (s *Server) registerMetrics() {
 	m := s.Metrics
 	s.mReqs = make(map[string]map[string]*obs.Counter)
 	s.mLatency = make(map[string]*obs.Histogram)
-	for _, ep := range []string{"run", "sweep", "healthz", "metrics", "debug"} {
+	for _, ep := range []string{"run", "healthz", "metrics", "debug", "other"} {
 		byClass := make(map[string]*obs.Counter)
 		for _, class := range []string{"2xx", "4xx", "5xx"} {
 			byClass[class] = m.Counter("mlpsimd_requests_total",
@@ -434,20 +438,6 @@ type RunResponse struct {
 	Result    RunResult `json:"result"`
 }
 
-// SweepRequest executes many points; each flows through the same
-// digest/cache/coalescing pipeline, bounded by the worker pool.
-type SweepRequest struct {
-	Points []RunRequest `json:"points"`
-}
-
-// SweepResponse aggregates the per-point responses in request order.
-type SweepResponse struct {
-	Points    []RunResponse `json:"points"`
-	ElapsedMS float64       `json:"elapsed_ms"`
-	Cached    int           `json:"cached"`
-	Coalesced int           `json:"coalesced"`
-}
-
 // httpError carries a status code out of the serving pipeline.
 type httpError struct {
 	status int
@@ -573,11 +563,8 @@ func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, e
 	}
 	resp := RunResponse{Digest: key}
 
-	rs := reqStatsFrom(ctx)
-
 	if req.NoCache {
 		// Benchmark cold path: always a fresh execution, never shared.
-		rs.bypass.Add(1)
 		res, err := s.execute(ctx, spec)
 		if err != nil {
 			return RunResponse{}, err
@@ -592,7 +579,6 @@ func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, e
 	if state == entryReady {
 		rt.EndSpan(sp, 1)
 		s.mCacheHits.Inc()
-		rs.hits.Add(1)
 		resp.Cached = true
 		resp.Result = *e.res
 		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -624,9 +610,6 @@ func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, e
 	}
 	if shared {
 		s.mCoalesced.Inc()
-		rs.coalesced.Add(1)
-	} else {
-		rs.misses.Add(1)
 	}
 	resp.Coalesced = shared
 	resp.Result = *res
@@ -641,7 +624,6 @@ func (s *Server) servePoint(ctx context.Context, req RunRequest) (RunResponse, e
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.Metrics.Handler())
 	mux.Handle("GET /debug/obs/trace", s.slow.TraceHandler())
@@ -652,10 +634,13 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// statusWriter captures the response code for logging and metrics.
+// statusWriter captures the response code for logging and metrics,
+// and carries the cache state handleRun sets for the completion log
+// line.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	cache  string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -667,8 +652,6 @@ func endpointOf(path string) string {
 	switch path {
 	case "/v1/run":
 		return "run"
-	case "/v1/sweep":
-		return "sweep"
 	case "/healthz":
 		return "healthz"
 	case "/metrics":
@@ -677,7 +660,7 @@ func endpointOf(path string) string {
 	if strings.HasPrefix(path, "/debug/") {
 		return "debug"
 	}
-	return "run" // unknown paths 404 through the mux; bucket arbitrarily
+	return "other" // unknown paths 404 through the mux
 }
 
 func classOf(status int) string {
@@ -690,51 +673,19 @@ func classOf(status int) string {
 	return "2xx"
 }
 
-// reqStats accumulates per-request cache accounting across the points
-// the request serves (one for /v1/run, many for /v1/sweep); sweeps
-// serve points concurrently, hence the atomics. The instrument
-// middleware plants one in the context and renders it on the
-// completion log line.
-type reqStats struct {
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	bypass    atomic.Int64
-}
-
-// state renders the cache interaction: the bare class for the common
-// single-point request, "hit=3,miss=1"-style tallies for sweeps, and
-// "none" when no point reached the cache (errors, and probes — which
-// skip the sink entirely, hence the nil receiver).
-func (c *reqStats) state() string {
-	if c == nil {
-		return "none"
-	}
-	counts := [...]struct {
-		name string
-		n    int64
-	}{
-		{"hit", c.hits.Load()},
-		{"miss", c.misses.Load()},
-		{"coalesced", c.coalesced.Load()},
-		{"bypass", c.bypass.Load()},
-	}
-	total := int64(0)
-	parts := make([]string, 0, len(counts))
-	for _, ct := range counts {
-		if ct.n == 0 {
-			continue
-		}
-		total += ct.n
-		parts = append(parts, fmt.Sprintf("%s=%d", ct.name, ct.n))
-	}
+// cacheState names how the result table served a successful response:
+// hit, coalesced (joined a running execution), miss (led one) or bypass
+// (nocache).
+func cacheState(req RunRequest, resp RunResponse) string {
 	switch {
-	case total == 0:
-		return "none"
-	case total == 1:
-		return parts[0][:strings.IndexByte(parts[0], '=')]
+	case req.NoCache:
+		return "bypass"
+	case resp.Cached:
+		return "hit"
+	case resp.Coalesced:
+		return "coalesced"
 	}
-	return strings.Join(parts, ",")
+	return "miss"
 }
 
 // outcomeOf classifies a response status for the completion log line.
@@ -751,9 +702,7 @@ func outcomeOf(status int) string {
 }
 
 // probeEndpoint reports whether ep is scrape/probe noise (health
-// checks, metric scrapes, debug views): those requests skip the
-// request-stats sink and the span tree entirely — no context values, no
-// trace arena, zero registry churn — and log at debug level.
+// checks, metric scrapes, debug views), which logs at debug level.
 func probeEndpoint(ep string) bool {
 	return ep == "healthz" || ep == "metrics" || ep == "debug"
 }
@@ -761,22 +710,22 @@ func probeEndpoint(ep string) bool {
 // instrument wraps the mux with request IDs, structured logs, latency
 // histograms and request counters. Each request logs exactly one
 // completion line carrying its ID, duration, cache state and outcome.
-// Non-probe requests additionally get a request-scoped span tree
-// (X-Trace-Id echoes the trace ID, trace_id lands on the log line); on
-// completion the tree feeds the per-stage histograms and the slowest-N
-// ring behind /debug/obs/slow.
+// Only /v1/run requests get a request ID in their context and a
+// request-scoped span tree (X-Trace-Id echoes the trace ID, trace_id
+// lands on the log line); on completion the tree feeds the per-stage
+// histograms and the slowest-N ring behind /debug/obs/slow. Probes and
+// unknown paths build no trace: no context values, no arena, no slow
+// ring slot.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := fmt.Sprintf("%06x-%04d", start.UnixNano()&0xffffff, s.reqSeq.Add(1)%10000)
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, cache: "none"}
 		sw.Header().Set("X-Request-Id", id)
 		ep := endpointOf(r.URL.Path)
-		var rs *reqStats
 		var rt *obs.ReqTrace
-		if !probeEndpoint(ep) {
-			rs = &reqStats{}
-			ctx := withReqStats(withRequestID(r.Context(), id), rs)
+		if ep == "run" {
+			ctx := withRequestID(r.Context(), id)
 			if s.slow != nil {
 				rt = s.board.NewReqTrace(id, reqSpanCap, s.cfg.TraceEvents)
 				ctx = obs.WithSpan(ctx, rt, rt.Root())
@@ -786,12 +735,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
-		if byClass, ok := s.mReqs[ep]; ok {
-			byClass[classOf(sw.status)].Inc()
-		}
-		if h, ok := s.mLatency[ep]; ok {
-			h.Observe(dur.Seconds())
-		}
+		s.mReqs[ep][classOf(sw.status)].Inc() // every endpointOf label is registered
+		s.mLatency[ep].Observe(dur.Seconds())
 		rt.Finish(r.Method+" "+r.URL.Path, sw.status)
 		s.observeStages(rt)
 		s.slow.Add(rt)
@@ -805,7 +750,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
 			slog.Duration("dur", dur),
-			slog.String("cache", rs.state()),
+			slog.String("cache", sw.cache),
 			slog.String("outcome", outcomeOf(sw.status)),
 			slog.String("trace_id", rt.ID()),
 		)
@@ -832,10 +777,7 @@ func (s *Server) observeStages(rt *obs.ReqTrace) {
 
 type ctxKey int
 
-const (
-	requestIDKey ctxKey = iota
-	reqStatsKey
-)
+const requestIDKey ctxKey = 0
 
 func withRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey, id)
@@ -845,19 +787,6 @@ func withRequestID(ctx context.Context, id string) context.Context {
 func RequestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey).(string)
 	return id
-}
-
-func withReqStats(ctx context.Context, rs *reqStats) context.Context {
-	return context.WithValue(ctx, reqStatsKey, rs)
-}
-
-// reqStatsFrom returns the request's cache accounting; callers outside
-// the middleware (direct servePoint use in tests) get a discard sink.
-func reqStatsFrom(ctx context.Context) *reqStats {
-	if rs, ok := ctx.Value(reqStatsKey).(*reqStats); ok {
-		return rs
-	}
-	return &reqStats{}
 }
 
 // writeJSON encodes v with a status code.
@@ -895,17 +824,11 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// maxSweepPoints bounds one sweep request; larger grids should be
-// split by the client.
-const maxSweepPoints = 4096
-
-// maxPointBytes budgets the encoded size of one request point: a point
-// setting every ConfigPatch knob is about 400 bytes of compact JSON.
-const maxPointBytes = 1 << 10
-
 // maxBodyBytes bounds a request body, so a hostile or runaway client
-// is cut off before the decoder buffers more than a full sweep's worth.
-const maxBodyBytes = maxSweepPoints * maxPointBytes
+// is cut off before the decoder buffers more than one point's worth. A
+// point setting every knob is about 400 bytes of compact JSON and under
+// 1 KiB indented; the rest is room for a client's whitespace.
+const maxBodyBytes = 16 << 10
 
 // decodeJSON decodes the one JSON value r holds into v, strictly: a
 // field v's type does not define is an error, so a misspelled knob
@@ -957,59 +880,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
+	if sw, ok := w.(*statusWriter); ok {
+		sw.cache = cacheState(req, resp)
+	}
 	sp = rt.StartSpan(obs.StageRender, parent)
 	writeJSON(w, http.StatusOK, resp)
 	rt.EndSpan(sp, 1)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	rt, parent := obs.SpanFrom(r.Context())
-	var req SweepRequest
-	sp := rt.StartSpan(obs.StageParse, parent)
-	err := decodeBody(w, r, &req)
-	rt.EndSpan(sp, 0)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	if len(req.Points) == 0 {
-		s.fail(w, r, badRequest("empty sweep"))
-		return
-	}
-	if len(req.Points) > maxSweepPoints {
-		s.fail(w, r, badRequest("sweep of %d points exceeds limit %d", len(req.Points), maxSweepPoints))
-		return
-	}
-	start := time.Now()
-	resp := SweepResponse{Points: make([]RunResponse, len(req.Points))}
-	errs := make([]error, len(req.Points))
-	var wg sync.WaitGroup
-	for i := range req.Points {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp.Points[i], errs[i] = s.servePoint(r.Context(), req.Points[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.fail(w, r, err)
-			return
-		}
-	}
-	for _, p := range resp.Points {
-		if p.Cached {
-			resp.Cached++
-		}
-		if p.Coalesced {
-			resp.Coalesced++
-		}
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	sp = rt.StartSpan(obs.StageRender, parent)
-	writeJSON(w, http.StatusOK, resp)
-	rt.EndSpan(sp, int64(len(resp.Points)))
 }
 
 type healthBody struct {

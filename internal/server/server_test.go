@@ -11,6 +11,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -229,42 +231,63 @@ func TestNoCacheAlwaysExecutes(t *testing.T) {
 	}
 }
 
-func TestSweepDedupAndAggregates(t *testing.T) {
+// TestDuplicateRunsDedupe: a grid is concurrent /v1/run requests. Twelve
+// of them over three distinct configurations, on two workers, execute
+// each configuration once; every other request reports that it was
+// served from the table (cached) or joined a running execution
+// (coalesced), with the digest of the run it got.
+func TestDuplicateRunsDedupe(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Workers: 2, Runner: countingRunner(&execs, 20*time.Millisecond)})
+	s, ts := newTestServer(t, Config{Workers: 2, Runner: countingRunner(&execs, 20*time.Millisecond)})
 
-	// 12 points but only 3 distinct configs.
-	var sweep SweepRequest
-	for i := 0; i < 12; i++ {
-		sb := 8 << (i % 3)
-		sweep.Points = append(sweep.Points, RunRequest{
-			Workload: "database", Insts: 1000,
-			Config: &ConfigPatch{StoreBuffer: &sb},
-		})
+	const n = 12
+	responses := make([]RunResponse, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sb := 8 << (i % 3)
+			resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{
+				Workload: "database", Insts: 1000,
+				Config: &ConfigPatch{StoreBuffer: &sb},
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+				return
+			}
+			responses[i] = decodeRun(t, body)
+		}(i)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sr SweepResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Points) != 12 {
-		t.Fatalf("points = %d", len(sr.Points))
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	if got := execs.Load(); got != 3 {
 		t.Errorf("executions = %d, want 3 (9 duplicates coalesced/cached)", got)
 	}
-	if sr.Cached+sr.Coalesced != 9 {
-		t.Errorf("cached %d + coalesced %d, want 9 total", sr.Cached, sr.Coalesced)
-	}
+	shared := 0
 	digests := map[string]bool{}
-	for _, p := range sr.Points {
-		digests[p.Digest] = true
+	for i, r := range responses {
+		if r.Cached && r.Coalesced {
+			t.Errorf("request %d: both cached and coalesced", i)
+		}
+		if r.Cached || r.Coalesced {
+			shared++
+		}
+		digests[r.Digest] = true
+		if r.Digest != responses[i%3].Digest {
+			t.Errorf("request %d: digest %s, want its configuration's %s", i, r.Digest, responses[i%3].Digest)
+		}
+	}
+	if shared != n-3 {
+		t.Errorf("cached + coalesced = %d, want %d", shared, n-3)
 	}
 	if len(digests) != 3 {
 		t.Errorf("distinct digests = %d, want 3", len(digests))
+	}
+	if hits, coal := s.mCacheHits.Value(), s.mCoalesced.Value(); hits+coal != n-3 {
+		t.Errorf("metrics: %d hits + %d coalesced, want %d", hits, coal, n-3)
 	}
 }
 
@@ -286,7 +309,6 @@ func TestBadRequests(t *testing.T) {
 		// checked through the sum.
 		{"insts+warm overflow", "/v1/run", RunRequest{Workload: "tpcw", Insts: 1 << 62, Warm: 1 << 62}},
 		{"negative warm", "/v1/run", RunRequest{Workload: "tpcw", Insts: 1000, Warm: -1}},
-		{"empty sweep", "/v1/sweep", SweepRequest{}},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.url, c.body)
@@ -300,44 +322,70 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBodyLimit: a body past maxBodyBytes is cut off with 413 on both
-// endpoints, while the largest sweep the service accepts — the full
-// maxSweepPoints, every point setting every knob — still decodes.
+// TestBodyLimit: a request body holds one point, so the bound is one
+// point's budget. A point setting every knob decodes compact and
+// indented, and so does one padded with whitespace to exactly
+// maxBodyBytes; one byte more, or an oversized field, is cut off with
+// 413 and nothing runs for it.
 func TestBodyLimit(t *testing.T) {
 	var execs atomic.Int64
 	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
+	post := func(body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
 
-	huge := RunRequest{Workload: strings.Repeat("x", maxBodyBytes)}
-	for url, body := range map[string]interface{}{
-		"/v1/run":   huge,
-		"/v1/sweep": SweepRequest{Points: []RunRequest{huge}},
-	} {
-		resp, out := postJSON(t, ts.URL+url, body)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s oversize body: status %d (%.80s), want 413", url, resp.StatusCode, out)
+	point := RunRequest{
+		Workload: "database", Seed: 1, Insts: 1000, Warm: 1000, Parallel: 1,
+		TimeoutMS: 60_000, DisableTraffic: true, SharedCore: true,
+		Config: &ConfigPatch{
+			Model: strptr("pc"), StorePrefetch: intptr(1), StoreBuffer: intptr(16),
+			StoreQueue: intptr(32), ROB: intptr(64), CoalesceBytes: intptr(8),
+			SLE: boolptr(false), TM: boolptr(false), PrefetchPastSerializing: boolptr(false),
+			HWS: intptr(-1), SMACEntries: intptr(0), Nodes: intptr(2),
+			MissPenalty: intptr(500), PerfectStores: boolptr(false),
+		},
+	}
+	compact, err := json.Marshal(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(point, "", "    ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{compact, indented} {
+		if status, out := post(body); status != http.StatusOK {
+			t.Errorf("every-knob point of %d bytes: status %d (%s), want 200", len(body), status, out)
 		}
 	}
-
-	pts := make([]RunRequest, maxSweepPoints)
-	for i := range pts {
-		pts[i] = RunRequest{
-			Workload: "database", Seed: int64(i + 1), Insts: 1000, Warm: 1000, Parallel: 1,
-			TimeoutMS: 60_000, DisableTraffic: true, SharedCore: true,
-			Config: &ConfigPatch{
-				Model: strptr("pc"), StorePrefetch: intptr(1), StoreBuffer: intptr(16),
-				StoreQueue: intptr(32), ROB: intptr(64), CoalesceBytes: intptr(8),
-				SLE: boolptr(false), TM: boolptr(false), PrefetchPastSerializing: boolptr(false),
-				HWS: intptr(-1), SMACEntries: intptr(0), Nodes: intptr(2),
-				MissPenalty: intptr(500), PerfectStores: boolptr(false),
-			},
-		}
+	padded := func(n int) []byte {
+		return append(append([]byte{}, indented...), bytes.Repeat([]byte{' '}, n-len(indented))...)
 	}
-	resp, out := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: pts})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%d-point sweep: status %d (%.200s), want 200", maxSweepPoints, resp.StatusCode, out)
+	if status, out := post(padded(maxBodyBytes)); status != http.StatusOK {
+		t.Errorf("point padded to %d bytes: status %d (%s), want 200", maxBodyBytes, status, out)
 	}
-	if n := execs.Load(); n != maxSweepPoints {
-		t.Errorf("executed %d points, want %d", n, maxSweepPoints)
+	if n := execs.Load(); n != 1 {
+		t.Errorf("three posts of one point executed %d times, want 1", n)
+	}
+	if status, out := post(padded(maxBodyBytes + 1)); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("point padded to %d bytes: status %d (%.80s), want 413", maxBodyBytes+1, status, out)
+	}
+	huge, err := json.Marshal(RunRequest{Workload: strings.Repeat("x", maxBodyBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, out := post(huge); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize workload name: status %d (%.80s), want 413", status, out)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("oversize bodies executed: %d runs, want 1", n)
 	}
 }
 
@@ -518,9 +566,9 @@ func TestRealEngineSmallRun(t *testing.T) {
 
 // TestRunsViewLive drives /debug/obs/runs while real engine runs are
 // in flight: a /v1/run shows as one entry labelled with its workload
-// and configuration, a sweep as one entry summing its points, and both
-// render the documented JSON keys. With span tracing off there is no
-// trace to carry progress, so the view stays empty.
+// and configuration that renders the documented JSON keys, and two
+// concurrent requests show as two entries. With span tracing off there
+// is no trace to carry progress, so the view stays empty.
 func TestRunsViewLive(t *testing.T) {
 	type runsDoc struct {
 		Active []map[string]any `json:"active"`
@@ -563,7 +611,7 @@ func TestRunsViewLive(t *testing.T) {
 	}
 	long := RunRequest{Workload: "database", Insts: 50_000_000, Warm: 1_000, NoCache: true}
 
-	// Two workers, so both sweep points run at once at any GOMAXPROCS.
+	// Two workers, so two requests run at once at any GOMAXPROCS.
 	_, ts := newTestServer(t, Config{Workers: 2})
 	cancel := post(ts.URL+"/v1/run", long)
 	var doc runsDoc
@@ -573,6 +621,11 @@ func TestRunsViewLive(t *testing.T) {
 		return len(doc.Active) == 1 && doc.Active[0]["insts"].(float64) > 0
 	})
 	cancel()
+	waitFor(t, "the cancelled run to leave the view", func() bool {
+		doc := runsDoc{}
+		getJSONTo(t, ts.URL+"/debug/obs/runs", &doc)
+		return len(doc.Active) == 0
+	})
 	hasKeys("active entry", doc.Active[0], entryKeys)
 	hasKeys("totals", doc.Totals, totalsKeys)
 	if want := "database " + uarch.Default().Name(); doc.Active[0]["label"] != want {
@@ -584,16 +637,22 @@ func TestRunsViewLive(t *testing.T) {
 
 	second := long
 	second.Seed = 2
-	cancel = post(ts.URL+"/v1/sweep", SweepRequest{Points: []RunRequest{long, second}})
-	waitFor(t, "one live sweep entry with both points", func() bool {
+	cancelFirst, cancelSecond := post(ts.URL+"/v1/run", long), post(ts.URL+"/v1/run", second)
+	waitFor(t, "two live /v1/run entries", func() bool {
 		doc = runsDoc{}
 		getJSONTo(t, ts.URL+"/debug/obs/runs", &doc)
-		return len(doc.Active) == 1 && doc.Active[0]["total_insts"].(float64) == float64(2*(long.Insts+long.Warm))
+		return len(doc.Active) == 2
 	})
-	if doc.Totals["active_runs"].(float64) != 2 {
-		t.Errorf("sweep totals %v, want 2 active runs", doc.Totals)
+	for i, e := range doc.Active {
+		if e["total_insts"].(float64) != float64(long.Insts+long.Warm) {
+			t.Errorf("entry %d plans %v insts, want one run's %d", i, e["total_insts"], long.Insts+long.Warm)
+		}
 	}
-	cancel()
+	if doc.Totals["active_runs"].(float64) != 2 {
+		t.Errorf("totals %v, want 2 active runs", doc.Totals)
+	}
+	cancelFirst()
+	cancelSecond()
 
 	_, off := newTestServer(t, Config{SlowRequests: -1})
 	resp, body := postJSON(t, off.URL+"/v1/run", RunRequest{Workload: "tpcw", Insts: 10_000, Warm: 1_000})
@@ -900,12 +959,38 @@ func TestEndpointClassification(t *testing.T) {
 		t.Error("classOf broken")
 	}
 	for path, want := range map[string]string{
-		"/v1/run": "run", "/v1/sweep": "sweep", "/healthz": "healthz", "/metrics": "metrics",
+		"/v1/run": "run", "/healthz": "healthz", "/metrics": "metrics",
 		"/debug/obs/trace": "debug", "/debug/obs/runs": "debug", "/debug/obs/vars": "debug",
+		"/v1/sweep": "other", "/": "other",
 	} {
 		if got := endpointOf(path); got != want {
 			t.Errorf("endpointOf(%s) = %s", path, got)
 		}
+	}
+
+	// A 404 counts under "other": it leaves the run series alone and
+	// gets no trace.
+	s, ts := newTestServer(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
+	for _, path := range []string{"/v1/sweep", "/"} {
+		resp, _ := postJSON(t, ts.URL+path, RunRequest{Workload: "database", Insts: 1000})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
+		if id := resp.Header.Get("X-Trace-Id"); id != "" {
+			t.Errorf("POST %s got trace %s", path, id)
+		}
+	}
+	if n := s.mLatency["run"].Count(); n != 0 {
+		t.Errorf("run latency histogram counted %d requests, want 0", n)
+	}
+	if n := s.mLatency["other"].Count(); n != 2 {
+		t.Errorf("other latency histogram counted %d requests, want 2", n)
+	}
+	if n := s.mReqs["other"]["4xx"].Value(); n != 2 {
+		t.Errorf("other 4xx requests = %d, want 2", n)
+	}
+	if n := s.slow.Len(); n != 0 {
+		t.Errorf("slow ring holds %d traces of unknown paths, want 0", n)
 	}
 }
 
@@ -993,8 +1078,9 @@ func TestParallelFieldRejected(t *testing.T) {
 }
 
 // TestUnknownFieldRejected: a request body with a field the request
-// type does not define, at the top level or inside the config patch or
-// a sweep point, is a 400 naming the field, and nothing runs.
+// type does not define, at the top level or inside the config patch, is
+// a 400 naming the field, and nothing runs. A grid of points in one body
+// is such a body.
 func TestUnknownFieldRejected(t *testing.T) {
 	var execs atomic.Int64
 	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
@@ -1002,7 +1088,7 @@ func TestUnknownFieldRejected(t *testing.T) {
 	for _, c := range []struct{ path, body, field string }{
 		{"/v1/run", `{"workload":"database","insts":1000,"isnts":5}`, "isnts"},
 		{"/v1/run", `{"workload":"database","insts":1000,"config":{"modle":"wc"}}`, "modle"},
-		{"/v1/sweep", `{"points":[{"workload":"tpcw","insts":1000,"wram":10}]}`, "wram"},
+		{"/v1/run", `{"points":[{"workload":"tpcw","insts":1000}]}`, "points"},
 	} {
 		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -1072,5 +1158,88 @@ func TestDefaultParallelIgnored(t *testing.T) {
 	}
 	if digests[0] != digests[1] {
 		t.Errorf("DefaultParallel changed the digest: %s vs %s", digests[0], digests[1])
+	}
+}
+
+// TestRunLeavesNoGoroutines: every way a /v1/run request can end — a
+// hit, a miss, coalesced followers, nocache, a client that disconnects,
+// a per-request timeout and a 400 — gives back the goroutines it
+// started once idle client connections close. Leaked request, leader or
+// waiter goroutines keep the count above its baseline.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	const slowInsts = 999 // the runner blocks on these until cancelled
+	var execs atomic.Int64
+	fast := countingRunner(&execs, 20*time.Millisecond)
+	runner := func(ctx context.Context, spec sim.Spec) (*epoch.Stats, error) {
+		if spec.Insts == slowInsts {
+			execs.Add(1)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return fast(ctx, spec)
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, Runner: runner})
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	run := func(req RunRequest, want int) {
+		t.Helper()
+		if resp, body := postJSON(t, ts.URL+"/v1/run", req); resp.StatusCode != want {
+			t.Errorf("%+v: status %d (%s), want %d", req, resp.StatusCode, body, want)
+		}
+	}
+	hot := RunRequest{Workload: "database", Insts: 1000}
+	run(hot, http.StatusOK) // miss
+	run(hot, http.StatusOK) // hit
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ { // one leader, three coalesced followers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(RunRequest{Workload: "tpcw", Insts: 1000}, http.StatusOK)
+		}()
+	}
+	wg.Wait()
+	run(RunRequest{Workload: "specjbb", Insts: 1000, NoCache: true}, http.StatusOK)
+	run(RunRequest{Workload: "specweb", Insts: slowInsts, TimeoutMS: 20}, http.StatusGatewayTimeout)
+	run(RunRequest{Workload: "nope", Insts: 1000}, http.StatusBadRequest)
+
+	// A client that disconnects while its run executes.
+	buf, err := json.Marshal(RunRequest{Workload: "specweb", Seed: 2, Insts: slowInsts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	waitFor(t, "the disconnecting client's run to start", func() bool { return execs.Load() == 5 })
+	cancel()
+	if err := <-errc; err == nil {
+		t.Error("cancelled client request succeeded")
+	}
+	waitFor(t, "the abandoned run to end", func() bool { return s.mInflight.Value() == 0 })
+
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			var stacks strings.Builder
+			pprof.Lookup("goroutine").WriteTo(&stacks, 1)
+			t.Fatalf("%d goroutines after the requests, baseline %d:\n%s", runtime.NumGoroutine(), baseline, stacks.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := execs.Load(); n != 5 {
+		t.Errorf("executions = %d, want 5 (miss, coalesced leader, nocache, timeout, disconnect)", n)
 	}
 }

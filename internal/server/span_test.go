@@ -333,10 +333,11 @@ func (r *headerRecorder) Write(p []byte) (int, error) {
 }
 
 // TestSpanTreeWellNested is the concurrency property test (run under
-// -race and -cpu 1,2,4 by check.sh): a burst of mixed run/sweep traffic
-// — cache hits, coalesced followers, sweep fan-outs — must leave
-// every retained span tree well-nested, and the follower/leader split
-// must put coalesce_wait on follower traces only.
+// -race and -cpu 1,2,4 by check.sh): a burst of concurrent /v1/run
+// traffic — cache hits, coalesced followers, cold misses on two
+// digests, nocache runs — must leave every retained span tree
+// well-nested, and the follower/leader split must put coalesce_wait on
+// follower traces only.
 func TestSpanTreeWellNested(t *testing.T) {
 	var execs atomic.Int64
 	s, ts := newTestServer(t, Config{
@@ -356,12 +357,8 @@ func TestSpanTreeWellNested(t *testing.T) {
 				postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "database", Insts: 1000})
 			case 1: // distinct cold points
 				postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "tpcw", Insts: 1000, Seed: int64(c + 1), NoCache: true})
-			case 2: // sweeps with repeated points
-				postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: []RunRequest{
-					{Workload: "database", Insts: 1000},
-					{Workload: "specjbb", Insts: 1000},
-					{Workload: "database", Insts: 1000},
-				}})
+			case 2: // a second digest's coalesce/hit traffic
+				postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "specjbb", Insts: 1000})
 			}
 		}(c)
 	}
@@ -374,55 +371,20 @@ func TestSpanTreeWellNested(t *testing.T) {
 		if rt.Dropped() != 0 {
 			t.Errorf("trace %s dropped %d spans under a %d-span arena", rt.ID(), rt.Dropped(), reqSpanCap)
 		}
-		// Followers record the wait; leaders record the execution. No
-		// trace legitimately holds both a coalesce_wait and a pool_wait
-		// for the same point in this workload (single-point runs), and
-		// sweeps only mix them across distinct points.
-		if strings.HasPrefix(rt.Label(), "POST /v1/run") {
-			hasWait, hasPool := false, false
-			for _, sp := range spans {
-				switch sp.Stage {
-				case obs.StageCoalesceWait:
-					hasWait = true
-				case obs.StagePoolWait:
-					hasPool = true
-				}
-			}
-			if hasWait && hasPool {
-				t.Errorf("trace %s has both coalesce_wait and pool_wait for a single point", rt.ID())
+		// Followers record the wait; leaders record the execution. A
+		// request is one point, so no trace holds both.
+		hasWait, hasPool := false, false
+		for _, sp := range spans {
+			switch sp.Stage {
+			case obs.StageCoalesceWait:
+				hasWait = true
+			case obs.StagePoolWait:
+				hasPool = true
 			}
 		}
-	}
-}
-
-// TestSpanSweepFanOut: each sweep point contributes its own
-// digest/cache-probe chain under the shared root, and the arena bounds
-// hold for a larger-than-typical sweep.
-func TestSpanSweepFanOut(t *testing.T) {
-	var execs atomic.Int64
-	s, ts := newTestServer(t, Config{Runner: countingRunner(&execs, 0)})
-
-	const points = 32
-	pts := make([]RunRequest, points)
-	for i := range pts {
-		pts[i] = RunRequest{Workload: "database", Insts: 1000, Seed: int64(i + 1)}
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Points: pts})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d: %s", resp.StatusCode, body)
-	}
-	id := resp.Header.Get("X-Trace-Id")
-	waitFor(t, "sweep trace retained", func() bool { return s.slow.Get(id) != nil })
-
-	spans := s.slow.Get(id).Snapshot()
-	checkWellNested(t, spans, id)
-	byStage := map[obs.Stage]int{}
-	for _, sp := range spans {
-		byStage[sp.Stage]++
-	}
-	if byStage[obs.StageDigest] != points || byStage[obs.StagePoolWait] != points {
-		t.Errorf("digest/pool_wait counts = %d/%d, want %d each",
-			byStage[obs.StageDigest], byStage[obs.StagePoolWait], points)
+		if hasWait && hasPool {
+			t.Errorf("trace %s has both coalesce_wait and pool_wait", rt.ID())
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ func TestPoolRecyclesAfterCancel(t *testing.T) {
 }
 
 // TestConcurrentRunsShareTrace runs several specs at once under one
-// request trace, as experiments -parallel and /v1/sweep do. Each run
+// request trace, as experiments -parallel -progress does. Each run
 // adds its counter deltas, so once they finish the trace and its board
 // hold exactly the sums of the runs' Stats. The trace's detail cap is
 // 0, so it records the simulate spans but no engine detail.

@@ -101,17 +101,19 @@ esac
 echo '>> go test -race ./...'
 go test -race "$@" ./...
 
-echo '>> go test -race -cpu 1,2,4 -short (source-ahead, span trees, engine free list, result table, sweep runner)'
+echo '>> go test -race -cpu 1,2,4 -short (source-ahead, span trees, engine free list, result table and duplicate runs, request goroutine leaks, sweep runner)'
 # Engine runs and trace writes hand batches from their source-ahead
 # producer goroutine to the consumer, every request's span tree is
-# written from concurrent sweep points and that producer, the
-# experiments sweep runner, the server and trace replays all lease
-# engines from one process-wide free list, and concurrent requests
-# claim, join, finish and abandon entries of the server's result table;
-# re-run their tests at several GOMAXPROCS values so real interleavings,
-# not just the single-P schedule, pass the race detector.
+# written from the request, its leader's execution and that producer,
+# the experiments sweep runner, the server and trace replays all lease
+# engines from one process-wide free list, concurrent requests (hits,
+# duplicates of one digest, cancels, timeouts) claim, join, finish and
+# abandon entries of the server's result table, and every request must
+# give back the goroutines it started; re-run their tests at several
+# GOMAXPROCS values so real interleavings, not just the single-P
+# schedule, pass the race detector.
 go test -race -short -cpu 1,2,4 \
-    -run 'TestSpan|TestDecodeAhead|TestWriteAll|TestPool|TestCoalescing|TestCacheHit|TestAbandoned|TestLRUCache|TestServerClose|TestOneExecutionPerDigest|TestParMap|TestSweep' \
+    -run 'TestSpan|TestDecodeAhead|TestWriteAll|TestPool|TestCoalescing|TestCacheHit|TestAbandoned|TestLRUCache|TestServerClose|TestOneExecutionPerDigest|TestDuplicateRunsDedupe|TestRunLeavesNoGoroutines|TestParMap|TestSweep' \
     ./internal/sim/ ./internal/server/ ./internal/trace/ ./internal/experiments/ .
 
 echo '>> fuzz smoke (10 s each): FuzzSourceMatchesMathRand, FuzzHierarchyMatchesReference'
